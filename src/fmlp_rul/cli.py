@@ -76,15 +76,17 @@ class ExperimentConfig:
         )
 
     def condition_config(self) -> ConditionFitConfig:
-        return ConditionFitConfig(
-            hidden_units=self.condition_hidden,
-            epochs=self.condition_epochs,
-            learning_rate=self.condition_learning_rate,
-            seed=self.seed,
-        )
+        fields = {f: getattr(self, key) for f, key in _CONDITION_KEYS.items()}
+        return ConditionFitConfig(seed=self.seed, **fields)
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# The config key that sets each ConditionFitConfig field.
+_CONDITION_KEYS = {
+    "hidden_units": "condition_hidden",
+    "epochs": "condition_epochs",
+    "learning_rate": "condition_learning_rate",
+}
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
@@ -111,6 +113,14 @@ def validate_config(doc: dict) -> ExperimentConfig:
         setattr(cfg, key, value)
     if cfg.subset is not None and cfg.subset not in SUBSET_IDS:
         raise ConfigError(f"subset must be one of {SUBSET_IDS}, got {cfg.subset!r}")
+    # The stage configs check their own ranges; their messages start with
+    # the field name, reported here as the config key that set it.
+    for build, keys in ((cfg.train_config, {}), (cfg.condition_config, _CONDITION_KEYS)):
+        try:
+            build()
+        except ValueError as exc:
+            field, _, rule = str(exc).partition(" ")
+            raise ConfigError(f"config key {keys.get(field, field)!r} {rule}") from exc
     return cfg
 
 

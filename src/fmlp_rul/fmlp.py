@@ -69,12 +69,11 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("learning rate, epochs, and batch size must be positive")
-        if self.init_scale <= 0 or self.patience <= 0:
-            raise ValueError("init scale and patience must be positive")
+        for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction <= 0.5:
-            raise ValueError("validation fraction must be in [0, 0.5]")
+            raise ValueError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
 
 
 @dataclass

@@ -1,19 +1,14 @@
 """Deterministic numerical kernels shared by the FPCA and network code.
 
-Everything here is 64-bit float. The eigensolver is a cyclic Jacobi
-iteration: for the small dense symmetric matrices this package needs
-(window lengths are at most a few dozen) it is fast, simple, and gives
-bitwise-reproducible output once the sign convention below is applied.
+Everything here is 64-bit float. The eigensolver is LAPACK's symmetric
+solver (``np.linalg.eigh``), reordered to descending eigenvalues; the sign
+convention below makes its eigenvectors a deterministic function of the
+input matrix.
 """
 
 import numpy as np
 
 from .errors import NumericError
-
-# Jacobi stops when the off-diagonal Frobenius norm falls below this
-# fraction of the matrix Frobenius norm.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 ASYMMETRY_TOL = 1e-10
 
@@ -63,60 +58,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
     descending order and eigenvectors as orthonormal columns, sign-fixed
     per ``_fix_signs``.
 
-    Raises NumericError if the off-diagonal mass has not vanished after
-    the sweep cap.
+    Raises NumericError if the solver does not converge.
     """
-    work = symmetrize(a).copy()
-    m = work.shape[0]
-    vectors = np.eye(m)
-    if m == 1:
-        return work.diagonal().copy(), vectors
-
-    scale = np.linalg.norm(work)
-    if scale == 0.0:
-        return work.diagonal().copy(), vectors
-    tol = _JACOBI_TOL * scale
-    # Pivots below this cannot push the off-diagonal norm above tol.
-    skip = tol / m
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off_diag = work.copy()
-        np.fill_diagonal(off_diag, 0.0)
-        if np.linalg.norm(off_diag) <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # Rutishauser's stable rotation parameters.
-                gap = work[q, q] - work[p, p]
-                if gap == 0.0:
-                    t = 1.0
-                else:
-                    theta = gap / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                rot = np.array([[c, -s], [s, c]])
-                work[[p, q], :] = rot @ work[[p, q], :]
-                work[:, [p, q]] = work[:, [p, q]] @ rot.T
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vectors[:, [p, q]] = vectors[:, [p, q]] @ rot.T
-    else:
-        raise NumericError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    values = work.diagonal().copy()
+    try:
+        values, vectors = np.linalg.eigh(symmetrize(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-values, kind="stable")
     return values[order], _fix_signs(vectors[:, order])
 

@@ -18,6 +18,10 @@ CONSTANT_SENSOR_EPS = 1e-9
 
 DEFAULT_RUL_CAP = 130
 
+# Byte budget of one (rows, sensor*hidden) float64 tile buffer in the
+# condition fit, so that its working set stays in a core's L2 cache.
+_TILE_BYTES = 256 * 1024
+
 
 @dataclass
 class ConditionFitConfig:
@@ -27,6 +31,11 @@ class ConditionFitConfig:
     epochs: int = 500
     learning_rate: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("hidden_units", "epochs", "learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -69,6 +78,10 @@ def fit_condition_regressors(
     """Fit one settings->sensor regressor per sensor by full-batch gradient
     descent on squared error, for the configured epoch budget.
 
+    The hidden layer sees only the settings, so the fit runs on the distinct
+    setting rows: each one carries its row count and its summed targets,
+    which give the same full-batch gradient as the rows it stands for.
+
     Deterministic: identical seed and data give identical parameters.
     """
     if not train:
@@ -82,68 +95,76 @@ def fit_condition_regressors(
     setting_min = x_raw.min(axis=0)
     setting_max = x_raw.max(axis=0)
     span = np.maximum(setting_max - setting_min, CONSTANT_SENSOR_EPS)
-    x = (x_raw - setting_min) / span
 
     target_mean = y_raw.mean(axis=0)
     target_scale = np.maximum(y_raw.std(axis=0), CONSTANT_SENSOR_EPS)
     y = (y_raw - target_mean) / target_scale
-
     n_sensors = y.shape[1]
+
+    distinct, group, counts = np.unique(
+        x_raw, axis=0, return_inverse=True, return_counts=True
+    )
+    # A ones column carries the hidden bias through the first-layer products.
+    x = np.column_stack([(distinct - setting_min) / span, np.ones(len(distinct))])
+    # The squared-error gradient at a distinct row's prediction p is
+    # weight * p - target, with its row count and target sum scaled by 2/n.
+    weight = counts[:, None] * (2.0 / n)
+    target = np.zeros((len(distinct), n_sensors))
+    np.add.at(target, group.reshape(-1), y)
+    target *= 2.0 / n
+
     h = cfg.hidden_units
     rng = seeded_rng(cfg.seed)
     w1 = rng.uniform(-0.5, 0.5, size=(n_sensors, N_SETTINGS, h))
-    b1 = np.zeros((n_sensors, h))
     w2 = rng.uniform(-0.5, 0.5, size=(n_sensors, h))
     b2 = np.zeros(n_sensors)
 
-    # All sensors train at once: a flattened (sensor*hidden) first layer and
-    # a block-diagonal second layer keep the heavy products on the BLAS path
-    # while the per-sensor parameter blocks stay fully independent.
+    # All sensors train at once: the first layer is one (settings+1,
+    # sensor*hidden) matrix, the second runs block-wise on the (rows,
+    # sensor, hidden) view. Each epoch streams the rows through tiles small
+    # enough for the hidden-layer buffers to stay in cache.
     lr = cfg.learning_rate
-    w1_flat = w1.transpose(1, 0, 2).reshape(N_SETTINGS, n_sensors * h)
-    b1_flat = b1.reshape(-1)
-    w2_bd = np.zeros((n_sensors * h, n_sensors))
-    block_mask = np.zeros_like(w2_bd)
-    for s in range(n_sensors):
-        w2_bd[s * h : (s + 1) * h, s] = w2[s]
-        block_mask[s * h : (s + 1) * h, s] = 1.0
-
-    hidden = np.empty((n, n_sensors * h))
-    scratch = np.empty_like(hidden)
-    dhid = np.empty_like(hidden)
-    pred = np.empty((n, n_sensors))
+    w1b = np.zeros((N_SETTINGS + 1, n_sensors * h))
+    w1b[:N_SETTINGS] = w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
+    tile = max(1, _TILE_BYTES // (8 * n_sensors * h))
+    hidden_buf = np.empty((tile, n_sensors * h))
+    dhid_buf = np.empty_like(hidden_buf)
     for _ in range(cfg.epochs):
-        np.matmul(x, w1_flat, out=hidden)
-        hidden += b1_flat
-        np.clip(np.negative(hidden, out=hidden), None, 700.0, out=hidden)
-        np.exp(hidden, out=hidden)
-        hidden += 1.0
-        np.reciprocal(hidden, out=hidden)  # logistic activations
+        grad_w1b = np.zeros_like(w1b)
+        grad_w2 = np.zeros_like(w2)
+        grad_b2 = np.zeros_like(b2)
+        for lo in range(0, len(x), tile):
+            rows = slice(lo, lo + tile)
+            xt = x[rows]
+            hidden = hidden_buf[: len(xt)]
+            np.matmul(xt, w1b, out=hidden)
+            np.clip(np.negative(hidden, out=hidden), None, 700.0, out=hidden)
+            np.exp(hidden, out=hidden)
+            hidden += 1.0
+            np.reciprocal(hidden, out=hidden)  # logistic activations
+            hidden3 = hidden.reshape(-1, n_sensors, h)
 
-        np.matmul(hidden, w2_bd, out=pred)
-        pred += b2
-        dpred = pred
-        dpred -= y
-        dpred *= 2.0 / n
+            dpred = np.einsum("nsh,sh->ns", hidden3, w2)
+            dpred += b2
+            dpred *= weight[rows]
+            dpred -= target[rows]
+            grad_b2 += dpred.sum(axis=0)
 
-        grad_b2 = dpred.sum(axis=0)
-        grad_w2_bd = hidden.T @ dpred
-        grad_w2_bd *= block_mask
-        np.matmul(dpred, w2_bd.T, out=dhid)
-        np.subtract(1.0, hidden, out=scratch)
-        dhid *= hidden
-        dhid *= scratch
-        grad_b1 = dhid.sum(axis=0)
-        grad_w1 = x.T @ dhid
+            dhid = dhid_buf[: len(hidden)]
+            dhid3 = dhid.reshape(hidden3.shape)
+            np.einsum("nsh,ns->nsh", hidden3, dpred, out=dhid3)
+            grad_w2 += dhid3.sum(axis=0)
+            np.subtract(1.0, hidden, out=hidden)  # activations become 1 - h
+            dhid *= hidden
+            dhid3 *= w2
+            grad_w1b += xt.T @ dhid
 
-        w1_flat -= lr * grad_w1
-        b1_flat -= lr * grad_b1
-        w2_bd -= lr * grad_w2_bd
+        w1b -= lr * grad_w1b
+        w2 -= lr * grad_w2
         b2 -= lr * grad_b2
 
-    w1 = w1_flat.reshape(N_SETTINGS, n_sensors, h).transpose(1, 0, 2).copy()
-    b1 = b1_flat.reshape(n_sensors, h)
-    w2 = np.stack([w2_bd[s * h : (s + 1) * h, s] for s in range(n_sensors)])
+    w1 = w1b[:N_SETTINGS].reshape(N_SETTINGS, n_sensors, h).transpose(1, 0, 2).copy()
+    b1 = w1b[N_SETTINGS].reshape(n_sensors, h).copy()
 
     return ConditionModel(
         setting_min=setting_min,

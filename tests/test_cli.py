@@ -91,6 +91,25 @@ def test_config_type_checked(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("epochs", 0),
+        ("learning_rate", 0.0),
+        ("val_fraction", 0.7),
+        ("condition_hidden", 0),
+        ("condition_epochs", 0),
+        ("condition_learning_rate", -1.0),
+    ],
+)
+def test_config_range_checked_before_work(key, value, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"subset": "FD001", key: value}))
+    code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_train_requires_data_root(capsys):
     assert cli.main(["train", "--subset", "FD001"]) == 2
 

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracles import reference_condition_fit
+
+from fmlp_rul import preprocess
 from fmlp_rul.cmapss import EngineTrajectory
 from fmlp_rul.preprocess import (
     ConditionFitConfig,
@@ -93,6 +96,32 @@ def test_regressor_deterministic():
     m2 = fit_condition_regressors([traj], cfg)
     for field in ("w1", "b1", "w2", "b2", "target_mean", "target_scale"):
         assert np.array_equal(getattr(m1, field), getattr(m2, field))
+
+
+def test_regressor_matches_reference_fit():
+    # Repeated setting rows exercise the grouping; more distinct rows than
+    # one tile holds exercise the accumulation across tiles.
+    rng = np.random.Generator(np.random.PCG64(8))
+    cfg = ConditionFitConfig(hidden_units=8, epochs=50, learning_rate=0.05, seed=4)
+    distinct = rng.uniform(0, 1, (300, 3)) * [42.0, 0.84, 100.0]
+    settings = distinct[rng.integers(0, len(distinct), 900)]
+    sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(
+        0, 0.1, (900, 21)
+    )
+    train = [
+        make_traj(u + 1, settings[rows], sensors[rows])
+        for u, rows in enumerate(np.array_split(np.arange(900), 3))
+    ]
+    n_distinct = len(np.unique(settings, axis=0))
+    assert n_distinct < len(settings)
+    assert n_distinct > preprocess._TILE_BYTES // (8 * 21 * cfg.hidden_units)
+
+    model = fit_condition_regressors(train, cfg)
+    expected = reference_condition_fit(train, cfg)
+    for field in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(
+            getattr(model, field), getattr(expected, field), rtol=0, atol=1e-12
+        )
 
 
 def test_regressor_rejects_empty_input():
