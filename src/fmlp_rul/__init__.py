@@ -47,6 +47,7 @@ from .preprocess import (
     fit_minmax,
     fit_preprocessing,
     last_window,
+    last_windows,
     linear_rul,
     piecewise_rul,
     remove_condition_effect,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import evaluate as ev
 from . import fmlp
-from .cmapss import SUBSET_IDS, load_subset, parse_trajectory_file
+from .cmapss import SUBSET_IDS, WINDOW_LENGTHS, load_subset, parse_trajectory_file
 from .errors import (
     ArtifactError,
     ConfigError,
@@ -30,7 +30,7 @@ from .fpca import fit_basis
 from .preprocess import (
     ConditionFitConfig,
     fit_preprocessing,
-    last_window,
+    last_windows,
     slide_windows,
     test_instances,
     training_instances,
@@ -121,6 +121,13 @@ def validate_config(doc: dict) -> ExperimentConfig:
         except ValueError as exc:
             field, _, rule = str(exc).partition(" ")
             raise ConfigError(f"config key {keys.get(field, field)!r} {rule}") from exc
+    for key, ok, rule in (
+        ("t_cap", cfg.t_cap > 0, "must be > 0"),
+        ("component_cap", cfg.component_cap > 0, "must be > 0"),
+        ("fve_cutoff", 0.0 < cfg.fve_cutoff <= 1.0, "must be in (0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"config key {key!r} {rule}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -152,7 +159,7 @@ def _require(cfg: ExperimentConfig, *keys: str) -> None:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     _require(cfg, "data_root", "subset")
-    subset = load_subset(cfg.data_root, cfg.subset)
+    subset = load_subset(cfg.data_root, cfg.subset, splits=("train",))
     condition_model, scaler = fit_preprocessing(subset.train, cfg.condition_config())
     instances = training_instances(subset, condition_model, scaler, cfg.t_cap)
     basis = fit_basis(
@@ -199,9 +206,16 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
     if subset_id is None:
         raise ConfigError("subset is neither configured nor recorded in the artifact")
     _require(cfg, "data_root")
-    subset = load_subset(cfg.data_root, subset_id)
     if model.condition_model is None or model.scaler is None:
         raise ArtifactError("artifact lacks preprocessing state; cannot evaluate")
+    if subset_id not in WINDOW_LENGTHS:
+        raise IntegrityError(f"unknown subset id {subset_id!r}")
+    if model.window_length != WINDOW_LENGTHS[subset_id]:
+        raise ArtifactError(
+            f"artifact for {model.subset_id} uses window length"
+            f" {model.window_length}, but {subset_id} uses {WINDOW_LENGTHS[subset_id]}"
+        )
+    subset = load_subset(cfg.data_root, subset_id, splits=("test",))
 
     instances = test_instances(subset, model.condition_model, model.scaler)
     predictions = model.predict_many(instances)
@@ -227,11 +241,13 @@ def cmd_predict(model_path: str | None, trajectory_file: str) -> int:
         raise ArtifactError("artifact does not record its window length")
     with open(trajectory_file, encoding="utf-8") as fh:
         trajectories = parse_trajectory_file(fh)
+    instances = last_windows(
+        trajectories, model.window_length, model.condition_model, model.scaler
+    )
+    estimates = model.predict_many(instances) if instances else []
     print("unit_id,estimated_rul")
-    for traj in trajectories:
-        processed = transform_trajectory(traj, model.condition_model, model.scaler)
-        instance = last_window(processed, model.window_length, model.scaler.retained)
-        print(f"{traj.unit_id},{model.predict(instance)!r}")
+    for traj, estimate in zip(trajectories, estimates):
+        print(f"{traj.unit_id},{float(estimate)!r}")
     return EXIT_OK
 
 
@@ -266,7 +282,7 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
             raise ConfigError("subset is neither configured nor recorded in the artifact")
         if model.condition_model is None or model.scaler is None:
             raise ArtifactError("artifact lacks preprocessing state; cannot inspect features")
-        subset = load_subset(cfg.data_root, subset_id)
+        subset = load_subset(cfg.data_root, subset_id, splits=("train",))
         by_unit = {t.unit_id: t for t in subset.train}
         if unit is None:
             unit = subset.train[0].unit_id

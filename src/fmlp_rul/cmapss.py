@@ -2,11 +2,14 @@
 
 A trajectory file holds one observation per line: unit id, cycle, three
 operating settings, and 21 sensor readings, whitespace separated. Fields
-past column 26 (trailing blanks in some distributions) are ignored. A RUL
-file holds one non-negative integer per line, aligned to test-unit order.
+past column 26 (trailing blanks in some distributions) are ignored. Unit
+ids and cycles are whole numbers, every reading is finite, and each unit's
+rows form one contiguous block. A RUL file holds one non-negative integer
+per line, aligned to test-unit order.
 """
 
 import io
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -30,7 +33,8 @@ class EngineTrajectory:
     """One engine's cycle-indexed record of settings and sensor readings.
 
     ``scaled`` marks that min-max normalization has been applied, so a
-    second application can be rejected.
+    second application can be rejected. Settings and readings must be
+    finite.
     """
 
     unit_id: int
@@ -61,6 +65,15 @@ class EngineTrajectory:
             raise IntegrityError(
                 f"unit {self.unit_id}: expected {n}x{N_SENSORS} sensors,"
                 f" got {self.sensors.shape}"
+            )
+        finite = np.isfinite(self.op_settings).all(axis=1) & np.isfinite(
+            self.sensors
+        ).all(axis=1)
+        if not finite.all():
+            cycle = self.cycles[np.argmin(finite)]
+            raise IntegrityError(
+                f"unit {self.unit_id}: non-finite setting or sensor reading"
+                f" at cycle {cycle}"
             )
 
     @property
@@ -102,38 +115,86 @@ def _as_lines(stream: TextIO | str | Iterable[str]) -> Iterable[str]:
     return stream
 
 
-def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTrajectory]:
-    """Parse a train/test trajectory file into one trajectory per unit.
+def _read_rows(lines: list[str]) -> np.ndarray:
+    """The first N_COLUMNS fields of every non-blank line, as floats."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, usecols=range(N_COLUMNS), ndmin=2, comments=None)
 
-    Units appear in first-appearance order. Raises ParseError for a
-    malformed line and IntegrityError for non-contiguous cycles.
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (np.trunc(values) == values)
+
+
+def _first_bad_line(lines: list[str]) -> ParseError:
+    """Read the lines one at a time and report the first malformed one.
+
+    Runs only after the array read failed, to name the line: the reader
+    numbers rows without the blank lines.
     """
-    rows_by_unit: dict[int, list[list[float]]] = {}
-    for line_no, line in enumerate(_as_lines(stream), start=1):
+    for line_no, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
             continue
         if len(parts) < N_COLUMNS:
-            raise ParseError(
+            return ParseError(
                 line_no, f"expected at least {N_COLUMNS} fields, got {len(parts)}"
             )
         try:
-            unit = int(parts[0])
-            cycle = int(parts[1])
-            values = [float(x) for x in parts[2:N_COLUMNS]]
+            for text in parts[:N_COLUMNS]:
+                float(text)
+            # The array reader rejects some text that float() accepts ("1_0").
+            row = _read_rows([line])[0]
         except ValueError as exc:
-            raise ParseError(line_no, f"malformed numeric field ({exc})") from None
-        rows_by_unit.setdefault(unit, []).append([float(cycle)] + values)
+            return ParseError(line_no, f"malformed numeric field ({exc})")
+        for text, value in zip(parts[:2], row[:2]):
+            if not _whole(value):
+                return ParseError(
+                    line_no,
+                    f"malformed numeric field (unit and cycle must be integers,"
+                    f" got {text!r})",
+                )
+    return ParseError(len(lines), "unreadable trajectory file")
 
+
+def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTrajectory]:
+    """Parse a train/test trajectory file into one trajectory per unit.
+
+    Units appear in file order, each as one contiguous block of rows.
+    Raises ParseError for a malformed line (too few fields, a non-numeric
+    field, a unit or cycle that is not a whole number) and IntegrityError
+    for a unit whose rows are split into separate blocks, non-contiguous
+    cycles, or a non-finite reading.
+    """
+    lines = list(_as_lines(stream))
+    try:
+        data = _read_rows(lines)
+    except ValueError:
+        raise _first_bad_line(lines) from None
+    if not len(data):
+        return []
+    if not _whole(data[:, :2]).all():
+        raise _first_bad_line(lines)
+
+    units = data[:, 0].astype(np.int64)
+    cycles = data[:, 1].astype(np.int64)
+    starts = np.flatnonzero(np.diff(units)) + 1
     trajectories = []
-    for unit, rows in rows_by_unit.items():
-        data = np.array(rows, dtype=np.float64)
+    seen = set()
+    for lo, hi in zip([0, *starts], [*starts, len(units)]):
+        unit = int(units[lo])
+        if unit in seen:
+            raise IntegrityError(
+                f"unit {unit}: rows must form one contiguous block,"
+                " found a second block"
+            )
+        seen.add(unit)
         trajectories.append(
             EngineTrajectory(
                 unit_id=unit,
-                cycles=data[:, 0].astype(np.int64),
-                op_settings=data[:, 1 : 1 + N_SETTINGS],
-                sensors=data[:, 1 + N_SETTINGS :],
+                cycles=cycles[lo:hi],
+                op_settings=data[lo:hi, 2 : 2 + N_SETTINGS],
+                sensors=data[lo:hi, 2 + N_SETTINGS :],
             )
         )
     return trajectories
@@ -168,25 +229,36 @@ def format_trajectories(trajectories: list[EngineTrajectory]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_subset(root_dir: str | Path, subset_id: str) -> DataSubset:
-    """Load train_FD00x.txt, test_FD00x.txt, and RUL_FD00x.txt from a directory."""
+def load_subset(
+    root_dir: str | Path, subset_id: str, splits: Iterable[str] = ("train", "test")
+) -> DataSubset:
+    """Load a subset's files from a directory: train_FD00x.txt for the
+    "train" split, test_FD00x.txt and RUL_FD00x.txt for the "test" split.
+
+    A split that is not requested stays empty, and its files need not exist.
+    """
     if subset_id not in SUBSET_IDS:
         raise IntegrityError(f"unknown subset id {subset_id!r}")
     root = Path(root_dir)
+    names = {"train": ["train"], "test": ["test", "RUL"]}
     paths = {
-        "train": root / f"train_{subset_id}.txt",
-        "test": root / f"test_{subset_id}.txt",
-        "rul": root / f"RUL_{subset_id}.txt",
+        name: root / f"{name}_{subset_id}.txt"
+        for split in splits
+        for name in names[split]
     }
     for path in paths.values():
         if not path.is_file():
             raise FileNotFoundError(f"missing data file: {path}")
 
-    with open(paths["train"], encoding="utf-8") as fh:
-        train = parse_trajectory_file(fh)
-    with open(paths["test"], encoding="utf-8") as fh:
-        test = parse_trajectory_file(fh)
-    with open(paths["rul"], encoding="utf-8") as fh:
-        test_rul = parse_rul_file(fh)
+    def read(name, parse):
+        if name not in paths:
+            return []
+        with open(paths[name], encoding="utf-8") as fh:
+            return parse(fh)
 
-    return DataSubset(subset_id=subset_id, train=train, test=test, test_rul=test_rul)
+    return DataSubset(
+        subset_id=subset_id,
+        train=read("train", parse_trajectory_file),
+        test=read("test", parse_trajectory_file),
+        test_rul=read("RUL", parse_rul_file),
+    )

@@ -223,6 +223,13 @@ class MinMaxScaler:
         """1-based ids of the retained sensors (C-MAPSS numbering)."""
         return [int(i) + 1 for i in self.retained]
 
+    def scale_retained(self, sensors: np.ndarray) -> np.ndarray:
+        """(x - min) / (max - min) on the retained sensor columns of an
+        (n, S) block, unclamped."""
+        keep = self.retained
+        span = self.maximum[keep] - self.minimum[keep]
+        return (sensors[:, keep] - self.minimum[keep]) / span
+
 
 def fit_minmax(trajectories: list[EngineTrajectory]) -> MinMaxScaler:
     """Compute per-sensor min/max over every cycle of every trajectory."""
@@ -241,10 +248,8 @@ def apply_minmax(traj: EngineTrajectory, scaler: MinMaxScaler) -> EngineTrajecto
     """
     if traj.scaled:
         raise ValueError(f"unit {traj.unit_id} is already min-max scaled")
-    keep = scaler.retained
     scaled = np.zeros_like(traj.sensors)
-    span = scaler.maximum[keep] - scaler.minimum[keep]
-    scaled[:, keep] = (traj.sensors[:, keep] - scaler.minimum[keep]) / span
+    scaled[:, scaler.retained] = scaler.scale_retained(traj.sensors)
     return EngineTrajectory(
         unit_id=traj.unit_id,
         cycles=traj.cycles.copy(),
@@ -323,6 +328,13 @@ def slide_windows(
     return out
 
 
+def _last_block(rows: np.ndarray, m: int) -> np.ndarray:
+    """The last m rows; fewer rows are left-padded by repeating the first."""
+    if len(rows) >= m:
+        return rows[len(rows) - m :]
+    return np.concatenate([np.repeat(rows[:1], m - len(rows), axis=0), rows], axis=0)
+
+
 def last_window(
     traj: EngineTrajectory,
     window_length: int,
@@ -339,20 +351,45 @@ def last_window(
     m = int(window_length)
     if traj.n_cycles == 0:
         raise ValueError("empty trajectory")
-    kept = traj.sensors[:, sensor_indices]
-    if traj.n_cycles >= m:
-        block = kept[traj.n_cycles - m :]
-        start = traj.n_cycles - m + 1
-    else:
-        pad = np.repeat(kept[:1], m - traj.n_cycles, axis=0)
-        block = np.concatenate([pad, kept], axis=0)
-        start = 1
+    block = _last_block(traj.sensors[:, sensor_indices], m)
     return FunctionalInstance(
         grid=_window_grid(m),
         curves=np.ascontiguousarray(block.T),
         label=None,
-        engine_ref=(traj.unit_id, start),
+        engine_ref=(traj.unit_id, max(1, traj.n_cycles - m + 1)),
     )
+
+
+def last_windows(
+    trajectories: list[EngineTrajectory],
+    window_length: int,
+    model: ConditionModel,
+    scaler: MinMaxScaler,
+) -> list[FunctionalInstance]:
+    """One unlabeled last-window instance per raw trajectory, in order, on
+    the retained sensors after condition removal and min-max scaling.
+
+    Both transforms act row by row, so only each trajectory's last
+    min(n, M_d) rows are transformed, in one batch: the instances equal
+    ``last_window`` of each fully transformed trajectory.
+    """
+    if not trajectories:
+        return []
+    m = int(window_length)
+    counts = [min(t.n_cycles, m) for t in trajectories]
+    settings = np.concatenate([t.op_settings[-k:] for t, k in zip(trajectories, counts)])
+    sensors = np.concatenate([t.sensors[-k:] for t, k in zip(trajectories, counts)])
+    scaled = scaler.scale_retained(sensors - model.predict(settings))
+    grid = _window_grid(m)
+    return [
+        FunctionalInstance(
+            grid=grid,
+            curves=np.ascontiguousarray(_last_block(rows, m).T),
+            label=None,
+            engine_ref=(traj.unit_id, max(1, traj.n_cycles - m + 1)),
+        )
+        for traj, rows in zip(trajectories, np.split(scaled, np.cumsum(counts)[:-1]))
+    ]
 
 
 def transform_trajectory(
@@ -391,11 +428,4 @@ def test_instances(
     subset: DataSubset, model: ConditionModel, scaler: MinMaxScaler
 ) -> list[FunctionalInstance]:
     """One unlabeled last-window instance per test unit, in file order."""
-    return [
-        last_window(
-            transform_trajectory(traj, model, scaler),
-            subset.window_length,
-            scaler.retained,
-        )
-        for traj in subset.test
-    ]
+    return last_windows(subset.test, subset.window_length, model, scaler)

@@ -1,9 +1,13 @@
 """Shared oracles: random functional-MLP model/batch construction, the
-central-finite-difference gradient check, and a plain reference fit of the
-condition regressors."""
+central-finite-difference gradient check, a plain reference fit of the
+condition regressors, and a line-by-line reference trajectory parser."""
+
+import io
 
 import numpy as np
 
+from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
+from fmlp_rul.errors import ParseError
 from fmlp_rul.fmlp import FmlpModel, gradients, init_model, loss
 from fmlp_rul.fpca import fit_basis
 from fmlp_rul.numerics import logistic, seeded_rng
@@ -125,3 +129,37 @@ def reference_condition_fit(train, cfg: ConditionFitConfig) -> ConditionModel:
         b2=b2,
         config=cfg,
     )
+
+
+def reference_parse_trajectory_file(text: str) -> list[EngineTrajectory]:
+    """The trajectory parser written plainly: one line at a time, Python
+    int/float conversion, rows grouped by unit in first-appearance order."""
+    rows_by_unit: dict[int, list[list[float]]] = {}
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < N_COLUMNS:
+            raise ParseError(
+                line_no, f"expected at least {N_COLUMNS} fields, got {len(parts)}"
+            )
+        try:
+            unit = int(parts[0])
+            cycle = int(parts[1])
+            values = [float(x) for x in parts[2:N_COLUMNS]]
+        except ValueError as exc:
+            raise ParseError(line_no, f"malformed numeric field ({exc})") from None
+        rows_by_unit.setdefault(unit, []).append([float(cycle)] + values)
+
+    trajectories = []
+    for unit, rows in rows_by_unit.items():
+        data = np.array(rows, dtype=np.float64)
+        trajectories.append(
+            EngineTrajectory(
+                unit_id=unit,
+                cycles=data[:, 0].astype(np.int64),
+                op_settings=data[:, 1 : 1 + N_SETTINGS],
+                sensors=data[:, 1 + N_SETTINGS :],
+            )
+        )
+    return trajectories

@@ -100,6 +100,11 @@ def test_config_type_checked(tmp_path, capsys):
         ("condition_hidden", 0),
         ("condition_epochs", 0),
         ("condition_learning_rate", -1.0),
+        ("t_cap", 0),
+        ("fve_cutoff", float("nan")),
+        ("fve_cutoff", 0.0),
+        ("fve_cutoff", 1.5),
+        ("component_cap", 0),
     ],
 )
 def test_config_range_checked_before_work(key, value, tmp_path, capsys):
@@ -127,6 +132,66 @@ def test_missing_model_artifact_is_data_error(mini_root, tmp_path):
     assert code == 3
 
 
+def _copy_files(src, dst, names):
+    for name in names:
+        (dst / name).write_text((src / name).read_text())
+
+
+def test_evaluate_reads_only_test_files(mini_run, mini_root, tmp_path):
+    _copy_files(mini_root, tmp_path, ["test_FD001.txt", "RUL_FD001.txt"])
+    out = tmp_path / "out"
+    code = cli.main(
+        [
+            "evaluate",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--subset", "FD001",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert (out / "report.json").read_bytes() == (mini_run / "report.json").read_bytes()
+
+
+def test_train_reads_only_train_file(mini_root, tmp_path):
+    _copy_files(mini_root, tmp_path, ["train_FD001.txt"])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "condition_epochs": 2}))
+    code = cli.main(
+        ["train", "--config", str(cfg), "--data-root", str(tmp_path), "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert (tmp_path / "artifact.json").is_file()
+
+
+def test_evaluate_rejects_artifact_of_other_window_length(mini_run, tmp_path, capsys):
+    code = cli.main(
+        [
+            "evaluate",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--subset", "FD003",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    for part in ("FD001", "31", "FD003", "38"):
+        assert part in err
+
+
+def test_evaluate_rejects_unknown_subset_in_artifact(mini_run, tmp_path, capsys):
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    doc["subset_id"] = "FD009"
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    code = cli.main(
+        ["evaluate", "--model", str(artifact), "--data-root", str(tmp_path), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    assert "FD009" in capsys.readouterr().err
+
+
 def test_predict_outputs_csv(mini_run, mini_root, capsys):
     code = cli.main(
         [
@@ -143,6 +208,11 @@ def test_predict_outputs_csv(mini_run, mini_root, capsys):
         unit, value = line.split(",")
         assert int(unit) >= 1
         assert float(value) >= 0.0
+    # The batched predict gives exactly evaluate's estimates, in file order.
+    report = (mini_run / "report.csv").read_text().strip().split("\n")[1:]
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [row.split(",")[0], repr(float(row.split(",")[2]))] for row in report
+    ]
 
 
 def test_predict_rejects_malformed_file(mini_run, tmp_path, capsys):
@@ -151,6 +221,21 @@ def test_predict_rejects_malformed_file(mini_run, tmp_path, capsys):
     code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(bad)])
     assert code == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def test_predict_rejects_non_finite_reading(mini_run, mini_root, tmp_path, capsys):
+    lines = (mini_root / "test_FD001.txt").read_text().splitlines()
+    fields = lines[1].split()
+    fields[7] = "nan"
+    lines[1] = " ".join(fields)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(bad)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unit {fields[0]}" in captured.err
+    assert f"cycle {fields[1]}" in captured.err
 
 
 def test_inspect_emits_sensor_csvs(mini_run, mini_root, capsys):

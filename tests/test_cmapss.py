@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+from model_oracles import reference_parse_trajectory_file
+
 from fmlp_rul.cmapss import (
     WINDOW_LENGTHS,
     EngineTrajectory,
@@ -89,6 +91,75 @@ def test_parse_malformed_field_reports_line():
     with pytest.raises(ParseError) as err:
         parse_trajectory_file(text)
     assert err.value.line_no == 2
+
+
+def test_parse_error_line_counts_blank_lines():
+    bad = make_line(1, 2).replace("1.0000", "oops", 1)
+    text = "\n".join(["", make_line(1, 1), "   ", "", bad])
+    with pytest.raises(ParseError) as err:
+        parse_trajectory_file(text + "\n")
+    assert err.value.line_no == 5
+    assert "oops" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line,bad",
+    [
+        (make_line(1, 2).replace("1 2", "1.5 2", 1), "'1.5'"),
+        (make_line(1, 2).replace("1 2", "1 2.5", 1), "'2.5'"),
+        (make_line(1, 2).replace("1 2", "nan 2", 1), "'nan'"),
+        # float() reads digit separators, the array reader does not.
+        (make_line(1, 2).replace("1.0000", "1_0", 1), "1_0"),
+    ],
+)
+def test_parse_non_integer_id_or_unreadable_field_reports_line(line, bad):
+    text = "\n".join([make_line(1, 1), "", line, make_line(1, 3)]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_trajectory_file(text)
+    assert err.value.line_no == 3
+    assert bad in str(err.value)
+
+
+@pytest.mark.parametrize("column,value", [(2, "nan"), (5, "inf"), (25, "-inf")])
+def test_parse_non_finite_reading_names_unit_and_cycle(column, value):
+    rows = [make_line(4, c).split() for c in (1, 2, 3)]
+    rows[1][column] = value
+    with pytest.raises(IntegrityError) as err:
+        parse_trajectory_file("\n".join(" ".join(r) for r in rows) + "\n")
+    assert "unit 4" in str(err.value)
+    assert "cycle 2" in str(err.value)
+
+
+def test_parse_rejects_split_unit_blocks():
+    lines = [make_line(1, 1), make_line(1, 2), make_line(2, 1), make_line(1, 3)]
+    with pytest.raises(IntegrityError) as err:
+        parse_trajectory_file("\n".join(lines) + "\n")
+    assert "unit 1" in str(err.value)
+
+
+@pytest.mark.parametrize("subset_id", ["FD001", "FD002", "FD003", "FD004"])
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_parser_matches_line_reference(subset_id, split, request):
+    root = request.getfixturevalue(f"{subset_id.lower()}_root")
+    text = (root / f"{split}_{subset_id}.txt").read_text()
+    expected = reference_parse_trajectory_file(text)
+    parsed = parse_trajectory_file(text)
+    assert [t.unit_id for t in parsed] == [t.unit_id for t in expected]
+    for got, want in zip(parsed, expected):
+        assert got.cycles.dtype == want.cycles.dtype
+        assert np.array_equal(got.cycles, want.cycles)
+        assert got.op_settings.tobytes() == want.op_settings.tobytes()
+        assert got.sensors.tobytes() == want.sensors.tobytes()
+
+
+def test_load_subset_reads_only_requested_splits(fd001_root, tmp_path):
+    (tmp_path / "train_FD001.txt").write_text((fd001_root / "train_FD001.txt").read_text())
+    subset = load_subset(tmp_path, "FD001", splits=("train",))
+    assert len(subset.train) == 100
+    assert subset.test == [] and subset.test_rul == []
+    with pytest.raises(FileNotFoundError) as err:
+        load_subset(tmp_path, "FD001", splits=("test",))
+    assert "test_FD001.txt" in str(err.value)
 
 
 def test_parse_too_few_fields():

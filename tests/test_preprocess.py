@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from model_oracles import reference_condition_fit
 
 from fmlp_rul import preprocess
-from fmlp_rul.cmapss import EngineTrajectory
+from fmlp_rul.cmapss import DataSubset, EngineTrajectory
 from fmlp_rul.preprocess import (
     ConditionFitConfig,
     ConditionModel,
@@ -19,6 +19,7 @@ from fmlp_rul.preprocess import (
     piecewise_rul,
     remove_condition_effect,
     slide_windows,
+    transform_trajectory,
 )
 
 
@@ -325,9 +326,31 @@ def test_last_window_whole_trajectory():
     assert np.array_equal(inst.curves, traj.sensors.T)
 
 
-def test_training_curves_stay_in_unit_interval(fd001_model, fd001_subset):
-    from fmlp_rul.preprocess import transform_trajectory
+def test_test_instances_match_whole_trajectory_path(fd002_subset):
+    model, scaler = preprocess.fit_preprocessing(
+        fd002_subset.train[:6], ConditionFitConfig(epochs=20)
+    )
+    full = fd002_subset.test[0]
+    short = EngineTrajectory(
+        full.unit_id, full.cycles[:9], full.op_settings[:9], full.sensors[:9]
+    )
+    subset = DataSubset(
+        "FD002", train=[], test=[short, *fd002_subset.test[:40]], test_rul=[1] * 41
+    )
+    got = preprocess.test_instances(subset, model, scaler)
+    want = [
+        last_window(transform_trajectory(t, model, scaler), 21, scaler.retained)
+        for t in subset.test
+    ]
+    assert got[0].curves.shape == (len(scaler.retained), 21)
+    for g, w in zip(got, want, strict=True):
+        assert g.engine_ref == w.engine_ref
+        assert g.label is None
+        assert np.array_equal(g.grid, w.grid)
+        np.testing.assert_allclose(g.curves, w.curves, rtol=0, atol=1e-12)
 
+
+def test_training_curves_stay_in_unit_interval(fd001_model, fd001_subset):
     traj = transform_trajectory(
         fd001_subset.train[10], fd001_model.condition_model, fd001_model.scaler
     )
