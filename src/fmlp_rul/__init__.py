@@ -15,6 +15,7 @@ from .cmapss import (
     load_subset,
     parse_rul_file,
     parse_trajectory_file,
+    read_file,
 )
 from .errors import (
     ArtifactError,
@@ -40,20 +41,19 @@ from .numerics import discrete_integral, eigh, seeded_rng
 from .preprocess import (
     ConditionFitConfig,
     ConditionModel,
-    FunctionalInstance,
     MinMaxScaler,
-    apply_minmax,
+    Windows,
     fit_condition_regressors,
     fit_minmax,
     fit_preprocessing,
-    last_window,
     last_windows,
     linear_rul,
     piecewise_rul,
     remove_condition_effect,
-    slide_windows,
+    sliding_windows,
     test_instances,
     training_instances,
+    transform_rows,
 )
 
 __version__ = "0.1.0"

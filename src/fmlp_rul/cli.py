@@ -14,9 +14,17 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as ev
 from . import fmlp
-from .cmapss import SUBSET_IDS, WINDOW_LENGTHS, load_subset, parse_trajectory_file
+from .cmapss import (
+    SUBSET_IDS,
+    WINDOW_LENGTHS,
+    load_subset,
+    parse_trajectory_file,
+    read_file,
+)
 from .errors import (
     ArtifactError,
     ConfigError,
@@ -31,10 +39,10 @@ from .preprocess import (
     ConditionFitConfig,
     fit_preprocessing,
     last_windows,
-    slide_windows,
+    sliding_windows,
     test_instances,
     training_instances,
-    transform_trajectory,
+    transform_rows,
 )
 
 EXIT_OK = 0
@@ -194,8 +202,7 @@ def _load_model(path: str | None) -> fmlp.FmlpModel:
     if path is None:
         raise ConfigError("--model is required")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fmlp.load_model(fh)
+        return read_file(path, fmlp.load_model)
     except FileNotFoundError:
         raise FileNotFoundError(f"missing model artifact: {path}") from None
 
@@ -239,41 +246,35 @@ def cmd_predict(model_path: str | None, trajectory_file: str) -> int:
         raise ArtifactError("artifact lacks preprocessing state; cannot predict")
     if model.window_length is None:
         raise ArtifactError("artifact does not record its window length")
-    with open(trajectory_file, encoding="utf-8") as fh:
-        trajectories = parse_trajectory_file(fh)
-    instances = last_windows(
-        trajectories, model.window_length, model.condition_model, model.scaler
-    )
-    estimates = model.predict_many(instances) if instances else []
+    trajectories = read_file(trajectory_file, parse_trajectory_file)
+    estimates = []
+    if trajectories:
+        windows = last_windows(
+            trajectories, model.window_length, model.condition_model, model.scaler
+        )
+        estimates = model.predict_many(windows)
     print("unit_id,estimated_rul")
     for traj, estimate in zip(trajectories, estimates):
         print(f"{traj.unit_id},{float(estimate)!r}")
     return EXIT_OK
 
 
+def _float_cells(row) -> str:
+    return ",".join(repr(float(v)) for v in row)
+
+
 def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None) -> int:
     model = _load_model(model_path)
     out = Path(cfg.out_dir) / "inspect"
 
-    for r, sensor in enumerate(model.basis.sensors):
-        fve = sensor.fve
-        header = ["grid", "mean", "eigenvalue", "fve"] + [
-            f"phi_{p + 1}" for p in range(sensor.num_components)
-        ]
-        rows = [",".join(header)]
-        for j in range(len(model.basis.grid)):
-            cells = [
-                repr(float(model.basis.grid[j])),
-                repr(float(sensor.mean[j])),
-                repr(float(sensor.eigenvalues[j])),
-                repr(float(fve[j])),
-            ]
-            cells += [
-                repr(float(sensor.components[p, j]))
-                for p in range(sensor.num_components)
-            ]
-            rows.append(",".join(cells))
-        atomic_write(out / f"sensor_{sensor.sensor_id:02d}.csv", "\n".join(rows) + "\n")
+    for sensor in model.basis.sensors:
+        header = ["grid", "mean", "eigenvalue", "fve"]
+        header += [f"phi_{p + 1}" for p in range(sensor.num_components)]
+        table = np.column_stack(
+            [model.basis.grid, sensor.mean, sensor.eigenvalues, sensor.fve, sensor.components.T]
+        )
+        lines = [",".join(header)] + [_float_cells(row) for row in table]
+        atomic_write(out / f"sensor_{sensor.sensor_id:02d}.csv", "\n".join(lines) + "\n")
 
     wrote_features = False
     if cfg.data_root is not None:
@@ -288,24 +289,21 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
             unit = subset.train[0].unit_id
         if unit not in by_unit:
             raise IntegrityError(f"unit {unit} not found in {subset_id} training set")
-        processed = transform_trajectory(
-            by_unit[unit], model.condition_model, model.scaler
+        traj = by_unit[unit]
+        scaled = transform_rows(
+            traj.op_settings, traj.sensors, model.condition_model, model.scaler
         )
-        windows = slide_windows(
-            processed, subset.window_length, cfg.t_cap, model.scaler.retained
-        )
-        k = model.n_functional
-        rows = [
-            "window,start_cycle,label," + ",".join(f"z_{i + 1}" for i in range(k)) + ",H"
+        windows = sliding_windows([(unit, scaled)], subset.window_length, model.label_scale)
+        z = model.functional_layer(windows)
+        header = ["window", "start_cycle", "label"]
+        header += [f"z_{i + 1}" for i in range(model.n_functional)] + ["H"]
+        table = np.column_stack([windows.labels, z, z @ model.a])
+        starts = windows.engine_ref[:, 1]
+        lines = [",".join(header)] + [
+            f"{c},{start},{_float_cells(row)}"
+            for c, (start, row) in enumerate(zip(starts, table), start=1)
         ]
-        for c, inst in enumerate(windows, start=1):
-            z = model.functional_layer(inst)
-            h = float(z @ model.a)
-            cells = [str(c), str(inst.engine_ref[1]), repr(float(inst.label))]
-            cells += [repr(float(v)) for v in z]
-            cells.append(repr(h))
-            rows.append(",".join(cells))
-        atomic_write(out / f"features_unit{unit}.csv", "\n".join(rows) + "\n")
+        atomic_write(out / f"features_unit{unit}.csv", "\n".join(lines) + "\n")
         wrote_features = True
 
     n = len(model.basis.sensors)

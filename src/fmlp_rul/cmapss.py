@@ -32,16 +32,13 @@ WINDOW_LENGTHS = {"FD001": 31, "FD002": 21, "FD003": 38, "FD004": 19}
 class EngineTrajectory:
     """One engine's cycle-indexed record of settings and sensor readings.
 
-    ``scaled`` marks that min-max normalization has been applied, so a
-    second application can be rejected. Settings and readings must be
-    finite.
+    Settings and readings must be finite.
     """
 
     unit_id: int
     cycles: np.ndarray
     op_settings: np.ndarray
     sensors: np.ndarray
-    scaled: bool = False
 
     def __post_init__(self):
         self.cycles = np.asarray(self.cycles, dtype=np.int64)
@@ -229,6 +226,23 @@ def format_trajectories(trajectories: list[EngineTrajectory]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_file(path: str | Path, parse):
+    """parse(stream) on a file opened as UTF-8 text; bytes that are not
+    UTF-8 raise ParseError at their line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        # The stream decodes in chunks; decode the whole file to find the line.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise
+
+
 def load_subset(
     root_dir: str | Path, subset_id: str, splits: Iterable[str] = ("train", "test")
 ) -> DataSubset:
@@ -236,6 +250,7 @@ def load_subset(
     "train" split, test_FD00x.txt and RUL_FD00x.txt for the "test" split.
 
     A split that is not requested stays empty, and its files need not exist.
+    A requested file that holds no data raises IntegrityError.
     """
     if subset_id not in SUBSET_IDS:
         raise IntegrityError(f"unknown subset id {subset_id!r}")
@@ -253,8 +268,10 @@ def load_subset(
     def read(name, parse):
         if name not in paths:
             return []
-        with open(paths[name], encoding="utf-8") as fh:
-            return parse(fh)
+        values = read_file(paths[name], parse)
+        if not values:
+            raise IntegrityError(f"data file {paths[name]} holds no data")
+        return values
 
     return DataSubset(
         subset_id=subset_id,

@@ -22,6 +22,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .cmapss import N_SENSORS, N_SETTINGS
 from .errors import ArtifactError, NumericError, TrainingError
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
@@ -30,8 +31,8 @@ from .preprocess import (
     DEFAULT_RUL_CAP,
     ConditionFitConfig,
     ConditionModel,
-    FunctionalInstance,
     MinMaxScaler,
+    Windows,
 )
 
 ARTIFACT_SCHEMA = "fmlp-artifact/1"
@@ -100,38 +101,23 @@ class FmlpModel:
         last = self.layers[-1]
         if last.activation != ACT_LINEAR or last.weights.shape[0] != 1:
             raise ValueError("final numerical layer must be linear with width 1")
-        for block in (self.a, self.b, self.beta):
-            if not np.all(np.isfinite(block)):
-                raise ValueError("model parameters must be finite")
 
     @property
     def n_functional(self) -> int:
         return len(self.a)
 
-    def beta_block(self, k: int, r: int) -> np.ndarray:
-        """Coefficient vector beta_{k,r} for sensor position r."""
-        return self.beta[k, self.basis.component_slices()[r]]
-
     def weight_curve(self, k: int, r: int) -> np.ndarray:
         """Weight function of neuron k for sensor position r on the grid."""
-        return self.beta_block(k, r) @ self.basis.sensors[r].components
+        coefficients = self.beta[k, self.basis.component_slices()[r]]
+        return coefficients @ self.basis.sensors[r].components
 
-    def functional_layer(self, instance: FunctionalInstance) -> np.ndarray:
-        """Logistic activations of the K functional neurons for one instance."""
-        scores = project(self.basis, [instance])[0]
-        return _logistic(self.beta @ scores + self.b)
+    def functional_layer(self, windows: Windows) -> np.ndarray:
+        """Logistic activations of the K functional neurons: (N, K)."""
+        return _logistic(project(self.basis, windows) @ self.beta.T + self.b)
 
-    def forward(self, instance: FunctionalInstance) -> float:
-        """Network output in scaled label units (unclamped)."""
-        return float(self._forward_scores(project(self.basis, [instance]))[0])
-
-    def predict(self, instance: FunctionalInstance) -> float:
-        """RUL estimate in cycles, clamped at zero."""
-        return max(0.0, self.forward(instance) * self.label_scale)
-
-    def predict_many(self, instances: list[FunctionalInstance]) -> np.ndarray:
-        """Clamped RUL estimates in cycles for a batch of instances."""
-        raw = self._forward_scores(project(self.basis, instances))
+    def predict_many(self, windows: Windows) -> np.ndarray:
+        """Clamped RUL estimates in cycles, one per window."""
+        raw = self._forward_scores(project(self.basis, windows))
         return np.maximum(0.0, raw * self.label_scale)
 
     def _forward_scores(self, scores: np.ndarray) -> np.ndarray:
@@ -164,19 +150,16 @@ class FmlpGradients:
     layers: list[tuple[np.ndarray, np.ndarray]]  # (d_weights, d_bias) per layer
 
 
-def _scaled_targets(model: FmlpModel, instances: list[FunctionalInstance]) -> np.ndarray:
-    labels = []
-    for inst in instances:
-        if inst.label is None:
-            raise ValueError(f"instance {inst.engine_ref} has no label")
-        labels.append(inst.label)
-    return np.asarray(labels, dtype=np.float64) / model.label_scale
+def _scaled_targets(model: FmlpModel, windows: Windows) -> np.ndarray:
+    if windows.labels is None:
+        raise ValueError("windows have no labels")
+    return windows.labels / model.label_scale
 
 
-def loss(model: FmlpModel, instances: list[FunctionalInstance]) -> float:
+def loss(model: FmlpModel, windows: Windows) -> float:
     """Mean squared error over a labeled batch, in scaled label units."""
-    scores = project(model.basis, instances)
-    targets = _scaled_targets(model, instances)
+    scores = project(model.basis, windows)
+    targets = _scaled_targets(model, windows)
     return _loss_scores(model, scores, targets)
 
 
@@ -186,10 +169,10 @@ def _loss_scores(model: FmlpModel, scores: np.ndarray, targets: np.ndarray) -> f
     return float(np.mean(residual**2))
 
 
-def gradients(model: FmlpModel, instances: list[FunctionalInstance]) -> FmlpGradients:
+def gradients(model: FmlpModel, windows: Windows) -> FmlpGradients:
     """Analytic gradient of the batch MSE with respect to every parameter."""
-    scores = project(model.basis, instances)
-    targets = _scaled_targets(model, instances)
+    scores = project(model.basis, windows)
+    targets = _scaled_targets(model, windows)
     return _gradients_scores(model, scores, targets)
 
 
@@ -297,7 +280,7 @@ class TrainResult:
 
 
 def train(
-    instances: list[FunctionalInstance],
+    instances: Windows,
     basis: EigenBasis,
     cfg: TrainConfig | None = None,
     n_functional: int = DEFAULT_FUNCTIONAL_NEURONS,
@@ -381,36 +364,25 @@ def _array(x) -> list:
     return np.asarray(x, dtype=np.float64).tolist()
 
 
+# The array fields of a ConditionModel, in artifact order.
+_CONDITION_ARRAYS = (
+    "setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2"
+)
+
+
 def _condition_model_doc(model: ConditionModel | None):
     if model is None:
         return None
-    return {
-        "setting_min": _array(model.setting_min),
-        "setting_max": _array(model.setting_max),
-        "target_mean": _array(model.target_mean),
-        "target_scale": _array(model.target_scale),
-        "w1": _array(model.w1),
-        "b1": _array(model.b1),
-        "w2": _array(model.w2),
-        "b2": _array(model.b2),
-        "config": dataclasses.asdict(model.config),
-    }
+    doc = {field: _array(getattr(model, field)) for field in _CONDITION_ARRAYS}
+    doc["config"] = dataclasses.asdict(model.config)
+    return doc
 
 
 def _condition_model_from_doc(doc) -> ConditionModel | None:
     if doc is None:
         return None
-    return ConditionModel(
-        setting_min=np.array(doc["setting_min"]),
-        setting_max=np.array(doc["setting_max"]),
-        target_mean=np.array(doc["target_mean"]),
-        target_scale=np.array(doc["target_scale"]),
-        w1=np.array(doc["w1"]),
-        b1=np.array(doc["b1"]),
-        w2=np.array(doc["w2"]),
-        b2=np.array(doc["b2"]),
-        config=ConditionFitConfig(**doc["config"]),
-    )
+    arrays = {field: np.array(doc[field]) for field in _CONDITION_ARRAYS}
+    return ConditionModel(**arrays, config=ConditionFitConfig(**doc["config"]))
 
 
 def model_to_doc(model: FmlpModel) -> dict:
@@ -499,7 +471,7 @@ def model_from_doc(doc: dict) -> FmlpModel:
         )
         func = doc["functional_layer"]
         cfg_doc = doc["train_config"]
-        return FmlpModel(
+        model = FmlpModel(
             a=np.array(func["a"]),
             b=np.array(func["b"]),
             beta=np.array(func["beta"]),
@@ -520,8 +492,55 @@ def model_from_doc(doc: dict) -> FmlpModel:
             train_config=TrainConfig(**cfg_doc) if cfg_doc else None,
             seed=doc["seed"],
         )
+        _check_blocks(model)
+        return model
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
+
+
+def _check_blocks(model: FmlpModel) -> None:
+    """Every numeric block of a loaded artifact is finite and has the shape
+    the other blocks imply; ArtifactError names the first that is not."""
+    basis, cm, scaler = model.basis, model.condition_model, model.scaler
+    m, n_s = len(basis.grid), N_SENSORS
+    blocks = {"label_scale": (model.label_scale, ()), "basis.grid": (basis.grid, (m,))}
+    for name in ("a", "b", "beta"):
+        blocks[f"functional_layer.{name}"] = (getattr(model, name), getattr(model, name).shape)
+    for sb in basis.sensors:
+        shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
+        for name, shape in shapes.items():
+            blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
+    fan_in = 1  # the functional layer's output H is one number
+    for i, layer in enumerate(model.layers):
+        blocks[f"numerical_layers[{i}].weights"] = (layer.weights, (len(layer.bias), fan_in))
+        blocks[f"numerical_layers[{i}].bias"] = (layer.bias, (len(layer.bias),))
+        fan_in = len(layer.bias)
+    if cm is not None:
+        h = cm.config.hidden_units
+        shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2
+        shapes += [(n_s, N_SETTINGS, h), (n_s, h), (n_s, h), (n_s,)]
+        for name, shape in zip(_CONDITION_ARRAYS, shapes):
+            blocks[f"condition_model.{name}"] = (getattr(cm, name), shape)
+    if scaler is not None:
+        blocks["scaler.minimum"] = (scaler.minimum, (n_s,))
+        blocks["scaler.maximum"] = (scaler.maximum, (n_s,))
+    for name, (array, shape) in blocks.items():
+        if np.shape(array) != shape:
+            raise ArtifactError(
+                f"artifact block {name} has shape {np.shape(array)}, expected {shape}"
+            )
+        if not np.isfinite(array).all():
+            raise ArtifactError(f"artifact block {name} holds a non-finite value")
+    if model.window_length is not None and model.window_length != m:
+        raise ArtifactError(
+            f"artifact window_length {model.window_length} does not match"
+            f" the basis grid length {m}"
+        )
+    ids = [sb.sensor_id for sb in basis.sensors]
+    if scaler is not None and ids != scaler.sensor_ids:
+        raise ArtifactError(
+            f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
+        )
 
 
 def save_model(model: FmlpModel, stream: TextIO) -> None:

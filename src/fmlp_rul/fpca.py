@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateSensorError
 from .numerics import discrete_integral, eigh
-from .preprocess import FunctionalInstance
+from .preprocess import Windows
 
 DEFAULT_FVE_CUTOFF = 0.80
 DEFAULT_COMPONENT_CAP = 2
@@ -123,23 +123,19 @@ def fit_sensor_basis(
 
 
 def fit_basis(
-    instances: list[FunctionalInstance],
+    windows: Windows,
     sensor_ids: list[int] | None = None,
     fve_cutoff: float = DEFAULT_FVE_CUTOFF,
     component_cap: int = DEFAULT_COMPONENT_CAP,
 ) -> EigenBasis:
-    """Fit per-sensor bases from training instances on a shared grid.
+    """Fit per-sensor bases from training windows.
 
     ``sensor_ids`` supplies the 1-based id for each curve row; defaults to
     1..R in row order.
     """
-    if len(instances) < 2:
-        raise ValueError("basis fitting needs at least two instances")
-    grid = instances[0].grid
-    for inst in instances:
-        if len(inst.grid) != len(grid) or not np.array_equal(inst.grid, grid):
-            raise ValueError("instances must share one observation grid")
-    curves = np.stack([inst.curves for inst in instances])  # (N, R, M)
+    if len(windows) < 2:
+        raise ValueError("basis fitting needs at least two windows")
+    curves = windows.curves  # (N, R, M)
     n_sensors = curves.shape[1]
     if sensor_ids is None:
         sensor_ids = list(range(1, n_sensors + 1))
@@ -151,20 +147,20 @@ def fit_basis(
         for r in range(n_sensors)
     ]
     return EigenBasis(
-        grid=grid.copy(),
+        grid=windows.grid.copy(),
         sensors=sensors,
         fve_cutoff=fve_cutoff,
         component_cap=component_cap,
     )
 
 
-def project(basis: EigenBasis, instances: list[FunctionalInstance]) -> np.ndarray:
+def project(basis: EigenBasis, windows: Windows) -> np.ndarray:
     """Scores <phi_{r,p}, X_{i,r}> under the discrete integral, as an
     N x total_components matrix in sensor-major column order."""
-    curves = np.stack([inst.curves for inst in instances])  # (N, R, M)
+    curves = windows.curves
     if curves.shape[1] != len(basis.sensors):
         raise ValueError(
-            f"instances have {curves.shape[1]} curves, basis has {len(basis.sensors)}"
+            f"windows have {curves.shape[1]} curves, basis has {len(basis.sensors)}"
         )
     m = curves.shape[2]
     blocks = [
@@ -174,13 +170,12 @@ def project(basis: EigenBasis, instances: list[FunctionalInstance]) -> np.ndarra
     return np.concatenate(blocks, axis=1)
 
 
-def projection_residual_mse(basis: EigenBasis, instances: list[FunctionalInstance]) -> float:
+def projection_residual_mse(basis: EigenBasis, windows: Windows) -> float:
     """Mean squared residual of centered curves after projecting onto each
     sensor's selected eigenfunctions (brute-force check value)."""
-    curves = np.stack([inst.curves for inst in instances])
     total, count = 0.0, 0
     for r, sensor in enumerate(basis.sensors):
-        centered = curves[:, r, :] - sensor.mean
+        centered = windows.curves[:, r, :] - sensor.mean
         m = centered.shape[1]
         coeffs = centered @ sensor.components.T / m
         recon = coeffs @ sensor.components

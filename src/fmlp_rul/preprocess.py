@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmapss import N_SENSORS, N_SETTINGS, DataSubset, EngineTrajectory
+from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
 from .numerics import logistic, seeded_rng
 
 # Sensors whose post-removal range falls below this are flagged constant
@@ -180,18 +180,10 @@ def fit_condition_regressors(
 
 
 def remove_condition_effect(
-    traj: EngineTrajectory, model: ConditionModel
-) -> EngineTrajectory:
-    """Replace sensors by raw minus the regressor's would-be value."""
-    if traj.scaled:
-        raise ValueError("condition removal must precede min-max scaling")
-    residual = traj.sensors - model.predict(traj.op_settings)
-    return EngineTrajectory(
-        unit_id=traj.unit_id,
-        cycles=traj.cycles.copy(),
-        op_settings=traj.op_settings.copy(),
-        sensors=residual,
-    )
+    settings: np.ndarray, sensors: np.ndarray, model: ConditionModel
+) -> np.ndarray:
+    """Raw (n, S) sensor rows minus the regressor's would-be values."""
+    return sensors - model.predict(settings)
 
 
 @dataclass
@@ -231,132 +223,97 @@ class MinMaxScaler:
         return (sensors[:, keep] - self.minimum[keep]) / span
 
 
-def fit_minmax(trajectories: list[EngineTrajectory]) -> MinMaxScaler:
-    """Compute per-sensor min/max over every cycle of every trajectory."""
-    if not trajectories:
+def fit_minmax(residuals: list[np.ndarray]) -> MinMaxScaler:
+    """Compute per-sensor min/max over every row of (n, S) residual blocks."""
+    if not residuals:
         raise ValueError("need at least one trajectory")
-    stacked = np.concatenate([t.sensors for t in trajectories], axis=0)
+    stacked = np.concatenate(residuals, axis=0)
     return MinMaxScaler(minimum=stacked.min(axis=0), maximum=stacked.max(axis=0))
 
 
-def apply_minmax(traj: EngineTrajectory, scaler: MinMaxScaler) -> EngineTrajectory:
-    """Map each retained sensor through (x - min) / (max - min).
+def transform_rows(
+    settings: np.ndarray,
+    sensors: np.ndarray,
+    model: ConditionModel,
+    scaler: MinMaxScaler,
+) -> np.ndarray:
+    """Condition removal then min-max scaling of (n, S) raw rows, keeping
+    the retained sensors: (n, R). Both act row by row."""
+    return scaler.scale_retained(remove_condition_effect(settings, sensors, model))
 
-    Values outside the training range pass through unclamped. Excluded
-    (constant) sensor columns are zeroed. Trajectories are scaled at most
-    once; a second application raises.
+
+def linear_rul(c, n_instances):
+    """Linear label for the c-th of n_instances windows: n_instances - c.
+
+    Works elementwise on arrays of window indices and counts.
     """
-    if traj.scaled:
-        raise ValueError(f"unit {traj.unit_id} is already min-max scaled")
-    scaled = np.zeros_like(traj.sensors)
-    scaled[:, scaler.retained] = scaler.scale_retained(traj.sensors)
-    return EngineTrajectory(
-        unit_id=traj.unit_id,
-        cycles=traj.cycles.copy(),
-        op_settings=traj.op_settings.copy(),
-        sensors=scaled,
-        scaled=True,
-    )
-
-
-def linear_rul(c: int, n_instances: int) -> int:
-    """Linear label for the c-th of n_instances windows: n_instances - c."""
-    if not 1 <= c <= n_instances:
+    c, n = np.asarray(c), np.asarray(n_instances)
+    if np.any((c < 1) | (c > n)):
         raise ValueError(f"window index {c} outside 1..{n_instances}")
-    return n_instances - c
+    return n - c
 
 
-def piecewise_rul(c: int, n_instances: int, t_cap: int = DEFAULT_RUL_CAP) -> int:
+def piecewise_rul(c, n_instances, t_cap: float = DEFAULT_RUL_CAP):
     """Piece-wise label: the linear label capped at t_cap."""
-    return min(t_cap, linear_rul(c, n_instances))
+    return np.minimum(t_cap, linear_rul(c, n_instances))
 
 
 @dataclass
-class FunctionalInstance:
-    """A window of sensor curves on a shared grid, optionally labeled.
+class Windows:
+    """N windows of R sensor curves on one shared grid of M points.
 
-    curves is (R_kept, M); engine_ref is (unit_id, window start cycle).
+    curves is (N, R, M). labels is (N,) piece-wise RUL labels, or None for
+    unlabeled test windows. engine_ref is (N, 2): the unit id and the
+    window's start cycle.
     """
 
     grid: np.ndarray
     curves: np.ndarray
-    label: float | None
-    engine_ref: tuple[int, int]
+    labels: np.ndarray | None
+    engine_ref: np.ndarray
 
     def __post_init__(self):
-        if self.curves.ndim != 2 or self.curves.shape[1] != len(self.grid):
+        if self.curves.ndim != 3 or self.curves.shape[2] != len(self.grid):
             raise ValueError(
                 f"curves {self.curves.shape} do not match grid length {len(self.grid)}"
             )
+        n = len(self.curves)
+        if self.labels is not None and self.labels.shape != (n,):
+            raise ValueError(f"labels {self.labels.shape} do not match {n} windows")
+        if self.engine_ref.shape != (n, 2):
+            raise ValueError(f"engine_ref {self.engine_ref.shape} does not match {n} windows")
+
+    def __len__(self) -> int:
+        return len(self.curves)
 
 
 def _window_grid(window_length: int) -> np.ndarray:
     return np.arange(1, window_length + 1, dtype=np.float64)
 
 
-def slide_windows(
-    traj: EngineTrajectory,
+def sliding_windows(
+    units: list[tuple[int, np.ndarray]],
     window_length: int,
-    t_cap: int = DEFAULT_RUL_CAP,
-    sensor_indices: np.ndarray | None = None,
-) -> list[FunctionalInstance]:
-    """Cut a training trajectory into every length-M_d window, labeling the
-    c-th window with the piece-wise RUL.
+    t_cap: float = DEFAULT_RUL_CAP,
+) -> Windows:
+    """Every length-M_d window of each unit's (n, R) rows, units in order.
 
-    Returns an empty list when the trajectory is shorter than the window.
-    ``sensor_indices`` selects the retained sensors (default: all).
+    The c-th of a unit's n windows is labeled with the piece-wise RUL
+    min(t_cap, n - c). A unit shorter than the window gives no windows.
     """
-    if sensor_indices is None:
-        sensor_indices = np.arange(N_SENSORS)
     m = int(window_length)
-    n = traj.n_cycles - m + 1
-    if n < 1:
-        return []
-    grid = _window_grid(m)
-    kept = traj.sensors[:, sensor_indices]
-    out = []
-    for c in range(1, n + 1):
-        curves = np.ascontiguousarray(kept[c - 1 : c - 1 + m].T)
-        out.append(
-            FunctionalInstance(
-                grid=grid,
-                curves=curves,
-                label=float(piecewise_rul(c, n, t_cap)),
-                engine_ref=(traj.unit_id, c),
-            )
-        )
-    return out
-
-
-def _last_block(rows: np.ndarray, m: int) -> np.ndarray:
-    """The last m rows; fewer rows are left-padded by repeating the first."""
-    if len(rows) >= m:
-        return rows[len(rows) - m :]
-    return np.concatenate([np.repeat(rows[:1], m - len(rows), axis=0), rows], axis=0)
-
-
-def last_window(
-    traj: EngineTrajectory,
-    window_length: int,
-    sensor_indices: np.ndarray | None = None,
-) -> FunctionalInstance:
-    """The final M_d cycles of a test trajectory as one unlabeled instance.
-
-    A trajectory shorter than the window is left-padded by repeating its
-    earliest observation, keeping the true readings at the latest grid
-    positions.
-    """
-    if sensor_indices is None:
-        sensor_indices = np.arange(N_SENSORS)
-    m = int(window_length)
-    if traj.n_cycles == 0:
-        raise ValueError("empty trajectory")
-    block = _last_block(traj.sensors[:, sensor_indices], m)
-    return FunctionalInstance(
+    counts = np.array([max(len(rows) - m + 1, 0) for _, rows in units])
+    ends = np.cumsum(counts)
+    curves = np.empty((ends[-1], units[0][1].shape[1], m))
+    for (_, rows), end, n in zip(units, ends, counts):
+        if n:
+            curves[end - n : end] = np.lib.stride_tricks.sliding_window_view(rows, m, axis=0)
+    c = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + 1  # 1..n per unit
+    return Windows(
         grid=_window_grid(m),
-        curves=np.ascontiguousarray(block.T),
-        label=None,
-        engine_ref=(traj.unit_id, max(1, traj.n_cycles - m + 1)),
+        curves=curves,
+        labels=piecewise_rul(c, np.repeat(counts, counts), t_cap).astype(np.float64),
+        engine_ref=np.column_stack([np.repeat([u for u, _ in units], counts), c]),
     )
 
 
@@ -365,38 +322,37 @@ def last_windows(
     window_length: int,
     model: ConditionModel,
     scaler: MinMaxScaler,
-) -> list[FunctionalInstance]:
-    """One unlabeled last-window instance per raw trajectory, in order, on
-    the retained sensors after condition removal and min-max scaling.
+) -> Windows:
+    """The final M_d cycles of each raw trajectory as one unlabeled window,
+    in order, on the retained sensors after condition removal and min-max
+    scaling.
 
     Both transforms act row by row, so only each trajectory's last
-    min(n, M_d) rows are transformed, in one batch: the instances equal
-    ``last_window`` of each fully transformed trajectory.
+    min(n, M_d) rows are transformed, in one batch. A trajectory shorter
+    than the window is left-padded by repeating its earliest observation,
+    keeping the true readings at the latest grid positions.
     """
-    if not trajectories:
-        return []
     m = int(window_length)
-    counts = [min(t.n_cycles, m) for t in trajectories]
-    settings = np.concatenate([t.op_settings[-k:] for t, k in zip(trajectories, counts)])
-    sensors = np.concatenate([t.sensors[-k:] for t, k in zip(trajectories, counts)])
-    scaled = scaler.scale_retained(sensors - model.predict(settings))
-    grid = _window_grid(m)
-    return [
-        FunctionalInstance(
-            grid=grid,
-            curves=np.ascontiguousarray(_last_block(rows, m).T),
-            label=None,
-            engine_ref=(traj.unit_id, max(1, traj.n_cycles - m + 1)),
-        )
-        for traj, rows in zip(trajectories, np.split(scaled, np.cumsum(counts)[:-1]))
-    ]
-
-
-def transform_trajectory(
-    traj: EngineTrajectory, model: ConditionModel, scaler: MinMaxScaler
-) -> EngineTrajectory:
-    """Condition removal followed by min-max scaling."""
-    return apply_minmax(remove_condition_effect(traj, model), scaler)
+    rows = transform_rows(
+        np.concatenate([t.op_settings[-m:] for t in trajectories]),
+        np.concatenate([t.sensors[-m:] for t in trajectories]),
+        model,
+        scaler,
+    )
+    n_cycles = np.array([t.n_cycles for t in trajectories])
+    tail = np.minimum(n_cycles, m)
+    ends = np.cumsum(tail)
+    # Grid point j of window i reads row ends[i] - m + j, clamped to the
+    # first row of that trajectory's tail.
+    index = np.maximum(ends[:, None] - m + np.arange(m), (ends - tail)[:, None])
+    return Windows(
+        grid=_window_grid(m),
+        curves=np.ascontiguousarray(rows[index].transpose(0, 2, 1)),
+        labels=None,
+        engine_ref=np.column_stack(
+            [[t.unit_id for t in trajectories], np.maximum(1, n_cycles - m + 1)]
+        ),
+    )
 
 
 def fit_preprocessing(
@@ -404,7 +360,7 @@ def fit_preprocessing(
 ) -> tuple[ConditionModel, MinMaxScaler]:
     """Fit the condition regressors, then the min-max scaler on residuals."""
     model = fit_condition_regressors(train, cfg)
-    residuals = [remove_condition_effect(t, model) for t in train]
+    residuals = [remove_condition_effect(t.op_settings, t.sensors, model) for t in train]
     return model, fit_minmax(residuals)
 
 
@@ -413,19 +369,18 @@ def training_instances(
     model: ConditionModel,
     scaler: MinMaxScaler,
     t_cap: int = DEFAULT_RUL_CAP,
-) -> list[FunctionalInstance]:
-    """All labeled sliding windows from the subset's training units."""
-    out = []
-    for traj in subset.train:
-        processed = transform_trajectory(traj, model, scaler)
-        out.extend(
-            slide_windows(processed, subset.window_length, t_cap, scaler.retained)
-        )
-    return out
+) -> Windows:
+    """All labeled sliding windows from the subset's training units, each
+    unit transformed on its own."""
+    units = [
+        (t.unit_id, transform_rows(t.op_settings, t.sensors, model, scaler))
+        for t in subset.train
+    ]
+    return sliding_windows(units, subset.window_length, t_cap)
 
 
 def test_instances(
     subset: DataSubset, model: ConditionModel, scaler: MinMaxScaler
-) -> list[FunctionalInstance]:
-    """One unlabeled last-window instance per test unit, in file order."""
+) -> Windows:
+    """One unlabeled last window per test unit, in file order."""
     return last_windows(subset.test, subset.window_length, model, scaler)

@@ -15,7 +15,7 @@ from fmlp_rul.preprocess import (
     CONSTANT_SENSOR_EPS,
     ConditionFitConfig,
     ConditionModel,
-    FunctionalInstance,
+    Windows,
 )
 
 # Relative-error guard: at step 1e-6 the finite-difference quotient carries
@@ -27,16 +27,28 @@ REL_FLOOR = 1e-4
 
 
 def make_instances(curves, labels=None, grid=None):
+    """Windows over (N, R, M) curves; window i belongs to unit i."""
     curves = np.asarray(curves, dtype=float)
     if grid is None:
         grid = np.arange(1, curves.shape[-1] + 1, dtype=float)
-    out = []
-    for i, block in enumerate(curves):
-        label = None if labels is None else float(labels[i])
-        out.append(
-            FunctionalInstance(grid=grid, curves=block, label=label, engine_ref=(i, 1))
-        )
-    return out
+    n = len(curves)
+    return Windows(
+        grid=grid,
+        curves=curves,
+        labels=None if labels is None else np.asarray(labels, dtype=float),
+        engine_ref=np.column_stack([np.arange(n), np.ones(n, dtype=int)]),
+    )
+
+
+def take(windows, index):
+    """The windows at the given positions (an index array or slice)."""
+    labels = windows.labels
+    return Windows(
+        grid=windows.grid,
+        curves=windows.curves[index],
+        labels=None if labels is None else labels[index],
+        engine_ref=windows.engine_ref[index],
+    )
 
 
 def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):

@@ -27,7 +27,7 @@ from fmlp_rul.fmlp import (
 )
 from fmlp_rul.fpca import fit_basis, select_num_components
 from fmlp_rul.numerics import discrete_integral, seeded_rng
-from fmlp_rul.preprocess import piecewise_rul, slide_windows
+from fmlp_rul.preprocess import piecewise_rul, sliding_windows
 
 
 def check(num, name, ok, detail=""):
@@ -98,8 +98,8 @@ def test_criterion_4_pipeline_counting(fd001_root):
     started = time.monotonic()
     subset = load_subset(fd001_root, "FD001")
     unit1 = subset.train[0]
-    windows = slide_windows(unit1, subset.window_length)
-    labels = [w.label for w in windows]
+    windows = sliding_windows([(unit1.unit_id, unit1.sensors)], subset.window_length)
+    labels = list(windows.labels)
     elapsed = time.monotonic() - started
     ok = (
         unit1.unit_id == 1
@@ -216,14 +216,14 @@ def test_criterion_8_property_suite(fd001_model):
 
     # forward equivalence of the two functional-layer evaluation orders
     model, batch = random_model_and_batch(555)
-    inst = batch[0]
-    z_fast = model.functional_layer(inst)
-    for k in range(model.n_functional):
-        acc = model.b[k]
-        for r in range(len(model.basis.sensors)):
-            acc += discrete_integral(model.weight_curve(k, r), inst.curves[r])
-        if abs(z_fast[k] - 1.0 / (1.0 + np.exp(-acc))) > 1e-12:
-            failures.append("forward equivalence")
+    z_fast = model.functional_layer(batch)
+    for i, curves in enumerate(batch.curves):
+        for k in range(model.n_functional):
+            acc = model.b[k]
+            for r in range(len(model.basis.sensors)):
+                acc += discrete_integral(model.weight_curve(k, r), curves[r])
+            if abs(z_fast[i, k] - 1.0 / (1.0 + np.exp(-acc))) > 1e-12:
+                failures.append("forward equivalence")
 
     # monotone full-batch descent with halving on increase
     model, _ = random_model_and_batch(556)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,3 +335,178 @@ def test_flags_override_config(mini_root, tmp_path):
     parsed = cli.load_config(str(cfg), {"subset": "FD001", "seed": None})
     assert parsed.subset == "FD001"
     assert parsed.seed == 1
+
+
+def test_inspect_labels_use_the_artifact_label_scale(mini_root, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "condition_epochs": 2, "t_cap": 100}))
+    out = tmp_path / "out"
+    assert cli.main(
+        ["train", "--config", str(cfg), "--data-root", str(mini_root), "--out", str(out)]
+    ) == 0
+    # inspect runs with the default config (t_cap 130) on the longest unit
+    units, lengths = np.unique(
+        np.loadtxt(mini_root / "train_FD001.txt", usecols=0), return_counts=True
+    )
+    unit = int(units[np.argmax(lengths)])
+    assert lengths.max() - 31 + 1 > 101
+    assert cli.main(
+        [
+            "inspect",
+            "--model", str(out / "artifact.json"),
+            "--data-root", str(mini_root),
+            "--subset", "FD001",
+            "--out", str(out),
+            "--unit", str(unit),
+        ]
+    ) == 0
+    rows = (out / "inspect" / f"features_unit{unit}.csv").read_text().strip().split("\n")
+    labels = [float(line.split(",")[2]) for line in rows[1:]]
+    assert max(labels) == 100.0
+    assert labels[-1] == 0.0
+    assert len(labels) == lengths.max() - 30
+
+
+def _empty_split(mini_root, tmp_path, names):
+    _copy_files(mini_root, tmp_path, ["train_FD001.txt", "test_FD001.txt", "RUL_FD001.txt"])
+    for name in names:
+        (tmp_path / name).write_text("")
+
+
+def test_train_on_empty_train_file_is_integrity_error(mini_root, tmp_path, capsys):
+    _empty_split(mini_root, tmp_path, ["train_FD001.txt"])
+    code = cli.main(
+        ["train", "--subset", "FD001", "--data-root", str(tmp_path), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "train_FD001.txt" in err and "no data" in err
+
+
+def test_evaluate_on_empty_test_files_is_integrity_error(mini_run, mini_root, tmp_path, capsys):
+    _empty_split(mini_root, tmp_path, ["test_FD001.txt", "RUL_FD001.txt"])
+    code = cli.main(
+        [
+            "evaluate",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    assert "test_FD001.txt" in capsys.readouterr().err
+
+
+def test_predict_on_empty_file_prints_header(mini_run, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(empty)])
+    assert code == 0
+    assert capsys.readouterr().out == "unit_id,estimated_rul\n"
+
+
+def test_predict_rejects_file_that_is_not_utf8(mini_run, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 1 0.1\n")
+    code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(bad)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1" in captured.err and "not UTF-8" in captured.err
+
+
+def test_evaluate_rejects_file_that_is_not_utf8(mini_run, mini_root, tmp_path, capsys):
+    _copy_files(mini_root, tmp_path, ["test_FD001.txt", "RUL_FD001.txt"])
+    text = (tmp_path / "test_FD001.txt").read_bytes()
+    (tmp_path / "test_FD001.txt").write_bytes(text.replace(b"\n", b"\n\xe9", 2))
+    code = cli.main(
+        [
+            "evaluate",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "not UTF-8" in err
+
+
+def test_predict_rejects_artifact_with_nan_weight(mini_run, mini_root, tmp_path, capsys):
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    doc["numerical_layers"][0]["weights"][0][0] = float("nan")
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    code = cli.main(["predict", "--model", str(artifact), str(mini_root / "test_FD001.txt")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical_layers[0].weights" in captured.err
+
+
+def _set_nan(path):
+    def mutate(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = float("nan")
+
+    return mutate
+
+
+def _drop_last(path):
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc.pop()
+
+    return mutate
+
+
+def _make_constant(doc):
+    # the scaler no longer retains the first basis sensor
+    i = doc["basis"]["sensors"][0]["sensor_id"] - 1
+    doc["scaler"]["maximum"][i] = doc["scaler"]["minimum"][i]
+
+
+def _truncate_components(doc):
+    for row in doc["basis"]["sensors"][0]["components"]:
+        row.pop()
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate,block",
+    [
+        (_set_nan(["numerical_layers", 1, "bias", 0]), "numerical_layers[1].bias"),
+        (_set_nan(["basis", "grid", 3]), "basis.grid"),
+        (_set_nan(["basis", "sensors", 0, "mean", 2]), "mean"),
+        (_set_nan(["basis", "sensors", 1, "eigenvalues", 0]), "eigenvalues"),
+        (_set_nan(["basis", "sensors", 2, "components", 0, 5]), "components"),
+        (_set_nan(["condition_model", "w2", 4, 1]), "condition_model.w2"),
+        (_set_nan(["condition_model", "target_mean", 0]), "condition_model.target_mean"),
+        (_set_nan(["scaler", "maximum", 7]), "scaler.maximum"),
+        (_set("label_scale", float("inf")), "label_scale"),
+        (_drop_last(["condition_model", "b2"]), "condition_model.b2"),
+        (_drop_last(["condition_model", "w1"]), "condition_model.w1"),
+        (lambda d: (_drop_last(["scaler", "minimum"])(d), _drop_last(["scaler", "maximum"])(d)),
+         "scaler.minimum"),
+        (_make_constant, "scaler retains"),
+        (_drop_last(["basis", "grid"]), "mean has shape (31,), expected (30,)"),
+        (_truncate_components, "components has shape"),
+        (_set("window_length", 30), "window_length 30"),
+        (_drop_last(["numerical_layers", 1, "weights", 0]), "numerical_layers[1].weights"),
+    ],
+)
+def test_artifact_blocks_are_validated(mini_run, mutate, block):
+    from fmlp_rul import fmlp
+    from fmlp_rul.errors import ArtifactError
+
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    fmlp.model_from_doc(json.loads(json.dumps(doc)))  # the real artifact loads
+    mutate(doc)
+    with pytest.raises(ArtifactError, match=re.escape(block)):
+        fmlp.model_from_doc(doc)

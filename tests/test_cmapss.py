@@ -14,7 +14,7 @@ from fmlp_rul.cmapss import (
     parse_trajectory_file,
 )
 from fmlp_rul.errors import IntegrityError, ParseError
-from fmlp_rul.preprocess import slide_windows
+from fmlp_rul.preprocess import sliding_windows
 
 
 def make_line(unit, cycle, value=1.0):
@@ -202,7 +202,7 @@ def test_window_count_identity(fd001_subset):
     m = fd001_subset.window_length
     for traj in fd001_subset.train[:25]:
         expected = max(0, traj.n_cycles - m + 1)
-        assert len(slide_windows(traj, m)) == expected
+        assert len(sliding_windows([(traj.unit_id, traj.sensors)], m)) == expected
 
 
 def test_trajectory_invariants_enforced():

@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from model_oracles import make_instances, max_gradient_error, random_model_and_batch
+from model_oracles import make_instances, max_gradient_error, random_model_and_batch, take
 
+from fmlp_rul.cmapss import DataSubset
 from fmlp_rul.errors import ArtifactError, TrainingError
 from fmlp_rul.fmlp import (
     ACT_LINEAR,
@@ -20,7 +21,7 @@ from fmlp_rul.fmlp import (
 )
 from fmlp_rul.fpca import fit_basis
 from fmlp_rul.numerics import discrete_integral, seeded_rng
-from fmlp_rul.preprocess import slide_windows, transform_trajectory
+from fmlp_rul.preprocess import training_instances
 
 
 def constant_basis(m=8, n=6):
@@ -85,7 +86,8 @@ def test_functional_layer_at_zero_parameters():
     model, batch = random_model_and_batch(2)
     model.beta[:] = 0.0
     model.b[:] = 0.0
-    z = model.functional_layer(batch[0])
+    z = model.functional_layer(batch)
+    assert z.shape == (len(batch), model.n_functional)
     assert np.allclose(z, 0.5)
 
 
@@ -95,23 +97,22 @@ def test_functional_layer_constant_weight_function():
     model.beta[0, 0] = 1.0  # weight curve is the constant function 1
     model.b[0] = 0.0
     c = 0.37
-    inst = make_instances(np.full((1, 1, 8), c))[0]
-    z = model.functional_layer(inst)
+    z = model.functional_layer(make_instances(np.full((1, 1, 8), c)))[0]
     assert z[0] == pytest.approx(1.0 / (1.0 + np.exp(-c)), abs=1e-12)
 
 
 def test_forward_matches_weight_curve_integrals():
     # same sums in two orders: projection scores vs explicit weight curves
     model, batch = random_model_and_batch(6)
-    inst = batch[0]
-    z_fast = model.functional_layer(inst)
-    z_slow = []
-    for k in range(model.n_functional):
-        acc = model.b[k]
-        for r in range(len(model.basis.sensors)):
-            acc += discrete_integral(model.weight_curve(k, r), inst.curves[r])
-        z_slow.append(1.0 / (1.0 + np.exp(-acc)))
-    assert np.max(np.abs(z_fast - np.array(z_slow))) < 1e-12
+    z_fast = model.functional_layer(batch)
+    z_slow = np.empty_like(z_fast)
+    for i, curves in enumerate(batch.curves):
+        for k in range(model.n_functional):
+            acc = model.b[k]
+            for r in range(len(model.basis.sensors)):
+                acc += discrete_integral(model.weight_curve(k, r), curves[r])
+            z_slow[i, k] = 1.0 / (1.0 + np.exp(-acc))
+    assert np.max(np.abs(z_fast - z_slow)) < 1e-12
 
 
 # --- forward / predict ------------------------------------------------
@@ -121,7 +122,8 @@ def test_forward_dead_network_returns_bias():
     model, batch = random_model_and_batch(7)
     zeroed(model)
     model.layers[-1].bias[0] = 0.625
-    assert model.forward(batch[0]) == pytest.approx(0.625, abs=1e-15)
+    estimates = model.predict_many(batch)
+    assert estimates == pytest.approx([0.625 * model.label_scale] * len(batch), abs=1e-12)
 
 
 def test_default_architecture_shape():
@@ -130,20 +132,23 @@ def test_default_architecture_shape():
     assert [l.activation for l in model.layers] == [ACT_LOGISTIC, ACT_LINEAR]
     assert model.layers[0].weights.shape == (2, 1)
     assert model.layers[1].weights.shape == (1, 2)
-    assert np.isfinite(model.forward(batch[0]))
+    assert np.isfinite(model.predict_many(batch)).all()
 
 
 def test_predict_clamps_negative_estimates():
     model, batch = random_model_and_batch(9)
     zeroed(model)
     model.layers[-1].bias[0] = -3.2 / model.label_scale
-    assert model.forward(batch[0]) < 0.0
-    assert model.predict(batch[0]) == 0.0
+    assert np.array_equal(model.predict_many(batch), np.zeros(len(batch)))
+    model.layers[-1].bias[0] = 3.2 / model.label_scale
+    assert model.predict_many(batch) == pytest.approx([3.2] * len(batch), rel=1e-12)
 
 
 def test_predict_is_pure():
     model, batch = random_model_and_batch(10)
-    assert model.predict(batch[0]) == model.predict(batch[0])
+    first = model.predict_many(batch)
+    assert np.array_equal(model.predict_many(batch), first)
+    assert np.array_equal(model.predict_many(take(batch, [2, 0])), first[[2, 0]])
 
 
 def test_model_validation():
@@ -168,8 +173,7 @@ def test_loss_zero_at_perfect_fit():
     model, batch = random_model_and_batch(12)
     zeroed(model)
     model.layers[-1].bias[0] = 0.5
-    for inst in batch:
-        inst.label = 0.5 * model.label_scale
+    batch.labels[:] = 0.5 * model.label_scale
     assert loss(model, batch) == 0.0
 
 
@@ -177,19 +181,19 @@ def test_loss_hand_value():
     model, batch = random_model_and_batch(13, batch_size=2)
     zeroed(model)
     model.layers[-1].bias[0] = 0.5
-    batch[0].label = (0.5 - 0.1) * model.label_scale
-    batch[1].label = (0.5 + 0.1) * model.label_scale
+    batch.labels[:] = [(0.5 - 0.1) * model.label_scale, (0.5 + 0.1) * model.label_scale]
     assert loss(model, batch) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_loss_batch_order_invariant():
     model, batch = random_model_and_batch(14, batch_size=5)
-    assert loss(model, batch) == pytest.approx(loss(model, batch[::-1]), abs=1e-12)
+    reversed_batch = take(batch, slice(None, None, -1))
+    assert loss(model, batch) == pytest.approx(loss(model, reversed_batch), abs=1e-12)
 
 
 def test_loss_requires_labels():
     model, batch = random_model_and_batch(15)
-    batch[0].label = None
+    batch.labels = None
     with pytest.raises(ValueError):
         loss(model, batch)
 
@@ -208,8 +212,7 @@ def test_gradients_zero_at_perfect_fit():
     model, batch = random_model_and_batch(16)
     zeroed(model)
     model.layers[-1].bias[0] = 0.25
-    for inst in batch:
-        inst.label = 0.25 * model.label_scale
+    batch.labels[:] = 0.25 * model.label_scale
     grads = gradients(model, batch)
     assert np.array_equal(grads.a, np.zeros_like(grads.a))
     assert np.array_equal(grads.beta, np.zeros_like(grads.beta))
@@ -263,7 +266,7 @@ def test_train_solves_rank_one_task():
 
 
 def test_train_deterministic_trace():
-    data = rank_one_task()[:200]
+    data = take(rank_one_task(), slice(200))
     basis = fit_basis(data)
     cfg = TrainConfig(epochs=30, seed=21)
     first = train(data, basis, cfg)
@@ -275,7 +278,7 @@ def test_train_deterministic_trace():
 
 
 def test_train_reports_divergence_epoch():
-    data = rank_one_task()[:100]
+    data = take(rank_one_task(), slice(100))
     basis = fit_basis(data)
     with pytest.raises(TrainingError) as err:
         train(data, basis, TrainConfig(learning_rate=1e12, epochs=8, seed=0))
@@ -283,7 +286,7 @@ def test_train_reports_divergence_epoch():
 
 
 def test_train_without_validation_split():
-    data = rank_one_task()[:150]
+    data = take(rank_one_task(), slice(150))
     basis = fit_basis(data)
     result = train(data, basis, TrainConfig(epochs=15, val_fraction=0.0, seed=2))
     assert len(result.trace) == 15
@@ -301,7 +304,7 @@ def test_train_config_validation():
 
 
 def test_save_load_round_trip_bitwise():
-    data = rank_one_task()[:150]
+    data = take(rank_one_task(), slice(150))
     basis = fit_basis(data)
     result = train(data, basis, TrainConfig(epochs=10, seed=4))
     model = result.model
@@ -315,13 +318,12 @@ def test_save_load_round_trip_bitwise():
     for before, after in zip(model.layers, loaded.layers):
         assert np.array_equal(before.weights, after.weights)
         assert np.array_equal(before.bias, after.bias)
-    probe = data[7]
-    assert loaded.forward(probe) == model.forward(probe)
+    assert np.array_equal(loaded.predict_many(data), model.predict_many(data))
     assert loaded.train_config == model.train_config
 
 
 def test_load_rejects_truncated_artifact():
-    data = rank_one_task()[:150]
+    data = take(rank_one_task(), slice(150))
     basis = fit_basis(data)
     model = train(data, basis, TrainConfig(epochs=5, seed=4)).model
     buffer = io.StringIO()
@@ -340,12 +342,12 @@ def test_load_rejects_unknown_schema():
 
 
 def test_trained_model_near_failure_estimate(fd001_model, fd001_subset):
-    traj = transform_trajectory(
-        fd001_subset.train[0], fd001_model.condition_model, fd001_model.scaler
+    subset = DataSubset("FD001", train=fd001_subset.train[:1], test=[], test_rul=[])
+    windows = training_instances(
+        subset, fd001_model.condition_model, fd001_model.scaler
     )
-    windows = slide_windows(traj, 31, sensor_indices=fd001_model.scaler.retained)
-    assert windows[-1].label == 0.0
-    assert fd001_model.predict(windows[-1]) < 30.0
+    assert windows.labels[-1] == 0.0
+    assert fd001_model.predict_many(windows)[-1] < 30.0
 
 
 def test_estimates_sharpen_near_end_of_life(fd001_model, fd001_subset):

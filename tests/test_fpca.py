@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracles import make_instances
+
 from fmlp_rul.errors import DegenerateSensorError
 from fmlp_rul.fpca import (
     fit_basis,
@@ -13,18 +15,13 @@ from fmlp_rul.fpca import (
     select_num_components,
 )
 from fmlp_rul.numerics import discrete_integral, seeded_rng
-from fmlp_rul.preprocess import FunctionalInstance
+from fmlp_rul.preprocess import Windows
 
 
 def instances_from_matrix(x, grid=None):
-    """One single-sensor instance per row of an N x M matrix."""
+    """One single-sensor window per row of an N x M matrix."""
     x = np.asarray(x, dtype=float)
-    if grid is None:
-        grid = np.arange(1, x.shape[1] + 1, dtype=float)
-    return [
-        FunctionalInstance(grid=grid, curves=row[None, :], label=None, engine_ref=(i, 1))
-        for i, row in enumerate(x)
-    ]
+    return make_instances(x[:, None, :], grid=grid)
 
 
 def test_sample_mean_columnwise():
@@ -148,12 +145,7 @@ def test_fit_basis_rank_bound_two_instances():
 def test_fit_basis_orthonormal_under_discrete_integral():
     rng = seeded_rng(12)
     curves = rng.uniform(0, 1, size=(40, 3, 12))
-    grid = np.arange(1, 13, dtype=float)
-    insts = [
-        FunctionalInstance(grid=grid, curves=c, label=None, engine_ref=(i, 1))
-        for i, c in enumerate(curves)
-    ]
-    basis = fit_basis(insts)
+    basis = fit_basis(make_instances(curves))
     for sensor in basis.sensors:
         p = sensor.num_components
         for i in range(p):
@@ -165,11 +157,7 @@ def test_fit_basis_orthonormal_under_discrete_integral():
 def test_projection_residual_matches_trailing_eigenvalues():
     rng = seeded_rng(21)
     curves = rng.normal(size=(30, 2, 8))
-    grid = np.arange(1, 9, dtype=float)
-    insts = [
-        FunctionalInstance(grid=grid, curves=c, label=None, engine_ref=(i, 1))
-        for i, c in enumerate(curves)
-    ]
+    insts = make_instances(curves)
     basis = fit_basis(insts)
     expected = 0.0
     count = 0
@@ -182,35 +170,28 @@ def test_projection_residual_matches_trailing_eigenvalues():
 
 
 def test_fit_basis_requires_shared_grid():
-    a = FunctionalInstance(
-        grid=np.arange(1, 5, dtype=float), curves=np.zeros((1, 4)), label=None,
-        engine_ref=(1, 1),
-    )
-    b = FunctionalInstance(
-        grid=np.arange(2, 6, dtype=float), curves=np.zeros((1, 4)), label=None,
-        engine_ref=(2, 1),
-    )
+    # One Windows object holds one grid; curves sampled at a different
+    # number of points cannot join it.
     with pytest.raises(ValueError):
-        fit_basis([a, b])
+        fit_basis(
+            Windows(
+                grid=np.arange(1, 5, dtype=float),
+                curves=np.zeros((2, 1, 5)),
+                labels=None,
+                engine_ref=np.ones((2, 2), dtype=int),
+            )
+        )
 
 
 def test_fit_basis_requires_two_instances():
-    a = FunctionalInstance(
-        grid=np.arange(1, 5, dtype=float), curves=np.zeros((1, 4)), label=None,
-        engine_ref=(1, 1),
-    )
     with pytest.raises(ValueError):
-        fit_basis([a])
+        fit_basis(make_instances(np.zeros((1, 1, 4))))
 
 
 def test_project_layout_and_values():
     rng = seeded_rng(4)
     curves = rng.uniform(0, 1, size=(10, 2, 6))
-    grid = np.arange(1, 7, dtype=float)
-    insts = [
-        FunctionalInstance(grid=grid, curves=c, label=None, engine_ref=(i, 1))
-        for i, c in enumerate(curves)
-    ]
+    insts = make_instances(curves)
     basis = fit_basis(insts)
     scores = project(basis, insts)
     assert scores.shape == (10, basis.total_components)

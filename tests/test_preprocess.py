@@ -10,16 +10,16 @@ from fmlp_rul.cmapss import DataSubset, EngineTrajectory
 from fmlp_rul.preprocess import (
     ConditionFitConfig,
     ConditionModel,
-    FunctionalInstance,
-    apply_minmax,
+    MinMaxScaler,
+    Windows,
     fit_condition_regressors,
     fit_minmax,
-    last_window,
+    last_windows,
     linear_rul,
     piecewise_rul,
     remove_condition_effect,
-    slide_windows,
-    transform_trajectory,
+    sliding_windows,
+    transform_rows,
 )
 
 
@@ -47,6 +47,11 @@ def constant_predictor(values, n_sensors=21, hidden=8):
         b2=values.copy(),
         config=ConditionFitConfig(),
     )
+
+
+def unit_scaler(n_sensors=21):
+    """A MinMaxScaler that keeps every sensor and maps x to x."""
+    return MinMaxScaler(minimum=np.zeros(n_sensors), maximum=np.ones(n_sensors))
 
 
 # --- condition regressors -------------------------------------------------
@@ -82,7 +87,7 @@ def test_regressor_constant_settings_predicts_mean():
     mean = sensors.mean(axis=0)
     std = sensors.std(axis=0)
     assert np.max(np.abs(pred - mean) / std) < 0.1
-    residual = remove_condition_effect(traj, model).sensors
+    residual = remove_condition_effect(settings, sensors, model)
     centered = sensors - mean
     assert np.max(np.abs(residual - centered) / std) < 0.1
 
@@ -136,24 +141,23 @@ def test_regressor_rejects_empty_input():
 def test_removal_zero_model_is_identity():
     rng = np.random.Generator(np.random.PCG64(3))
     traj = make_traj(4, rng.uniform(0, 1, (30, 3)), rng.uniform(0, 1, (30, 21)))
-    out = remove_condition_effect(traj, constant_predictor(0.0))
-    assert np.array_equal(out.sensors, traj.sensors)
-    assert np.array_equal(out.op_settings, traj.op_settings)
+    out = remove_condition_effect(traj.op_settings, traj.sensors, constant_predictor(0.0))
+    assert np.array_equal(out, traj.sensors)
 
 
 def test_removal_exact_fit_gives_zero_residual():
     values = np.arange(21, dtype=float)
     sensors = np.tile(values, (25, 1))
     traj = make_traj(2, np.zeros((25, 3)), sensors)
-    out = remove_condition_effect(traj, constant_predictor(values))
-    assert np.max(np.abs(out.sensors)) == 0.0
+    out = remove_condition_effect(traj.op_settings, sensors, constant_predictor(values))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_removal_exposes_trend_on_multicondition_data(fd002_model, fd002_subset):
     # after removal, the degradation trend dominates the condition switching
     model = fd002_model.condition_model
     traj = fd002_subset.train[0]
-    residual = remove_condition_effect(traj, model).sensors
+    residual = remove_condition_effect(traj.op_settings, traj.sensors, model)
     tail = residual[-120:, 1]  # sensor 2, near end of life
     corr = np.corrcoef(tail, np.arange(tail.size))[0, 1]
     assert corr > 0.5
@@ -163,9 +167,9 @@ def test_removal_neutral_under_single_condition(fd001_model, fd001_subset):
     model = fd001_model.condition_model
     scaler = fd001_model.scaler
     traj = fd001_subset.train[3]
-    removed = remove_condition_effect(traj, model)
+    removed = remove_condition_effect(traj.op_settings, traj.sensors, model)
     for s in scaler.retained:
-        corr = np.corrcoef(traj.sensors[:, s], removed.sensors[:, s])[0, 1]
+        corr = np.corrcoef(traj.sensors[:, s], removed[:, s])[0, 1]
         assert corr > 0.999
 
 
@@ -175,7 +179,7 @@ def test_removal_neutral_under_single_condition(fd001_model, fd001_subset):
 def test_fit_minmax_simple_values():
     sensors = np.tile([[2.0], [4.0], [6.0]], (1, 21))
     traj = make_traj(1, np.zeros((3, 3)), sensors)
-    scaler = fit_minmax([traj])
+    scaler = fit_minmax([traj.sensors])
     assert scaler.minimum[0] == 2.0
     assert scaler.maximum[0] == 6.0
 
@@ -184,7 +188,7 @@ def test_fit_minmax_flags_constant_sensor():
     sensors = np.ones((4, 21))
     sensors[:, 5] = [1.0, 2.0, 3.0, 4.0]
     traj = make_traj(1, np.zeros((4, 3)), sensors)
-    scaler = fit_minmax([traj])
+    scaler = fit_minmax([traj.sensors])
     assert scaler.constant_mask[0]
     assert not scaler.constant_mask[5]
     assert list(scaler.retained) == [5]
@@ -200,34 +204,30 @@ def test_fd001_constant_sensor_fixture(fd001_model):
 def test_apply_minmax_endpoints_and_midpoint():
     sensors = np.tile([[2.0], [4.0], [6.0]], (1, 21))
     traj = make_traj(1, np.zeros((3, 3)), sensors)
-    scaler = fit_minmax([traj])
-    out = apply_minmax(traj, scaler)
-    assert out.scaled
-    assert np.allclose(out.sensors[:, 0], [0.0, 0.5, 1.0])
+    scaler = fit_minmax([traj.sensors])
+    out = scaler.scale_retained(traj.sensors)
+    assert out.shape == (3, 21)
+    assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_apply_minmax_no_clamp_outside_range():
     train = make_traj(1, np.zeros((2, 3)), np.tile([[2.0], [6.0]], (1, 21)))
-    scaler = fit_minmax([train])
+    scaler = fit_minmax([train.sensors])
     test = make_traj(2, np.zeros((1, 3)), np.full((1, 21), 1.0))
-    out = apply_minmax(test, scaler)
-    assert out.sensors[0, 0] == pytest.approx(-0.25)
+    out = scaler.scale_retained(test.sensors)
+    assert out[0, 0] == pytest.approx(-0.25)
 
 
-def test_apply_minmax_rejects_double_application():
-    traj = make_traj(1, np.zeros((2, 3)), np.tile([[2.0], [6.0]], (1, 21)))
-    scaler = fit_minmax([traj])
-    once = apply_minmax(traj, scaler)
-    with pytest.raises(ValueError):
-        apply_minmax(once, scaler)
-
-
-def test_removal_rejected_after_scaling():
-    traj = make_traj(1, np.zeros((2, 3)), np.tile([[2.0], [6.0]], (1, 21)))
-    scaler = fit_minmax([traj])
-    scaled = apply_minmax(traj, scaler)
-    with pytest.raises(ValueError):
-        remove_condition_effect(scaled, constant_predictor(0.0))
+def test_transform_rows_keeps_retained_sensors():
+    rng = np.random.Generator(np.random.PCG64(9))
+    sensors = rng.uniform(0, 1, (6, 21))
+    minimum, maximum = np.zeros(21), np.full(21, 2.0)
+    maximum[[3, 8]] = 0.0  # flagged constant
+    out = transform_rows(
+        np.zeros((6, 3)), sensors, constant_predictor(0.5), MinMaxScaler(minimum, maximum)
+    )
+    keep = [s for s in range(21) if s not in (3, 8)]
+    assert np.array_equal(out, (sensors[:, keep] - 0.5) / 2.0)
 
 
 # --- labels -----------------------------------------------------------------
@@ -277,53 +277,77 @@ def degradation_traj(n, unit_id=1):
 
 def test_slide_windows_counting_example():
     traj = degradation_traj(144)
-    windows = slide_windows(traj, 31)
+    windows = sliding_windows([(1, traj.sensors)], 31)
     assert len(windows) == 114
-    assert windows[0].label == 113.0
-    assert windows[-1].label == 0.0
-    assert windows[0].engine_ref == (1, 1)
-    assert np.array_equal(windows[2].curves, traj.sensors[2:33].T)
+    assert windows.curves.shape == (114, 21, 31)
+    assert windows.labels[0] == 113.0
+    assert windows.labels[-1] == 0.0
+    assert list(windows.engine_ref[0]) == [1, 1]
+    assert np.array_equal(windows.curves[2], traj.sensors[2:33].T)
+    assert np.array_equal(windows.grid, np.arange(1.0, 32.0))
 
 
 def test_slide_windows_single_window():
-    windows = slide_windows(degradation_traj(31), 31)
+    windows = sliding_windows([(1, degradation_traj(31).sensors)], 31)
     assert len(windows) == 1
-    assert windows[0].label == 0.0
+    assert windows.labels[0] == 0.0
 
 
 def test_slide_windows_too_short():
-    assert slide_windows(degradation_traj(30), 31) == []
+    windows = sliding_windows([(1, degradation_traj(30).sensors)], 31)
+    assert len(windows) == 0
+    assert windows.curves.shape == (0, 21, 31)
 
 
 def test_slide_windows_sensor_selection():
     traj = degradation_traj(40)
     keep = np.array([0, 7, 20])
-    windows = slide_windows(traj, 31, sensor_indices=keep)
-    assert windows[0].curves.shape == (3, 31)
-    assert np.array_equal(windows[0].curves, traj.sensors[:31, keep].T)
+    minimum, maximum = np.zeros(21), np.zeros(21)
+    maximum[keep] = 1.0  # every other sensor is flagged constant
+    rows = transform_rows(
+        traj.op_settings, traj.sensors, constant_predictor(0.0), MinMaxScaler(minimum, maximum)
+    )
+    windows = sliding_windows([(1, rows)], 31)
+    assert windows.curves[0].shape == (3, 31)
+    assert np.array_equal(windows.curves[0], traj.sensors[:31, keep].T)
+
+
+def test_sliding_windows_concatenate_units():
+    units = [(3, degradation_traj(33, 3).sensors), (5, degradation_traj(20, 5).sensors),
+             (9, degradation_traj(180, 9).sensors)]
+    windows = sliding_windows(units, 31, t_cap=100)
+    assert len(windows) == 3 + 150  # the 20-cycle unit is too short
+    assert windows.curves.flags.c_contiguous
+    assert list(windows.labels[:3]) == [2.0, 1.0, 0.0]
+    assert windows.labels[3] == 100.0  # 149 capped
+    assert windows.labels[-1] == 0.0
+    assert [list(r) for r in windows.engine_ref[[0, 2, 3, -1]]] == [
+        [3, 1], [3, 3], [9, 1], [9, 150]
+    ]
+    assert np.array_equal(windows.curves[4], units[2][1][1:32].T)
 
 
 def test_last_window_tail():
     traj = degradation_traj(200)
-    inst = last_window(traj, 21)
-    assert inst.label is None
-    assert inst.engine_ref == (1, 180)
-    assert np.array_equal(inst.curves, traj.sensors[179:].T)
+    windows = last_windows([traj], 21, constant_predictor(0.0), unit_scaler())
+    assert windows.labels is None
+    assert list(windows.engine_ref[0]) == [1, 180]
+    assert np.array_equal(windows.curves[0], traj.sensors[179:].T)
 
 
 def test_last_window_pads_short_trajectory():
     traj = degradation_traj(15)
-    inst = last_window(traj, 19)
-    assert inst.curves.shape == (21, 19)
+    curves = last_windows([traj], 19, constant_predictor(0.0), unit_scaler()).curves[0]
+    assert curves.shape == (21, 19)
     for j in range(4):
-        assert np.array_equal(inst.curves[:, j], traj.sensors[0])
-    assert np.array_equal(inst.curves[:, 4:], traj.sensors.T)
+        assert np.array_equal(curves[:, j], traj.sensors[0])
+    assert np.array_equal(curves[:, 4:], traj.sensors.T)
 
 
 def test_last_window_whole_trajectory():
     traj = degradation_traj(31)
-    inst = last_window(traj, 31)
-    assert np.array_equal(inst.curves, traj.sensors.T)
+    windows = last_windows([traj], 31, constant_predictor(0.0), unit_scaler())
+    assert np.array_equal(windows.curves[0], traj.sensors.T)
 
 
 def test_test_instances_match_whole_trajectory_path(fd002_subset):
@@ -338,30 +362,38 @@ def test_test_instances_match_whole_trajectory_path(fd002_subset):
         "FD002", train=[], test=[short, *fd002_subset.test[:40]], test_rul=[1] * 41
     )
     got = preprocess.test_instances(subset, model, scaler)
-    want = [
-        last_window(transform_trajectory(t, model, scaler), 21, scaler.retained)
-        for t in subset.test
-    ]
-    assert got[0].curves.shape == (len(scaler.retained), 21)
-    for g, w in zip(got, want, strict=True):
-        assert g.engine_ref == w.engine_ref
-        assert g.label is None
-        assert np.array_equal(g.grid, w.grid)
-        np.testing.assert_allclose(g.curves, w.curves, rtol=0, atol=1e-12)
+    assert got.curves.shape == (41, len(scaler.retained), 21)
+    assert got.labels is None
+    assert np.array_equal(got.grid, np.arange(1.0, 22.0))
+    for i, t in enumerate(subset.test):
+        # transform the whole trajectory, then take its last 21 rows,
+        # left-padded with the first row when it is shorter
+        rows = transform_rows(t.op_settings, t.sensors, model, scaler)
+        pad = np.repeat(rows[:1], max(0, 21 - t.n_cycles), axis=0)
+        want = np.concatenate([pad, rows])[-21:].T
+        assert list(got.engine_ref[i]) == [t.unit_id, max(1, t.n_cycles - 20)]
+        np.testing.assert_allclose(got.curves[i], want, rtol=0, atol=1e-12)
 
 
 def test_training_curves_stay_in_unit_interval(fd001_model, fd001_subset):
-    traj = transform_trajectory(
-        fd001_subset.train[10], fd001_model.condition_model, fd001_model.scaler
+    subset = DataSubset("FD001", train=fd001_subset.train[10:12], test=[], test_rul=[])
+    windows = preprocess.training_instances(
+        subset, fd001_model.condition_model, fd001_model.scaler
     )
-    windows = slide_windows(traj, 31, sensor_indices=fd001_model.scaler.retained)
-    stacked = np.stack([w.curves for w in windows])
-    assert stacked.min() >= -1e-12
-    assert stacked.max() <= 1.0 + 1e-12
+    assert len(windows) == sum(t.n_cycles - 30 for t in subset.train)
+    assert windows.curves.min() >= -1e-12
+    assert windows.curves.max() <= 1.0 + 1e-12
 
 
 def test_functional_instance_shape_check():
+    ref = np.ones((1, 2), dtype=int)
     with pytest.raises(ValueError):
-        FunctionalInstance(
-            grid=np.arange(5.0), curves=np.zeros((2, 4)), label=None, engine_ref=(1, 1)
+        Windows(grid=np.arange(5.0), curves=np.zeros((1, 2, 4)), labels=None, engine_ref=ref)
+    with pytest.raises(ValueError):
+        Windows(grid=np.arange(4.0), curves=np.zeros((2, 4)), labels=None, engine_ref=ref)
+    with pytest.raises(ValueError):
+        Windows(
+            grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=np.zeros(2), engine_ref=ref
         )
+    with pytest.raises(ValueError):
+        Windows(grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=None, engine_ref=ref.T)
