@@ -145,8 +145,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(doc)
 
@@ -170,6 +170,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     subset = load_subset(cfg.data_root, cfg.subset, splits=("train",))
     condition_model, scaler = fit_preprocessing(subset.train, cfg.condition_config())
     instances = training_instances(subset, condition_model, scaler, cfg.t_cap)
+    if len(instances) < 2:
+        raise IntegrityError(
+            f"{cfg.subset} training units yield {len(instances)} windows of length"
+            f" {subset.window_length} (the longest unit has"
+            f" {max(len(t.cycles) for t in subset.train)} cycles); at least 2 are needed"
+        )
     basis = fit_basis(
         instances,
         sensor_ids=scaler.sensor_ids,

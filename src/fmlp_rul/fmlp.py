@@ -17,13 +17,14 @@ Training uses the precomputed-score form.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
 from .cmapss import N_SENSORS, N_SETTINGS
-from .errors import ArtifactError, NumericError, TrainingError
+from .errors import ArtifactError, TrainingError
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
 from .numerics import seeded_rng
@@ -79,7 +80,12 @@ class TrainConfig:
 
 @dataclass
 class FmlpModel:
-    """Trained parameters plus everything needed to preprocess new data."""
+    """Trained parameters plus everything needed to preprocess new data.
+
+    Every network parameter lives in one float64 vector, ``params``: ``a``,
+    ``b``, ``beta`` and each layer's ``weights`` and ``bias`` are views into
+    it, in the order ``blocks`` lists them.
+    """
 
     a: np.ndarray  # (K,) functional-neuron output weights
     b: np.ndarray  # (K,) functional-neuron biases
@@ -93,6 +99,7 @@ class FmlpModel:
     window_length: int | None = None
     train_config: TrainConfig | None = None
     seed: int | None = None
+    params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.a)
@@ -101,6 +108,28 @@ class FmlpModel:
         last = self.layers[-1]
         if last.activation != ACT_LINEAR or last.weights.shape[0] != 1:
             raise ValueError("final numerical layer must be linear with width 1")
+        arrays = [self.a, self.b, self.beta]
+        arrays += [x for layer in self.layers for x in (layer.weights, layer.bias)]
+        self.params = np.concatenate([np.ravel(x) for x in arrays], dtype=np.float64)
+        views = [view for _, view in self.blocks(self.params)]
+        self.a, self.b, self.beta = views[:3]
+        self.layers = [
+            NumericalLayer(weights, bias, layer.activation)
+            for layer, weights, bias in zip(self.layers, views[3::2], views[4::2])
+        ]
+
+    def blocks(self, vector: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(name, view) per parameter block of a vector laid out like ``params``."""
+        shapes = [("a", self.a.shape), ("b", self.b.shape), ("beta", self.beta.shape)]
+        for i, layer in enumerate(self.layers):
+            shapes.append((f"layers[{i}].weights", layer.weights.shape))
+            shapes.append((f"layers[{i}].bias", layer.bias.shape))
+        views, start = [], 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            views.append((name, vector[start : start + size].reshape(shape)))
+            start += size
+        return views
 
     @property
     def n_functional(self) -> int:
@@ -117,37 +146,20 @@ class FmlpModel:
 
     def predict_many(self, windows: Windows) -> np.ndarray:
         """Clamped RUL estimates in cycles, one per window."""
-        raw = self._forward_scores(project(self.basis, windows))
-        return np.maximum(0.0, raw * self.label_scale)
+        _, xs = self._forward(project(self.basis, windows))
+        return np.maximum(0.0, xs[-1][:, 0] * self.label_scale)
 
-    def _forward_scores(self, scores: np.ndarray) -> np.ndarray:
+    def _forward(self, scores: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The functional activations z (N, K), and H (N, 1) followed by
+        each numerical layer's output."""
         z = _logistic(scores @ self.beta.T + self.b)
-        x = (z @ self.a)[:, None]
+        xs = [(z @ self.a)[:, None]]
         for layer in self.layers:
-            x = layer.apply(x)
-        return x[:, 0]
+            xs.append(layer.apply(xs[-1]))
+        return z, xs
 
     def copy(self) -> "FmlpModel":
-        return dataclasses.replace(
-            self,
-            a=self.a.copy(),
-            b=self.b.copy(),
-            beta=self.beta.copy(),
-            layers=[
-                NumericalLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ],
-        )
-
-
-@dataclass
-class FmlpGradients:
-    """Loss gradient arranged exactly like the model parameters."""
-
-    a: np.ndarray
-    b: np.ndarray
-    beta: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (d_weights, d_bias) per layer
+        return dataclasses.replace(self)  # __post_init__ packs a new vector
 
 
 def _scaled_targets(model: FmlpModel, windows: Windows) -> np.ndarray:
@@ -165,72 +177,44 @@ def loss(model: FmlpModel, windows: Windows) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked by callers
 def _loss_scores(model: FmlpModel, scores: np.ndarray, targets: np.ndarray) -> float:
-    residual = model._forward_scores(scores) - targets
+    residual = model._forward(scores)[1][-1][:, 0] - targets
     return float(np.mean(residual**2))
 
 
-def gradients(model: FmlpModel, windows: Windows) -> FmlpGradients:
-    """Analytic gradient of the batch MSE with respect to every parameter."""
+def gradients(model: FmlpModel, windows: Windows) -> np.ndarray:
+    """Analytic gradient of the batch MSE, laid out like ``model.params``."""
     scores = project(model.basis, windows)
     targets = _scaled_targets(model, windows)
-    return _gradients_scores(model, scores, targets)
+    grad = np.empty_like(model.params)
+    _gradient_into(model, scores, targets, [view for _, view in model.blocks(grad)])
+    return grad
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values checked below
-def _gradients_scores(
-    model: FmlpModel, scores: np.ndarray, targets: np.ndarray
-) -> FmlpGradients:
-    n = scores.shape[0]
-    z = _logistic(scores @ model.beta.T + model.b)  # (N, K)
-    h = (z @ model.a)[:, None]  # (N, 1)
-
-    activations = [h]
-    x = h
-    for layer in model.layers:
-        x = layer.apply(x)
-        activations.append(x)
-    yhat = x[:, 0]
-
-    grad = ((2.0 / n) * (yhat - targets))[:, None]  # dJ/d(final output)
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
+def _gradient_into(
+    model: FmlpModel, scores: np.ndarray, targets: np.ndarray, grad_blocks: list[np.ndarray]
+) -> None:
+    """Write the batch-MSE gradient into ``grad_blocks``, the views of a
+    vector laid out like ``model.params``. Finiteness is the caller's check."""
+    z, xs = model._forward(scores)
+    grad = xs[-1][:, 0] - targets
+    grad *= 2.0 / scores.shape[0]
+    grad = grad[:, None]  # dJ/d(final output)
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        out = activations[i + 1]
+        layer, out = model.layers[i], xs[i + 1]
         if layer.activation == ACT_LOGISTIC:
             grad = grad * out * (1.0 - out)
-        layer_grads[i] = (grad.T @ activations[i], grad.sum(axis=0))
+        np.matmul(grad.T, xs[i], out=grad_blocks[3 + 2 * i])
+        np.add.reduce(grad, axis=0, out=grad_blocks[4 + 2 * i])
         grad = grad @ layer.weights  # (N, in)
 
     dh = grad[:, 0]  # dJ/dH
-    d_a = z.T @ dh
-    dz = np.outer(dh, model.a)
-    dpre = dz * z * (1.0 - z)
-    d_beta = dpre.T @ scores
-    d_b = dpre.sum(axis=0)
-
-    result = FmlpGradients(a=d_a, b=d_b, beta=d_beta, layers=layer_grads)
-    _check_finite(result)
-    return result
-
-
-def _check_finite(grads: FmlpGradients) -> None:
-    blocks = {"a": grads.a, "b": grads.b, "beta": grads.beta}
-    for i, (dw, db) in enumerate(grads.layers):
-        blocks[f"layers[{i}].weights"] = dw
-        blocks[f"layers[{i}].bias"] = db
-    for name, block in blocks.items():
-        if not np.all(np.isfinite(block)):
-            raise NumericError(f"non-finite gradient in parameter block {name}")
-
-
-def apply_gradient_step(model: FmlpModel, grads: FmlpGradients, lr: float) -> None:
-    """One in-place gradient-descent step."""
-    model.a -= lr * grads.a
-    model.b -= lr * grads.b
-    model.beta -= lr * grads.beta
-    for layer, (dw, db) in zip(model.layers, grads.layers):
-        layer.weights -= lr * dw
-        layer.bias -= lr * db
+    g_a, g_b, g_beta = grad_blocks[:3]
+    np.matmul(z.T, dh, out=g_a)
+    dpre = dh[:, None] * model.a  # dJ/dz, then dJ/d(pre-activation)
+    dpre *= z
+    dpre *= 1.0 - z
+    np.matmul(dpre.T, scores, out=g_beta)
+    np.add.reduce(dpre, axis=0, out=g_b)
 
 
 def init_model(
@@ -292,8 +276,8 @@ def train(
     Projection scores are computed once and reused every epoch. When the
     validation fraction is positive, the returned model is the snapshot
     with the best validation MSE and training stops after ``patience``
-    epochs without improvement. Raises TrainingError if the loss stops
-    being finite.
+    epochs without improvement. Raises TrainingError, checked once per
+    epoch, if a parameter or the loss stops being finite.
     """
     if not instances:
         raise ValueError("no training instances")
@@ -315,19 +299,28 @@ def train(
     if train_idx.size == 0:
         raise ValueError("validation split leaves no training data")
 
-    best_model = None
+    params = model.params
+    grad = np.empty_like(params)
+    grad_blocks = [view for _, view in model.blocks(grad)]
+    best = None
     best_val = np.inf
     stale = 0
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(train_idx.size)]
-        for start in range(0, order.size, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            try:
-                grads = _gradients_scores(model, scores[idx], targets[idx])
-            except NumericError as exc:
-                raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
-            apply_gradient_step(model, grads, cfg.learning_rate)
+        epoch_scores, epoch_targets = scores[order], targets[order]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
+            for start in range(0, order.size, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                _gradient_into(model, epoch_scores[batch], epoch_targets[batch], grad_blocks)
+                grad *= cfg.learning_rate
+                params -= grad
+        # A non-finite gradient makes a parameter non-finite in the same step.
+        if not np.isfinite(params).all():
+            name = next(name for name, v in model.blocks(params) if not np.isfinite(v).all())
+            raise TrainingError(
+                f"training diverged at epoch {epoch}: non-finite parameter block {name}"
+            )
 
         train_mse = _loss_scores(model, scores[train_idx], targets[train_idx])
         if not np.isfinite(train_mse):
@@ -342,17 +335,16 @@ def train(
         if n_val:
             if val_mse < best_val:
                 best_val = val_mse
-                best_model = model.copy()
+                best = params.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale > cfg.patience:
                     break
 
-    final = best_model if best_model is not None else model
-    final.train_config = cfg
-    final.seed = cfg.seed
-    return TrainResult(model=final, trace=trace)
+    if best is not None:
+        params[:] = best
+    return TrainResult(model=model, trace=trace)
 
 
 # ---------------------------------------------------------------------------

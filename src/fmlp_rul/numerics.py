@@ -25,7 +25,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def logistic(x: np.ndarray) -> np.ndarray:
     """Standard logistic 1/(1+e^-x), safe against exp overflow."""
-    return 1.0 / (1.0 + np.exp(np.clip(-x, None, 700.0)))
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 700.0)))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared oracles: random functional-MLP model/batch construction, the
-central-finite-difference gradient check, a plain reference fit of the
-condition regressors, and a line-by-line reference trajectory parser."""
+central-finite-difference gradient check, a plain reference training loop,
+a plain reference fit of the condition regressors, and a line-by-line
+reference trajectory parser."""
 
 import io
 
@@ -8,8 +9,8 @@ import numpy as np
 
 from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
 from fmlp_rul.errors import ParseError
-from fmlp_rul.fmlp import FmlpModel, gradients, init_model, loss
-from fmlp_rul.fpca import fit_basis
+from fmlp_rul.fmlp import gradients, init_model, loss
+from fmlp_rul.fpca import fit_basis, project
 from fmlp_rul.numerics import logistic, seeded_rng
 from fmlp_rul.preprocess import (
     CONSTANT_SENSOR_EPS,
@@ -65,28 +66,12 @@ def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):
     return model, make_instances(batch_curves, labels)
 
 
-def parameter_blocks(model: FmlpModel):
-    blocks = [("a", model.a), ("b", model.b), ("beta", model.beta)]
-    for i, layer in enumerate(model.layers):
-        blocks.append((f"layers[{i}].weights", layer.weights))
-        blocks.append((f"layers[{i}].bias", layer.bias))
-    return blocks
-
-
-def gradient_blocks(grads):
-    blocks = {"a": grads.a, "b": grads.b, "beta": grads.beta}
-    for i, (dw, db) in enumerate(grads.layers):
-        blocks[f"layers[{i}].weights"] = dw
-        blocks[f"layers[{i}].bias"] = db
-    return blocks
-
-
 def max_gradient_error(model, batch):
     """Worst guarded relative error between analytic and central-difference
     gradients over every parameter of the model."""
-    analytic = gradient_blocks(gradients(model, batch))
+    analytic = dict(model.blocks(gradients(model, batch)))
     worst = 0.0
-    for name, array in parameter_blocks(model):
+    for name, array in model.blocks(model.params):
         expected = analytic[name]
         for idx in np.ndindex(array.shape):
             original = array[idx]
@@ -99,6 +84,73 @@ def max_gradient_error(model, batch):
             denom = max(abs(fd) + abs(expected[idx]), REL_FLOOR)
             worst = max(worst, abs(fd - expected[idx]) / denom)
     return worst
+
+
+def _clipped_logistic(x):
+    return 1.0 / (1.0 + np.exp(np.clip(-x, None, 700.0)))
+
+
+def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label_scale=130.0):
+    """fmlp.train written plainly: one array per parameter block, the same
+    random draws in the same order, and a per-block update ``p -= lr * g``
+    each step; the best-validation snapshot is a copy of every block.
+    Returns the final (name, block) pairs and the trace as (epoch,
+    train_mse, val_mse) tuples. Divergence is not checked."""
+    rng = seeded_rng(cfg.seed)
+    s, d = cfg.init_scale, basis.total_components
+    a = rng.uniform(-s, s, size=n_functional)
+    beta = rng.uniform(-s, s, size=(n_functional, d))
+    w1 = rng.uniform(-s, s, size=(hidden_width, 1))
+    w2 = rng.uniform(-s, s, size=(1, hidden_width))
+    b, b1, b2 = np.zeros(n_functional), np.zeros(hidden_width), np.zeros(1)
+    blocks = [a, b, beta, w1, b1, w2, b2]
+    names = ["a", "b", "beta", "layers[0].weights", "layers[0].bias",
+             "layers[1].weights", "layers[1].bias"]
+
+    def forward(scores):
+        z = _clipped_logistic(scores @ beta.T + b)
+        h = (z @ a)[:, None]
+        hidden = _clipped_logistic(h @ w1.T + b1)
+        return z, h, hidden, (hidden @ w2.T + b2)[:, 0]
+
+    def mse(scores, targets):
+        return float(np.mean((forward(scores)[3] - targets) ** 2))
+
+    scores = project(basis, instances)
+    targets = instances.labels / label_scale
+    n = len(instances)
+    perm = rng.permutation(n)
+    n_val = int(round(cfg.val_fraction * n))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    best, best_val, stale, trace = None, np.inf, 0, []
+    for epoch in range(1, cfg.epochs + 1):
+        order = train_idx[rng.permutation(train_idx.size)]
+        for start in range(0, order.size, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, t = scores[idx], targets[idx]
+            z, h, hidden, yhat = forward(x)
+            dy = ((2.0 / len(idx)) * (yhat - t))[:, None]
+            g_w2, g_b2 = dy.T @ hidden, dy.sum(axis=0)
+            dhidden = dy @ w2
+            dhidden = dhidden * hidden * (1.0 - hidden)
+            g_w1, g_b1 = dhidden.T @ h, dhidden.sum(axis=0)
+            dh = (dhidden @ w1)[:, 0]
+            g_a = z.T @ dh
+            dpre = np.outer(dh, a) * z * (1.0 - z)
+            g_beta, g_b = dpre.T @ x, dpre.sum(axis=0)
+            for block, g in zip(blocks, [g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2]):
+                block -= cfg.learning_rate * g
+        train_mse = mse(scores[train_idx], targets[train_idx])
+        val_mse = mse(scores[val_idx], targets[val_idx]) if n_val else None
+        trace.append((epoch, train_mse, val_mse))
+        if n_val:
+            if val_mse < best_val:
+                best_val, best, stale = val_mse, [block.copy() for block in blocks], 0
+            else:
+                stale += 1
+                if stale > cfg.patience:
+                    break
+    return list(zip(names, best if best is not None else blocks)), trace
 
 
 def reference_condition_fit(train, cfg: ConditionFitConfig) -> ConditionModel:

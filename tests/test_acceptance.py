@@ -18,13 +18,7 @@ from model_oracles import make_instances, max_gradient_error, random_model_and_b
 from fmlp_rul import cli
 from fmlp_rul.cmapss import load_subset
 from fmlp_rul.evaluate import improvement, rmse, score
-from fmlp_rul.fmlp import (
-    apply_gradient_step,
-    gradients,
-    load_model,
-    loss,
-    save_model,
-)
+from fmlp_rul.fmlp import gradients, load_model, loss, save_model
 from fmlp_rul.fpca import fit_basis, select_num_components
 from fmlp_rul.numerics import discrete_integral, seeded_rng
 from fmlp_rul.preprocess import piecewise_rul, sliding_windows
@@ -236,7 +230,7 @@ def test_criterion_8_property_suite(fd001_model):
         grad = gradients(model, data)
         while True:
             trial = model.copy()
-            apply_gradient_step(trial, grad, lr)
+            trial.params -= lr * grad
             candidate = loss(trial, data)
             if candidate <= losses[-1] or lr < 1e-12:
                 model = trial

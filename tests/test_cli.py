@@ -116,6 +116,15 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"epochs": 5}')
+    code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_train_requires_data_root(capsys):
     assert cli.main(["train", "--subset", "FD001"]) == 2
 
@@ -383,6 +392,20 @@ def test_train_on_empty_train_file_is_integrity_error(mini_root, tmp_path, capsy
     assert "train_FD001.txt" in err and "no data" in err
 
 
+def test_train_with_too_few_windows_is_integrity_error(mini_root, tmp_path, capsys):
+    # two 20-cycle units cannot hold one 31-cycle FD001 window
+    rows = [line.split() for line in (mini_root / "train_FD001.txt").read_text().splitlines()]
+    short = [" ".join(r) for r in rows if int(r[0]) <= 2 and int(r[1]) <= 20]
+    (tmp_path / "train_FD001.txt").write_text("\n".join(short) + "\n")
+    code = cli.main(
+        ["train", "--subset", "FD001", "--data-root", str(tmp_path), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "0 windows of length 31" in err and "longest unit has 20 cycles" in err
+    assert not (tmp_path / "artifact.json").exists()
+
+
 def test_evaluate_on_empty_test_files_is_integrity_error(mini_run, mini_root, tmp_path, capsys):
     _empty_split(mini_root, tmp_path, ["test_FD001.txt", "RUL_FD001.txt"])
     code = cli.main(
@@ -510,3 +533,19 @@ def test_artifact_blocks_are_validated(mini_run, mutate, block):
     mutate(doc)
     with pytest.raises(ArtifactError, match=re.escape(block)):
         fmlp.model_from_doc(doc)
+
+
+@pytest.mark.parametrize("subset_id,window_length", [("FD003", 38), ("FD004", 19)])
+def test_train_and_evaluate_smoke(subset_id, window_length, tmp_path):
+    # FD003: two fault modes; FD004: six conditions and two fault modes
+    write_subset(tmp_path, subset_id, n_train=8, n_test=5)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**FAST_CONFIG, "subset": subset_id}))
+    out = tmp_path / "out"
+    common = ["--config", str(cfg_path), "--data-root", str(tmp_path), "--out", str(out)]
+    assert cli.main(["train", *common]) == 0
+    assert cli.main(["evaluate", "--model", str(out / "artifact.json"), *common]) == 0
+    assert json.loads((out / "artifact.json").read_text())["window_length"] == window_length
+    rows = (out / "report.csv").read_text().strip().split("\n")[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [1, 2, 3, 4, 5]
+    assert all(np.isfinite([float(v) for v in row.split(",")[1:]]).all() for row in rows)

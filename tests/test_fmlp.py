@@ -3,7 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from model_oracles import make_instances, max_gradient_error, random_model_and_batch, take
+from model_oracles import (
+    make_instances,
+    max_gradient_error,
+    random_model_and_batch,
+    reference_train,
+    take,
+)
 
 from fmlp_rul.cmapss import DataSubset
 from fmlp_rul.errors import ArtifactError, TrainingError
@@ -11,7 +17,6 @@ from fmlp_rul.fmlp import (
     ACT_LINEAR,
     ACT_LOGISTIC,
     TrainConfig,
-    apply_gradient_step,
     gradients,
     init_model,
     load_model,
@@ -214,11 +219,9 @@ def test_gradients_zero_at_perfect_fit():
     model.layers[-1].bias[0] = 0.25
     batch.labels[:] = 0.25 * model.label_scale
     grads = gradients(model, batch)
-    assert np.array_equal(grads.a, np.zeros_like(grads.a))
-    assert np.array_equal(grads.beta, np.zeros_like(grads.beta))
-    for dw, db in grads.layers:
-        assert not dw.any()
-        assert not db.any()
+    assert grads.shape == model.params.shape
+    for name, block in model.blocks(grads):
+        assert not block.any(), name
 
 
 def test_full_batch_descent_is_monotone():
@@ -234,7 +237,7 @@ def test_full_batch_descent_is_monotone():
         grads = gradients(model, data)
         while True:
             trial = model.copy()
-            apply_gradient_step(trial, grads, lr)
+            trial.params -= lr * grads
             candidate = loss(trial, data)
             if candidate <= losses[-1] or lr < 1e-12:
                 model = trial
@@ -277,12 +280,37 @@ def test_train_deterministic_trace():
     assert np.array_equal(first.model.beta, second.model.beta)
 
 
+@pytest.mark.parametrize(
+    "seed,options",
+    [(3, {}), (4, {}), (5, {"val_fraction": 0.0}), (6, {"patience": 2})],
+)
+def test_train_matches_reference_loop(seed, options):
+    # the same draws, sums and updates as the plain per-block loop, bit for bit
+    data = take(rank_one_task(), slice(200))
+    basis = fit_basis(data)
+    cfg = TrainConfig(epochs=40, seed=seed, **options)
+    result = train(data, basis, cfg)
+    expected, trace = reference_train(data, basis, cfg)
+    actual = result.model.blocks(result.model.params)
+    assert [name for name, _ in actual] == [name for name, _ in expected]
+    for (name, got), (_, want) in zip(actual, expected):
+        assert np.array_equal(got, want), name
+    assert [(r.epoch, r.train_mse, r.val_mse) for r in result.trace] == trace
+    if "patience" in options:
+        # stopped early, so the result is an earlier epoch's snapshot
+        assert len(trace) < cfg.epochs
+
+
 def test_train_reports_divergence_epoch():
     data = take(rank_one_task(), slice(100))
     basis = fit_basis(data)
     with pytest.raises(TrainingError) as err:
         train(data, basis, TrainConfig(learning_rate=1e12, epochs=8, seed=0))
-    assert "epoch" in str(err.value)
+    message = str(err.value)
+    assert message.startswith("training diverged at epoch 7: ")
+    model = init_model(basis, seeded_rng(0))
+    names = [name for name, _ in model.blocks(model.params)]
+    assert any(message.endswith(f"parameter block {name}") for name in names)
 
 
 def test_train_without_validation_split():
