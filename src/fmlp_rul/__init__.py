@@ -30,6 +30,7 @@ from .errors import (
 from .evaluate import EvalReport, build_report, improvement, rmse, score
 from .fmlp import (
     FmlpModel,
+    Pipeline,
     TrainConfig,
     TrainResult,
     load_model,

@@ -38,9 +38,7 @@ from .fpca import fit_basis
 from .preprocess import (
     ConditionFitConfig,
     fit_preprocessing,
-    last_windows,
     sliding_windows,
-    test_instances,
     training_instances,
     transform_rows,
 )
@@ -185,15 +183,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     result = fmlp.train(
         instances, basis, cfg.train_config(), label_scale=float(cfg.t_cap)
     )
-    model = result.model
-    model.condition_model = condition_model
-    model.scaler = scaler
-    model.subset_id = cfg.subset
-    model.window_length = subset.window_length
+    pipeline = fmlp.Pipeline(condition_model, scaler, result.model, cfg.subset)
 
     out = Path(cfg.out_dir)
-    doc = fmlp.model_to_doc(model)
-    atomic_write(out / "artifact.json", json.dumps(doc, indent=1))
+    atomic_write(out / "artifact.json", json.dumps(fmlp.pipeline_to_doc(pipeline), indent=1))
     rows = ["epoch,train_mse,val_mse"]
     for row in result.trace:
         val = "" if row.val_mse is None else repr(row.val_mse)
@@ -204,7 +197,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str | None) -> fmlp.FmlpModel:
+def _load_pipeline(path: str | None) -> fmlp.Pipeline:
     if path is None:
         raise ConfigError("--model is required")
     try:
@@ -213,31 +206,32 @@ def _load_model(path: str | None) -> fmlp.FmlpModel:
         raise FileNotFoundError(f"missing model artifact: {path}") from None
 
 
-def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
-    model = _load_model(model_path)
-    subset_id = cfg.subset or model.subset_id
+def _load_scored_subset(cfg: ExperimentConfig, pipeline: fmlp.Pipeline, split: str):
+    """One split of the configured subset, else the artifact's; its window length must match."""
+    subset_id = cfg.subset or pipeline.subset_id
     if subset_id is None:
         raise ConfigError("subset is neither configured nor recorded in the artifact")
     _require(cfg, "data_root")
-    if model.condition_model is None or model.scaler is None:
-        raise ArtifactError("artifact lacks preprocessing state; cannot evaluate")
     if subset_id not in WINDOW_LENGTHS:
         raise IntegrityError(f"unknown subset id {subset_id!r}")
-    if model.window_length != WINDOW_LENGTHS[subset_id]:
+    if pipeline.window_length != WINDOW_LENGTHS[subset_id]:
         raise ArtifactError(
-            f"artifact for {model.subset_id} uses window length"
-            f" {model.window_length}, but {subset_id} uses {WINDOW_LENGTHS[subset_id]}"
+            f"artifact for {pipeline.subset_id} uses window length"
+            f" {pipeline.window_length}, but {subset_id} uses {WINDOW_LENGTHS[subset_id]}"
         )
-    subset = load_subset(cfg.data_root, subset_id, splits=("test",))
+    return load_subset(cfg.data_root, subset_id, splits=(split,))
 
-    instances = test_instances(subset, model.condition_model, model.scaler)
-    predictions = model.predict_many(instances)
+
+def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
+    pipeline = _load_pipeline(model_path)
+    subset = _load_scored_subset(cfg, pipeline, "test")
+
     report = ev.build_report(
-        predictions,
+        pipeline.predict(subset.test),
         subset.test_rul,
         unit_ids=[t.unit_id for t in subset.test],
-        subset_id=subset_id,
-        t_cap=int(model.label_scale),
+        subset_id=subset.subset_id,
+        t_cap=int(pipeline.network.label_scale),
     )
     out = Path(cfg.out_dir)
     atomic_write(out / "report.csv", ev.report_to_csv(report))
@@ -247,18 +241,9 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
 
 
 def cmd_predict(model_path: str | None, trajectory_file: str) -> int:
-    model = _load_model(model_path)
-    if model.condition_model is None or model.scaler is None:
-        raise ArtifactError("artifact lacks preprocessing state; cannot predict")
-    if model.window_length is None:
-        raise ArtifactError("artifact does not record its window length")
+    pipeline = _load_pipeline(model_path)
     trajectories = read_file(trajectory_file, parse_trajectory_file)
-    estimates = []
-    if trajectories:
-        windows = last_windows(
-            trajectories, model.window_length, model.condition_model, model.scaler
-        )
-        estimates = model.predict_many(windows)
+    estimates = pipeline.predict(trajectories)
     print("unit_id,estimated_rul")
     for traj, estimate in zip(trajectories, estimates):
         print(f"{traj.unit_id},{float(estimate)!r}")
@@ -270,52 +255,46 @@ def _float_cells(row) -> str:
 
 
 def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None) -> int:
-    model = _load_model(model_path)
+    pipeline = _load_pipeline(model_path)
+    network = pipeline.network
     out = Path(cfg.out_dir) / "inspect"
 
-    for sensor in model.basis.sensors:
+    for sensor in network.basis.sensors:
         header = ["grid", "mean", "eigenvalue", "fve"]
         header += [f"phi_{p + 1}" for p in range(sensor.num_components)]
         table = np.column_stack(
-            [model.basis.grid, sensor.mean, sensor.eigenvalues, sensor.fve, sensor.components.T]
+            [network.basis.grid, sensor.mean, sensor.eigenvalues, sensor.fve, sensor.components.T]
         )
         lines = [",".join(header)] + [_float_cells(row) for row in table]
         atomic_write(out / f"sensor_{sensor.sensor_id:02d}.csv", "\n".join(lines) + "\n")
 
-    wrote_features = False
     if cfg.data_root is not None:
-        subset_id = cfg.subset or model.subset_id
-        if subset_id is None:
-            raise ConfigError("subset is neither configured nor recorded in the artifact")
-        if model.condition_model is None or model.scaler is None:
-            raise ArtifactError("artifact lacks preprocessing state; cannot inspect features")
-        subset = load_subset(cfg.data_root, subset_id, splits=("train",))
+        subset = _load_scored_subset(cfg, pipeline, "train")
         by_unit = {t.unit_id: t for t in subset.train}
         if unit is None:
             unit = subset.train[0].unit_id
         if unit not in by_unit:
-            raise IntegrityError(f"unit {unit} not found in {subset_id} training set")
+            raise IntegrityError(f"unit {unit} not found in {subset.subset_id} training set")
         traj = by_unit[unit]
         scaled = transform_rows(
-            traj.op_settings, traj.sensors, model.condition_model, model.scaler
+            traj.op_settings, traj.sensors, pipeline.condition_model, pipeline.scaler
         )
-        windows = sliding_windows([(unit, scaled)], subset.window_length, model.label_scale)
-        z = model.functional_layer(windows)
+        windows = sliding_windows([(unit, scaled)], subset.window_length, network.label_scale)
+        z = network.functional_layer(windows)
         header = ["window", "start_cycle", "label"]
-        header += [f"z_{i + 1}" for i in range(model.n_functional)] + ["H"]
-        table = np.column_stack([windows.labels, z, z @ model.a])
+        header += [f"z_{i + 1}" for i in range(network.n_functional)] + ["H"]
+        table = np.column_stack([windows.labels, z, z @ network.a])
         starts = windows.engine_ref[:, 1]
         lines = [",".join(header)] + [
             f"{c},{start},{_float_cells(row)}"
             for c, (start, row) in enumerate(zip(starts, table), start=1)
         ]
         atomic_write(out / f"features_unit{unit}.csv", "\n".join(lines) + "\n")
-        wrote_features = True
 
-    n = len(model.basis.sensors)
+    n = len(network.basis.sensors)
     print(
         f"wrote {n} sensor basis CSVs"
-        + (f" and features_unit{unit}.csv" if wrote_features else "")
+        + (f" and features_unit{unit}.csv" if cfg.data_root is not None else "")
         + f" to {out}"
     )
     return EXIT_OK

@@ -116,14 +116,12 @@ def build_report(
     truths,
     unit_ids=None,
     subset_id: str | None = None,
-    include_baselines: bool = True,
     t_cap: int = DEFAULT_RUL_CAP,
 ) -> EvalReport:
     """Assemble an EvalReport from aligned prediction/truth lists.
 
-    Truths are capped at t_cap before metrics. When the subset is known and
-    ``include_baselines`` is set, the published baseline table and the
-    improvement percentages against them are attached.
+    Truths are capped at t_cap before metrics. A known subset attaches the
+    published baseline table and the improvement percentages against it.
     """
     predictions = [float(p) for p in predictions]
     truths = [min(float(t), float(t_cap)) for t in truths]
@@ -143,7 +141,7 @@ def build_report(
     own_score = score(errors)
 
     baselines = {}
-    if include_baselines and subset_id is not None:
+    if subset_id is not None:
         for name, table in BASELINE_RMSE.items():
             entry = {
                 "citation": BASELINE_CITATIONS[name],

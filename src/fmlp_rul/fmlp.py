@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cmapss import N_SENSORS, N_SETTINGS
+from .cmapss import N_SENSORS, N_SETTINGS, EngineTrajectory
 from .errors import ArtifactError, TrainingError
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
@@ -34,6 +34,7 @@ from .preprocess import (
     ConditionModel,
     MinMaxScaler,
     Windows,
+    last_windows,
 )
 
 ARTIFACT_SCHEMA = "fmlp-artifact/1"
@@ -80,7 +81,7 @@ class TrainConfig:
 
 @dataclass
 class FmlpModel:
-    """Trained parameters plus everything needed to preprocess new data.
+    """The trained network and the eigenbasis its functional layer reads.
 
     Every network parameter lives in one float64 vector, ``params``: ``a``,
     ``b``, ``beta`` and each layer's ``weights`` and ``bias`` are views into
@@ -93,10 +94,6 @@ class FmlpModel:
     layers: list[NumericalLayer]
     basis: EigenBasis
     label_scale: float = float(DEFAULT_RUL_CAP)
-    condition_model: ConditionModel | None = None
-    scaler: MinMaxScaler | None = None
-    subset_id: str | None = None
-    window_length: int | None = None
     train_config: TrainConfig | None = None
     seed: int | None = None
     params: np.ndarray = dataclasses.field(init=False, repr=False)
@@ -105,9 +102,9 @@ class FmlpModel:
         k = len(self.a)
         if self.b.shape != (k,) or self.beta.shape != (k, self.basis.total_components):
             raise ValueError("parameter shapes do not match K and the basis")
-        last = self.layers[-1]
-        if last.activation != ACT_LINEAR or last.weights.shape[0] != 1:
-            raise ValueError("final numerical layer must be linear with width 1")
+        last = self.layers[-1] if self.layers else None
+        if last is None or last.activation != ACT_LINEAR or last.weights.shape[:1] != (1,):
+            raise ValueError("numerical_layers must end in a linear layer of width 1")
         arrays = [self.a, self.b, self.beta]
         arrays += [x for layer in self.layers for x in (layer.weights, layer.bias)]
         self.params = np.concatenate([np.ravel(x) for x in arrays], dtype=np.float64)
@@ -160,6 +157,30 @@ class FmlpModel:
 
     def copy(self) -> "FmlpModel":
         return dataclasses.replace(self)  # __post_init__ packs a new vector
+
+
+@dataclass
+class Pipeline:
+    """The fitted chain for raw engine histories: condition removal, min-max
+    scaling, the last window, FPCA projection, then the network."""
+
+    condition_model: ConditionModel
+    scaler: MinMaxScaler
+    network: FmlpModel
+    subset_id: str | None
+
+    @property
+    def window_length(self) -> int:
+        return len(self.network.basis.grid)
+
+    def predict(self, trajectories: list[EngineTrajectory]) -> np.ndarray:
+        """Clamped RUL estimates in cycles, one per trajectory, in order."""
+        if not trajectories:
+            return np.zeros(0)
+        windows = last_windows(
+            trajectories, self.window_length, self.condition_model, self.scaler
+        )
+        return self.network.predict_many(windows)
 
 
 def _scaled_targets(model: FmlpModel, windows: Windows) -> np.ndarray:
@@ -362,41 +383,20 @@ _CONDITION_ARRAYS = (
 )
 
 
-def _condition_model_doc(model: ConditionModel | None):
-    if model is None:
-        return None
-    doc = {field: _array(getattr(model, field)) for field in _CONDITION_ARRAYS}
-    doc["config"] = dataclasses.asdict(model.config)
-    return doc
-
-
-def _condition_model_from_doc(doc) -> ConditionModel | None:
-    if doc is None:
-        return None
-    arrays = {field: np.array(doc[field]) for field in _CONDITION_ARRAYS}
-    return ConditionModel(**arrays, config=ConditionFitConfig(**doc["config"]))
-
-
 def model_to_doc(model: FmlpModel) -> dict:
-    """The model as a JSON-ready document."""
+    """The network as a JSON-ready document, with the pipeline keys null;
+    ``pipeline_to_doc`` fills them in place."""
     return {
         "schema": ARTIFACT_SCHEMA,
-        "subset_id": model.subset_id,
-        "window_length": model.window_length,
+        "subset_id": None,
+        "window_length": None,
         "seed": model.seed,
         "label_scale": model.label_scale,
         "train_config": (
             dataclasses.asdict(model.train_config) if model.train_config else None
         ),
-        "condition_model": _condition_model_doc(model.condition_model),
-        "scaler": (
-            {
-                "minimum": _array(model.scaler.minimum),
-                "maximum": _array(model.scaler.maximum),
-            }
-            if model.scaler is not None
-            else None
-        ),
+        "condition_model": None,
+        "scaler": None,
         "basis": {
             "grid": _array(model.basis.grid),
             "fve_cutoff": model.basis.fve_cutoff,
@@ -428,14 +428,33 @@ def model_to_doc(model: FmlpModel) -> dict:
     }
 
 
-def model_from_doc(doc: dict) -> FmlpModel:
-    """Rebuild a model from its artifact document."""
+def pipeline_to_doc(pipeline: Pipeline) -> dict:
+    """The artifact document: the network's, with the pipeline keys filled."""
+    cm, scaler = pipeline.condition_model, pipeline.scaler
+    condition_doc = {field: _array(getattr(cm, field)) for field in _CONDITION_ARRAYS}
+    condition_doc["config"] = dataclasses.asdict(cm.config)
+    doc = model_to_doc(pipeline.network)
+    doc.update(
+        subset_id=pipeline.subset_id,
+        window_length=pipeline.window_length,
+        condition_model=condition_doc,
+        scaler={"minimum": _array(scaler.minimum), "maximum": _array(scaler.maximum)},
+    )
+    return doc
+
+
+def pipeline_from_doc(doc: dict) -> Pipeline:
+    """Rebuild a pipeline from its artifact document. An artifact without
+    preprocessing state, such as a bare network's, is rejected."""
     try:
         if doc.get("schema") != ARTIFACT_SCHEMA:
             raise ArtifactError(
                 f"unsupported artifact schema {doc.get('schema')!r},"
                 f" expected {ARTIFACT_SCHEMA!r}"
             )
+        for key in ("condition_model", "scaler"):
+            if doc[key] is None:
+                raise ArtifactError(f"artifact block {key} is null: no preprocessing state")
         basis_doc = doc["basis"]
         basis = EigenBasis(
             grid=np.array(basis_doc["grid"]),
@@ -452,18 +471,9 @@ def model_from_doc(doc: dict) -> FmlpModel:
             fve_cutoff=float(basis_doc["fve_cutoff"]),
             component_cap=int(basis_doc["component_cap"]),
         )
-        scaler_doc = doc["scaler"]
-        scaler = (
-            MinMaxScaler(
-                minimum=np.array(scaler_doc["minimum"]),
-                maximum=np.array(scaler_doc["maximum"]),
-            )
-            if scaler_doc is not None
-            else None
-        )
         func = doc["functional_layer"]
         cfg_doc = doc["train_config"]
-        model = FmlpModel(
+        network = FmlpModel(
             a=np.array(func["a"]),
             b=np.array(func["b"]),
             beta=np.array(func["beta"]),
@@ -477,45 +487,53 @@ def model_from_doc(doc: dict) -> FmlpModel:
             ],
             basis=basis,
             label_scale=float(doc["label_scale"]),
-            condition_model=_condition_model_from_doc(doc["condition_model"]),
-            scaler=scaler,
-            subset_id=doc["subset_id"],
-            window_length=doc["window_length"],
             train_config=TrainConfig(**cfg_doc) if cfg_doc else None,
             seed=doc["seed"],
         )
-        _check_blocks(model)
-        return model
+        cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
+        pipeline = Pipeline(
+            condition_model=ConditionModel(
+                **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
+                config=ConditionFitConfig(**cm_doc["config"]),
+            ),
+            scaler=MinMaxScaler(
+                minimum=np.array(scaler_doc["minimum"]),
+                maximum=np.array(scaler_doc["maximum"]),
+            ),
+            network=network,
+            subset_id=doc["subset_id"],
+        )
+        _check_blocks(pipeline, doc["window_length"])
+        return pipeline
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
 
 
-def _check_blocks(model: FmlpModel) -> None:
+def _check_blocks(pipeline: Pipeline, window_length) -> None:
     """Every numeric block of a loaded artifact is finite and has the shape
     the other blocks imply; ArtifactError names the first that is not."""
-    basis, cm, scaler = model.basis, model.condition_model, model.scaler
-    m, n_s = len(basis.grid), N_SENSORS
-    blocks = {"label_scale": (model.label_scale, ()), "basis.grid": (basis.grid, (m,))}
-    for name in ("a", "b", "beta"):
-        blocks[f"functional_layer.{name}"] = (getattr(model, name), getattr(model, name).shape)
+    network, cm, scaler = pipeline.network, pipeline.condition_model, pipeline.scaler
+    basis, k = network.basis, network.n_functional
+    m, n_s, h = len(basis.grid), N_SENSORS, cm.config.hidden_units
+    blocks = {"label_scale": (network.label_scale, ()), "basis.grid": (basis.grid, (m,))}
+    shapes = {"a": (k,), "b": (k,), "beta": (k, basis.total_components)}
+    for name, shape in shapes.items():
+        blocks[f"functional_layer.{name}"] = (getattr(network, name), shape)
     for sb in basis.sensors:
         shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
         for name, shape in shapes.items():
             blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
     fan_in = 1  # the functional layer's output H is one number
-    for i, layer in enumerate(model.layers):
+    for i, layer in enumerate(network.layers):
         blocks[f"numerical_layers[{i}].weights"] = (layer.weights, (len(layer.bias), fan_in))
         blocks[f"numerical_layers[{i}].bias"] = (layer.bias, (len(layer.bias),))
         fan_in = len(layer.bias)
-    if cm is not None:
-        h = cm.config.hidden_units
-        shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2
-        shapes += [(n_s, N_SETTINGS, h), (n_s, h), (n_s, h), (n_s,)]
-        for name, shape in zip(_CONDITION_ARRAYS, shapes):
-            blocks[f"condition_model.{name}"] = (getattr(cm, name), shape)
-    if scaler is not None:
-        blocks["scaler.minimum"] = (scaler.minimum, (n_s,))
-        blocks["scaler.maximum"] = (scaler.maximum, (n_s,))
+    shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2
+    shapes += [(n_s, N_SETTINGS, h), (n_s, h), (n_s, h), (n_s,)]
+    for name, shape in zip(_CONDITION_ARRAYS, shapes):
+        blocks[f"condition_model.{name}"] = (getattr(cm, name), shape)
+    blocks["scaler.minimum"] = (scaler.minimum, (n_s,))
+    blocks["scaler.maximum"] = (scaler.maximum, (n_s,))
     for name, (array, shape) in blocks.items():
         if np.shape(array) != shape:
             raise ArtifactError(
@@ -523,29 +541,32 @@ def _check_blocks(model: FmlpModel) -> None:
             )
         if not np.isfinite(array).all():
             raise ArtifactError(f"artifact block {name} holds a non-finite value")
-    if model.window_length is not None and model.window_length != m:
+    if not network.label_scale > 0:
+        raise ArtifactError(f"artifact block label_scale is {network.label_scale}, expected > 0")
+    if window_length != m:
         raise ArtifactError(
-            f"artifact window_length {model.window_length} does not match"
+            f"artifact window_length {window_length} does not match"
             f" the basis grid length {m}"
         )
     ids = [sb.sensor_id for sb in basis.sensors]
-    if scaler is not None and ids != scaler.sensor_ids:
+    if ids != scaler.sensor_ids:
         raise ArtifactError(
             f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
         )
 
 
-def save_model(model: FmlpModel, stream: TextIO) -> None:
-    """Write the model artifact as JSON (floats round-trip exactly)."""
-    json.dump(model_to_doc(model), stream, indent=1)
+def save_model(pipeline: Pipeline, stream: TextIO) -> None:
+    """Write the pipeline artifact as JSON (floats round-trip exactly)."""
+    json.dump(pipeline_to_doc(pipeline), stream, indent=1)
 
 
-def load_model(stream: TextIO) -> FmlpModel:
-    """Read a model artifact; raises ArtifactError on damage or mismatch."""
+def load_model(stream: TextIO) -> Pipeline:
+    """Read a pipeline artifact; raises ArtifactError on damage, mismatch or
+    missing preprocessing state."""
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArtifactError("artifact root must be a JSON object")
-    return model_from_doc(doc)
+    return pipeline_from_doc(doc)

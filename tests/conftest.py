@@ -85,13 +85,13 @@ def fd002_run(fd002_root, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def fd001_model(fd001_run):
+def fd001_pipeline(fd001_run):
     with open(fd001_run.out / "artifact.json", encoding="utf-8") as fh:
         return load_model(fh)
 
 
 @pytest.fixture(scope="session")
-def fd002_model(fd002_run):
+def fd002_pipeline(fd002_run):
     with open(fd002_run.out / "artifact.json", encoding="utf-8") as fh:
         return load_model(fh)
 

@@ -181,11 +181,12 @@ def test_criterion_7_determinism(fd001_run, fd001_root, tmp_path_factory):
     )
 
 
-def test_criterion_8_property_suite(fd001_model):
+def test_criterion_8_property_suite(fd001_pipeline):
     failures = []
+    network = fd001_pipeline.network
 
     # discrete orthonormality of every fitted eigenfunction set
-    for sensor in fd001_model.basis.sensors:
+    for sensor in network.basis.sensors:
         p = sensor.num_components
         for i in range(p):
             for j in range(p):
@@ -197,7 +198,7 @@ def test_criterion_8_property_suite(fd001_model):
     # FVE cap
     if select_num_components(np.ones(5)) != 2:
         failures.append("FVE cap")
-    if any(not 1 <= s.num_components <= 2 for s in fd001_model.basis.sensors):
+    if any(not 1 <= s.num_components <= 2 for s in network.basis.sensors):
         failures.append("component count bounds")
 
     # label monotonicity
@@ -246,15 +247,15 @@ def test_criterion_8_property_suite(fd001_model):
 
     # serialization round trip on the desk-scale artifact
     buffer = io.StringIO()
-    save_model(fd001_model, buffer)
+    save_model(fd001_pipeline, buffer)
     buffer.seek(0)
-    reloaded = load_model(buffer)
+    reloaded = load_model(buffer).network
     if not (
-        np.array_equal(reloaded.beta, fd001_model.beta)
-        and np.array_equal(reloaded.a, fd001_model.a)
+        np.array_equal(reloaded.beta, network.beta)
+        and np.array_equal(reloaded.a, network.a)
         and np.array_equal(
             reloaded.basis.sensors[0].components,
-            fd001_model.basis.sensors[0].components,
+            network.basis.sensors[0].components,
         )
     ):
         failures.append("serialization round trip")

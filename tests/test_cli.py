@@ -190,6 +190,23 @@ def test_evaluate_rejects_artifact_of_other_window_length(mini_run, tmp_path, ca
         assert part in err
 
 
+def test_inspect_rejects_artifact_of_other_window_length(mini_run, tmp_path, capsys):
+    write_subset(tmp_path, "FD003", n_train=3, n_test=2)
+    code = cli.main(
+        [
+            "inspect",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--subset", "FD003",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    for part in ("FD001", "31", "FD003", "38"):
+        assert part in err
+
+
 def test_evaluate_rejects_unknown_subset_in_artifact(mini_run, tmp_path, capsys):
     doc = json.loads((mini_run / "artifact.json").read_text())
     doc["subset_id"] = "FD009"
@@ -501,6 +518,12 @@ def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
 
+def _nest_a(doc):
+    # a (K,) block written as (K, 1)
+    layer = doc["functional_layer"]
+    layer["a"] = [[x] for x in layer["a"]]
+
+
 @pytest.mark.parametrize(
     "mutate,block",
     [
@@ -522,6 +545,15 @@ def _set(key, value):
         (_truncate_components, "components has shape"),
         (_set("window_length", 30), "window_length 30"),
         (_drop_last(["numerical_layers", 1, "weights", 0]), "numerical_layers[1].weights"),
+        (_nest_a, "functional_layer.a has shape (4, 1), expected (4,)"),
+        (_set("numerical_layers", []), "numerical_layers"),
+        (lambda d: d["numerical_layers"][1].__setitem__("weights", 1.0),
+         "numerical_layers must end in a linear layer of width 1"),
+        (_set("label_scale", 0), "label_scale is 0.0, expected > 0"),
+        (_set("label_scale", -130), "label_scale is -130.0, expected > 0"),
+        (_set("condition_model", None), "condition_model is null"),
+        (_set("scaler", None), "scaler is null"),
+        (_set("window_length", None), "window_length None"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -529,10 +561,22 @@ def test_artifact_blocks_are_validated(mini_run, mutate, block):
     from fmlp_rul.errors import ArtifactError
 
     doc = json.loads((mini_run / "artifact.json").read_text())
-    fmlp.model_from_doc(json.loads(json.dumps(doc)))  # the real artifact loads
+    fmlp.pipeline_from_doc(json.loads(json.dumps(doc)))  # the real artifact loads
     mutate(doc)
     with pytest.raises(ArtifactError, match=re.escape(block)):
-        fmlp.model_from_doc(doc)
+        fmlp.pipeline_from_doc(doc)
+
+
+def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, capsys):
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    _nest_a(doc)
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    code = cli.main(["predict", "--model", str(artifact), str(mini_root / "test_FD001.txt")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "functional_layer.a" in captured.err
 
 
 @pytest.mark.parametrize("subset_id,window_length", [("FD003", 38), ("FD004", 19)])

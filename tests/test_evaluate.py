@@ -103,7 +103,7 @@ def test_build_report_caps_true_rul():
 
 
 def test_build_report_without_baselines():
-    report = build_report([1.0], [2.0], include_baselines=False)
+    report = build_report([1.0], [2.0], subset_id=None)
     assert report.baselines == {}
     assert report_to_doc(report)["baselines"] == {}
 

@@ -1,8 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
+from cmapss_synth import write_subset
 from model_oracles import (
     make_instances,
     max_gradient_error,
@@ -11,22 +13,25 @@ from model_oracles import (
     take,
 )
 
-from fmlp_rul.cmapss import DataSubset
+from fmlp_rul.cmapss import DataSubset, load_subset
 from fmlp_rul.errors import ArtifactError, TrainingError
 from fmlp_rul.fmlp import (
+    _CONDITION_ARRAYS,
     ACT_LINEAR,
     ACT_LOGISTIC,
+    Pipeline,
     TrainConfig,
     gradients,
     init_model,
     load_model,
     loss,
+    model_to_doc,
     save_model,
     train,
 )
 from fmlp_rul.fpca import fit_basis
 from fmlp_rul.numerics import discrete_integral, seeded_rng
-from fmlp_rul.preprocess import training_instances
+from fmlp_rul.preprocess import ConditionFitConfig, fit_preprocessing, training_instances
 
 
 def constant_basis(m=8, n=6):
@@ -331,34 +336,61 @@ def test_train_config_validation():
 # --- serialization ----------------------------------------------------------
 
 
-def test_save_load_round_trip_bitwise():
-    data = take(rank_one_task(), slice(150))
-    basis = fit_basis(data)
-    result = train(data, basis, TrainConfig(epochs=10, seed=4))
-    model = result.model
+def test_save_load_round_trip_bitwise(tmp_path):
+    from fmlp_rul.preprocess import test_instances
+
+    write_subset(tmp_path, "FD002", n_train=6, n_test=5)
+    subset = load_subset(tmp_path, "FD002")
+    condition_model, scaler = fit_preprocessing(subset.train, ConditionFitConfig(epochs=20))
+    data = training_instances(subset, condition_model, scaler)
+    basis = fit_basis(data, sensor_ids=scaler.sensor_ids)
+    model = train(data, basis, TrainConfig(epochs=10, seed=4)).model
+    pipeline = Pipeline(condition_model, scaler, model, "FD002")
     buffer = io.StringIO()
-    save_model(model, buffer)
+    save_model(pipeline, buffer)
     buffer.seek(0)
-    loaded = load_model(buffer)
+    reloaded = load_model(buffer)
+    loaded = reloaded.network
+    assert np.array_equal(loaded.params, model.params)
     assert np.array_equal(loaded.a, model.a)
     assert np.array_equal(loaded.b, model.b)
     assert np.array_equal(loaded.beta, model.beta)
     for before, after in zip(model.layers, loaded.layers):
         assert np.array_equal(before.weights, after.weights)
         assert np.array_equal(before.bias, after.bias)
+    assert np.array_equal(loaded.basis.grid, model.basis.grid)
+    for before, after in zip(model.basis.sensors, loaded.basis.sensors):
+        for name in ("mean", "eigenvalues", "components"):
+            assert np.array_equal(getattr(before, name), getattr(after, name))
     assert np.array_equal(loaded.predict_many(data), model.predict_many(data))
     assert loaded.train_config == model.train_config
+    for name in _CONDITION_ARRAYS:
+        assert np.array_equal(
+            getattr(reloaded.condition_model, name), getattr(condition_model, name)
+        )
+    assert reloaded.condition_model.config == condition_model.config
+    assert np.array_equal(reloaded.scaler.minimum, scaler.minimum)
+    assert np.array_equal(reloaded.scaler.maximum, scaler.maximum)
+    assert reloaded.subset_id == "FD002"
+    assert reloaded.window_length == subset.window_length == 21
+    # predict is the last window of each trajectory through the network
+    expected = model.predict_many(test_instances(subset, condition_model, scaler))
+    assert len(expected) == 5
+    assert np.array_equal(pipeline.predict(subset.test), expected)
+    assert np.array_equal(reloaded.predict(subset.test), expected)
+    assert reloaded.predict([]).shape == (0,)
 
 
 def test_load_rejects_truncated_artifact():
     data = take(rank_one_task(), slice(150))
     basis = fit_basis(data)
     model = train(data, basis, TrainConfig(epochs=5, seed=4)).model
-    buffer = io.StringIO()
-    save_model(model, buffer)
-    text = buffer.getvalue()
+    text = json.dumps(model_to_doc(model), indent=1)
     with pytest.raises(ArtifactError):
         load_model(io.StringIO(text[: len(text) // 2]))
+    # a bare network is not a pipeline: it has no preprocessing state
+    with pytest.raises(ArtifactError, match="condition_model is null"):
+        load_model(io.StringIO(text))
 
 
 def test_load_rejects_unknown_schema():
@@ -369,22 +401,17 @@ def test_load_rejects_unknown_schema():
 # --- behavior on the desk-scale corpus ------------------------------------
 
 
-def test_trained_model_near_failure_estimate(fd001_model, fd001_subset):
+def test_trained_model_near_failure_estimate(fd001_pipeline, fd001_subset):
     subset = DataSubset("FD001", train=fd001_subset.train[:1], test=[], test_rul=[])
     windows = training_instances(
-        subset, fd001_model.condition_model, fd001_model.scaler
+        subset, fd001_pipeline.condition_model, fd001_pipeline.scaler
     )
     assert windows.labels[-1] == 0.0
-    assert fd001_model.predict_many(windows)[-1] < 30.0
+    assert fd001_pipeline.network.predict_many(windows)[-1] < 30.0
 
 
-def test_estimates_sharpen_near_end_of_life(fd001_model, fd001_subset):
-    from fmlp_rul.preprocess import test_instances
-
-    instances = test_instances(
-        fd001_subset, fd001_model.condition_model, fd001_model.scaler
-    )
-    predictions = fd001_model.predict_many(instances)
+def test_estimates_sharpen_near_end_of_life(fd001_pipeline, fd001_subset):
+    predictions = fd001_pipeline.predict(fd001_subset.test)
     ruls = np.array(fd001_subset.test_rul, dtype=float)
     errors = np.abs(predictions - np.minimum(ruls, 130.0))
     near_cut, far_cut = np.quantile(ruls, [0.25, 0.75])

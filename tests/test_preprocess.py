@@ -153,9 +153,9 @@ def test_removal_exact_fit_gives_zero_residual():
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_removal_exposes_trend_on_multicondition_data(fd002_model, fd002_subset):
+def test_removal_exposes_trend_on_multicondition_data(fd002_pipeline, fd002_subset):
     # after removal, the degradation trend dominates the condition switching
-    model = fd002_model.condition_model
+    model = fd002_pipeline.condition_model
     traj = fd002_subset.train[0]
     residual = remove_condition_effect(traj.op_settings, traj.sensors, model)
     tail = residual[-120:, 1]  # sensor 2, near end of life
@@ -163,9 +163,9 @@ def test_removal_exposes_trend_on_multicondition_data(fd002_model, fd002_subset)
     assert corr > 0.5
 
 
-def test_removal_neutral_under_single_condition(fd001_model, fd001_subset):
-    model = fd001_model.condition_model
-    scaler = fd001_model.scaler
+def test_removal_neutral_under_single_condition(fd001_pipeline, fd001_subset):
+    model = fd001_pipeline.condition_model
+    scaler = fd001_pipeline.scaler
     traj = fd001_subset.train[3]
     removed = remove_condition_effect(traj.op_settings, traj.sensors, model)
     for s in scaler.retained:
@@ -195,9 +195,9 @@ def test_fit_minmax_flags_constant_sensor():
     assert scaler.sensor_ids == [6]
 
 
-def test_fd001_constant_sensor_fixture(fd001_model):
+def test_fd001_constant_sensor_fixture(fd001_pipeline):
     # regression fixture: the corpus keeps sensors 1,5,10,16,18,19 constant
-    flagged = set(np.nonzero(fd001_model.scaler.constant_mask)[0] + 1)
+    flagged = set(np.nonzero(fd001_pipeline.scaler.constant_mask)[0] + 1)
     assert flagged == {1, 5, 10, 16, 18, 19}
 
 
@@ -375,10 +375,10 @@ def test_test_instances_match_whole_trajectory_path(fd002_subset):
         np.testing.assert_allclose(got.curves[i], want, rtol=0, atol=1e-12)
 
 
-def test_training_curves_stay_in_unit_interval(fd001_model, fd001_subset):
+def test_training_curves_stay_in_unit_interval(fd001_pipeline, fd001_subset):
     subset = DataSubset("FD001", train=fd001_subset.train[10:12], test=[], test_rul=[])
     windows = preprocess.training_instances(
-        subset, fd001_model.condition_model, fd001_model.scaler
+        subset, fd001_pipeline.condition_model, fd001_pipeline.scaler
     )
     assert len(windows) == sum(t.n_cycles - 30 for t in subset.train)
     assert windows.curves.min() >= -1e-12

@@ -1,0 +1,24 @@
+"""The README's Library snippet runs as written on a small corpus."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+from cmapss_synth import write_subset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_snippet_runs(tmp_path, capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    write_subset(tmp_path, "FD001", n_train=6, n_test=5)
+    budget = "TrainConfig(seed=7)"
+    assert code.count('"DATA"') == 1 and code.count(budget) == 1
+    code = code.replace('"DATA"', repr(str(tmp_path)))
+    code = code.replace(budget, "TrainConfig(seed=7, epochs=5)")
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    estimates, report = namespace["estimates"], namespace["report"]
+    assert estimates.shape == (5,) and np.isfinite(estimates).all()
+    assert capsys.readouterr().out.split() == [repr(report.rmse), repr(report.score)]
