@@ -1,9 +1,9 @@
 """Config-driven experiment runner: train, evaluate, predict, inspect.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric or
-training error. Output files are written atomically (temp file + rename)
-into a fixed layout under the output directory: artifact.json, trace.csv,
-report.csv, report.json, inspect/.
+training error; each error class carries its code. Output files are written
+atomically (temp file + rename) into a fixed layout under the output
+directory: artifact.json, trace.csv, report.csv, report.json, inspect/.
 """
 
 import argparse
@@ -18,22 +18,8 @@ import numpy as np
 
 from . import evaluate as ev
 from . import fmlp
-from .cmapss import (
-    SUBSET_IDS,
-    WINDOW_LENGTHS,
-    load_subset,
-    parse_trajectory_file,
-    read_file,
-)
-from .errors import (
-    ArtifactError,
-    ConfigError,
-    FmlpRulError,
-    IntegrityError,
-    NumericError,
-    ParseError,
-    TrainingError,
-)
+from .cmapss import SUBSET_IDS, WINDOW_LENGTHS, load_subset, parse_trajectory_file, read_file
+from .errors import ArtifactError, ConfigError, FmlpRulError, IntegrityError
 from .fpca import fit_basis
 from .preprocess import (
     ConditionFitConfig,
@@ -44,9 +30,6 @@ from .preprocess import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 
 @dataclass
@@ -71,22 +54,15 @@ class ExperimentConfig:
     condition_learning_rate: float = 0.05
 
     def train_config(self) -> fmlp.TrainConfig:
-        return fmlp.TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            init_scale=self.init_scale,
-            patience=self.patience,
-            val_fraction=self.val_fraction,
-        )
+        """The TrainConfig fields, each from the config key of the same name."""
+        fields = dataclasses.fields(fmlp.TrainConfig)
+        return fmlp.TrainConfig(**{f.name: getattr(self, f.name) for f in fields})
 
     def condition_config(self) -> ConditionFitConfig:
         fields = {f: getattr(self, key) for f, key in _CONDITION_KEYS.items()}
         return ConditionFitConfig(seed=self.seed, **fields)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # The config key that sets each ConditionFitConfig field.
 _CONDITION_KEYS = {
     "hidden_units": "condition_hidden",
@@ -100,10 +76,10 @@ def validate_config(doc: dict) -> ExperimentConfig:
     unknown keys and wrong value types before any work starts."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
+    cfg = ExperimentConfig()
+    unknown = sorted(set(doc) - set(vars(cfg)))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ExperimentConfig()
     for key, value in doc.items():
         default = getattr(cfg, key)
         if key in ("data_root", "subset", "out_dir"):
@@ -212,8 +188,6 @@ def _load_scored_subset(cfg: ExperimentConfig, pipeline: fmlp.Pipeline, split: s
     if subset_id is None:
         raise ConfigError("subset is neither configured nor recorded in the artifact")
     _require(cfg, "data_root")
-    if subset_id not in WINDOW_LENGTHS:
-        raise IntegrityError(f"unknown subset id {subset_id!r}")
     if pipeline.window_length != WINDOW_LENGTHS[subset_id]:
         raise ArtifactError(
             f"artifact for {pipeline.subset_id} uses window length"
@@ -258,6 +232,7 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
     pipeline = _load_pipeline(model_path)
     network = pipeline.network
     out = Path(cfg.out_dir) / "inspect"
+    tables = {}  # file name -> text; every read and check runs before the first write
 
     for sensor in network.basis.sensors:
         header = ["grid", "mean", "eigenvalue", "fve"]
@@ -266,7 +241,7 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
             [network.basis.grid, sensor.mean, sensor.eigenvalues, sensor.fve, sensor.components.T]
         )
         lines = [",".join(header)] + [_float_cells(row) for row in table]
-        atomic_write(out / f"sensor_{sensor.sensor_id:02d}.csv", "\n".join(lines) + "\n")
+        tables[f"sensor_{sensor.sensor_id:02d}.csv"] = "\n".join(lines) + "\n"
 
     if cfg.data_root is not None:
         subset = _load_scored_subset(cfg, pipeline, "train")
@@ -279,18 +254,19 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
         scaled = transform_rows(
             traj.op_settings, traj.sensors, pipeline.condition_model, pipeline.scaler
         )
-        windows = sliding_windows([(unit, scaled)], subset.window_length, network.label_scale)
+        windows = sliding_windows([scaled], subset.window_length, network.label_scale)
         z = network.functional_layer(windows)
+        # A unit's c-th sliding window starts at its cycle c.
         header = ["window", "start_cycle", "label"]
         header += [f"z_{i + 1}" for i in range(network.n_functional)] + ["H"]
         table = np.column_stack([windows.labels, z, z @ network.a])
-        starts = windows.engine_ref[:, 1]
         lines = [",".join(header)] + [
-            f"{c},{start},{_float_cells(row)}"
-            for c, (start, row) in enumerate(zip(starts, table), start=1)
+            f"{c},{c},{_float_cells(row)}" for c, row in enumerate(table, start=1)
         ]
-        atomic_write(out / f"features_unit{unit}.csv", "\n".join(lines) + "\n")
+        tables[f"features_unit{unit}.csv"] = "\n".join(lines) + "\n"
 
+    for name, text in tables.items():
+        atomic_write(out / name, text)
     n = len(network.basis.sensors)
     print(
         f"wrote {n} sensor basis CSVs"
@@ -341,15 +317,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        overrides = {
-            "data_root": getattr(args, "data_root", None),
-            "subset": getattr(args, "subset", None),
-            "seed": getattr(args, "seed", None),
-            "out_dir": getattr(args, "out_dir", None),
-        }
         if args.command == "predict":
             return cmd_predict(args.model, args.trajectory_file)
-        cfg = load_config(getattr(args, "config", None), overrides)
+        overrides = {key: getattr(args, key) for key in ("data_root", "subset", "seed", "out_dir")}
+        cfg = load_config(args.config, overrides)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "evaluate":
@@ -357,18 +328,9 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             return cmd_inspect(cfg, args.model, args.unit)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (FmlpRulError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, IntegrityError, ArtifactError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FmlpRulError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return getattr(exc, "exit_code", FmlpRulError.exit_code)
 
 
 if __name__ == "__main__":

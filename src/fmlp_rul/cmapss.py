@@ -10,7 +10,7 @@ per line, aligned to test-unit order.
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -81,29 +81,25 @@ class EngineTrajectory:
 @dataclass
 class DataSubset:
     """A C-MAPSS subset: run-to-failure training units, truncated test units,
-    the true test RULs, and the subset's window length."""
+    and the true test RULs."""
 
     subset_id: str
     train: list[EngineTrajectory]
     test: list[EngineTrajectory]
     test_rul: list[int]
-    window_length: int = field(default=0)
 
     def __post_init__(self):
         if self.subset_id not in SUBSET_IDS:
             raise IntegrityError(f"unknown subset id {self.subset_id!r}")
-        if not self.window_length:
-            self.window_length = WINDOW_LENGTHS[self.subset_id]
-        elif self.window_length != WINDOW_LENGTHS[self.subset_id]:
-            raise IntegrityError(
-                f"{self.subset_id} uses window length"
-                f" {WINDOW_LENGTHS[self.subset_id]}, got {self.window_length}"
-            )
         if len(self.test_rul) != len(self.test):
             raise IntegrityError(
                 f"{self.subset_id}: {len(self.test_rul)} RUL values for"
                 f" {len(self.test)} test units"
             )
+
+    @property
+    def window_length(self) -> int:
+        return WINDOW_LENGTHS[self.subset_id]
 
 
 def _as_lines(stream: TextIO | str | Iterable[str]) -> Iterable[str]:

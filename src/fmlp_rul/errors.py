@@ -2,7 +2,10 @@
 
 
 class FmlpRulError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``exit_code`` is the
+    CLI's exit status for it: 2 usage or config, 3 data or artifact, 4 numeric."""
+
+    exit_code = 3
 
 
 class ParseError(FmlpRulError):
@@ -20,6 +23,8 @@ class IntegrityError(FmlpRulError):
 class NumericError(FmlpRulError):
     """A numerical routine failed (non-convergence, non-finite values)."""
 
+    exit_code = 4
+
 
 class DegenerateSensorError(NumericError):
     """A sensor with no variation reached a stage that requires variance."""
@@ -28,6 +33,8 @@ class DegenerateSensorError(NumericError):
 class TrainingError(FmlpRulError):
     """Model training diverged or was otherwise aborted."""
 
+    exit_code = 4
+
 
 class ArtifactError(FmlpRulError):
     """A model artifact could not be read (truncation, schema mismatch)."""
@@ -35,3 +42,5 @@ class ArtifactError(FmlpRulError):
 
 class ConfigError(FmlpRulError):
     """An experiment configuration is malformed or has unknown keys."""
+
+    exit_code = 2

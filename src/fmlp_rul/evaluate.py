@@ -106,10 +106,6 @@ class EvalReport:
     # baseline name -> {"rmse": .., "score": .., "imp_rmse": .., "imp_score": ..}
     baselines: dict = field(default_factory=dict)
 
-    @property
-    def errors(self) -> list[float]:
-        return [r.error for r in self.records]
-
 
 def build_report(
     predictions,
@@ -227,22 +223,3 @@ def format_comparison_table(report: EvalReport) -> str:
             )
         )
     return "\n".join(lines)
-
-
-__all__ = [
-    "BASELINE_RMSE",
-    "BASELINE_SCORE",
-    "BASELINE_CITATIONS",
-    "PUBLISHED_FMLP_RMSE",
-    "PUBLISHED_FMLP_SCORE",
-    "REFERENCE_BASELINE",
-    "EngineRecord",
-    "EvalReport",
-    "build_report",
-    "format_comparison_table",
-    "improvement",
-    "report_to_csv",
-    "report_to_doc",
-    "rmse",
-    "score",
-]

@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cmapss import N_SENSORS, N_SETTINGS, EngineTrajectory
+from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
 from .errors import ArtifactError, TrainingError
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
@@ -43,7 +43,7 @@ ACT_LOGISTIC = "logistic"
 ACT_LINEAR = "linear"
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
-DEFAULT_HIDDEN_WIDTH = 2
+HIDDEN_WIDTH = 2
 
 
 @dataclass
@@ -95,7 +95,6 @@ class FmlpModel:
     basis: EigenBasis
     label_scale: float = float(DEFAULT_RUL_CAP)
     train_config: TrainConfig | None = None
-    seed: int | None = None
     params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,6 +130,10 @@ class FmlpModel:
     @property
     def n_functional(self) -> int:
         return len(self.a)
+
+    @property
+    def seed(self) -> int | None:
+        return self.train_config.seed if self.train_config else None
 
     def weight_curve(self, k: int, r: int) -> np.ndarray:
         """Weight function of neuron k for sensor position r on the grid."""
@@ -242,22 +245,20 @@ def init_model(
     basis: EigenBasis,
     rng: np.random.Generator,
     n_functional: int = DEFAULT_FUNCTIONAL_NEURONS,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     init_scale: float = 0.5,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> FmlpModel:
     """Seeded uniform(-init_scale, init_scale) weights, zero biases."""
     d = basis.total_components
-    scale = init_scale
-    a = rng.uniform(-scale, scale, size=n_functional)
-    beta = rng.uniform(-scale, scale, size=(n_functional, d))
+    a = rng.uniform(-init_scale, init_scale, size=n_functional)
+    beta = rng.uniform(-init_scale, init_scale, size=(n_functional, d))
     hidden = NumericalLayer(
-        weights=rng.uniform(-scale, scale, size=(hidden_width, 1)),
-        bias=np.zeros(hidden_width),
+        weights=rng.uniform(-init_scale, init_scale, size=(HIDDEN_WIDTH, 1)),
+        bias=np.zeros(HIDDEN_WIDTH),
         activation=ACT_LOGISTIC,
     )
     out = NumericalLayer(
-        weights=rng.uniform(-scale, scale, size=(1, hidden_width)),
+        weights=rng.uniform(-init_scale, init_scale, size=(1, HIDDEN_WIDTH)),
         bias=np.zeros(1),
         activation=ACT_LINEAR,
     )
@@ -288,8 +289,6 @@ def train(
     instances: Windows,
     basis: EigenBasis,
     cfg: TrainConfig | None = None,
-    n_functional: int = DEFAULT_FUNCTIONAL_NEURONS,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> TrainResult:
     """Mini-batch gradient descent on the MSE of scaled RUL labels.
@@ -304,11 +303,8 @@ def train(
         raise ValueError("no training instances")
     cfg = cfg or TrainConfig()
     rng = seeded_rng(cfg.seed)
-    model = init_model(
-        basis, rng, n_functional, hidden_width, cfg.init_scale, label_scale
-    )
+    model = init_model(basis, rng, init_scale=cfg.init_scale, label_scale=label_scale)
     model.train_config = cfg
-    model.seed = cfg.seed
 
     scores = project(basis, instances)
     targets = _scaled_targets(model, instances)
@@ -455,24 +451,28 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         for key in ("condition_model", "scaler"):
             if doc[key] is None:
                 raise ArtifactError(f"artifact block {key} is null: no preprocessing state")
+        if doc["subset_id"] is not None and doc["subset_id"] not in SUBSET_IDS:
+            raise ArtifactError(
+                f"artifact field subset_id is {doc['subset_id']!r},"
+                f" expected null or one of {SUBSET_IDS}"
+            )
         basis_doc = doc["basis"]
         basis = EigenBasis(
             grid=np.array(basis_doc["grid"]),
             sensors=[
                 SensorBasis(
-                    sensor_id=int(s["sensor_id"]),
+                    sensor_id=_scalar(s["sensor_id"], int, f"basis.sensors[{i}].sensor_id"),
                     mean=np.array(s["mean"]),
                     eigenvalues=np.array(s["eigenvalues"]),
                     components=np.array(s["components"]),
-                    num_components=int(s["num_components"]),
                 )
-                for s in basis_doc["sensors"]
+                for i, s in enumerate(basis_doc["sensors"])
             ],
-            fve_cutoff=float(basis_doc["fve_cutoff"]),
-            component_cap=int(basis_doc["component_cap"]),
+            fve_cutoff=_scalar(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
+            component_cap=_scalar(basis_doc["component_cap"], int, "basis.component_cap"),
         )
-        func = doc["functional_layer"]
-        cfg_doc = doc["train_config"]
+        func, cfg_doc = doc["functional_layer"], doc["train_config"]
+        train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
         network = FmlpModel(
             a=np.array(func["a"]),
             b=np.array(func["b"]),
@@ -486,15 +486,14 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
                 for l in doc["numerical_layers"]
             ],
             basis=basis,
-            label_scale=float(doc["label_scale"]),
-            train_config=TrainConfig(**cfg_doc) if cfg_doc else None,
-            seed=doc["seed"],
+            label_scale=_scalar(doc["label_scale"], float, "label_scale"),
+            train_config=train_config,
         )
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
         pipeline = Pipeline(
             condition_model=ConditionModel(
                 **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
-                config=ConditionFitConfig(**cm_doc["config"]),
+                config=_config(ConditionFitConfig, cm_doc["config"], "condition_model.config"),
             ),
             scaler=MinMaxScaler(
                 minimum=np.array(scaler_doc["minimum"]),
@@ -503,13 +502,42 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
             network=network,
             subset_id=doc["subset_id"],
         )
-        _check_blocks(pipeline, doc["window_length"])
+        _check_blocks(pipeline)
+        # The document repeats values the pipeline derives; each copy must agree.
+        copies = {
+            "window_length": (doc["window_length"], len(basis.grid), "the basis grid length"),
+            "seed": (doc["seed"], network.seed, "train_config.seed"),
+        }
+        for i, (s, sb) in enumerate(zip(basis_doc["sensors"], basis.sensors)):
+            copies[f"basis.sensors[{i}].num_components"] = (
+                s["num_components"], sb.num_components, "its count of components"
+            )
+        for name, (stored, derived, source) in copies.items():
+            if stored != derived or type(stored) is not type(derived):
+                raise ArtifactError(
+                    f"artifact {name} {stored!r} does not match {source} {derived!r}"
+                )
         return pipeline
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
 
 
-def _check_blocks(pipeline: Pipeline, window_length) -> None:
+def _scalar(value, kind: type, name: str):
+    """``value`` as ``kind``. An int must be a JSON integer and a float any
+    JSON number; a bool or a string is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise ArtifactError(f"artifact field {name} is {value!r}, expected {expected}")
+    return kind(value)
+
+
+def _config(cls, doc: dict, name: str):
+    """A stage config from its artifact block; each value has its default's type."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    return cls(**{key: _scalar(v, types[key], f"{name}.{key}") for key, v in doc.items()})
+
+
+def _check_blocks(pipeline: Pipeline) -> None:
     """Every numeric block of a loaded artifact is finite and has the shape
     the other blocks imply; ArtifactError names the first that is not."""
     network, cm, scaler = pipeline.network, pipeline.condition_model, pipeline.scaler
@@ -543,11 +571,6 @@ def _check_blocks(pipeline: Pipeline, window_length) -> None:
             raise ArtifactError(f"artifact block {name} holds a non-finite value")
     if not network.label_scale > 0:
         raise ArtifactError(f"artifact block label_scale is {network.label_scale}, expected > 0")
-    if window_length != m:
-        raise ArtifactError(
-            f"artifact window_length {window_length} does not match"
-            f" the basis grid length {m}"
-        )
     ids = [sb.sensor_id for sb in basis.sensors]
     if ids != scaler.sensor_ids:
         raise ArtifactError(

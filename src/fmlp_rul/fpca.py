@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSensorError
-from .numerics import discrete_integral, eigh
+from .numerics import eigh
 from .preprocess import Windows
 
 DEFAULT_FVE_CUTOFF = 0.80
@@ -66,7 +66,10 @@ class SensorBasis:
     mean: np.ndarray  # (M,)
     eigenvalues: np.ndarray  # (M,) non-increasing, full spectrum
     components: np.ndarray  # (P, M) rows are the selected eigenfunctions
-    num_components: int
+
+    @property
+    def num_components(self) -> int:
+        return len(self.components)
 
     @property
     def fve(self) -> np.ndarray:
@@ -118,7 +121,6 @@ def fit_sensor_basis(
         mean=sample_mean(x),
         eigenvalues=values,
         components=components,
-        num_components=p,
     )
 
 
@@ -182,19 +184,3 @@ def projection_residual_mse(basis: EigenBasis, windows: Windows) -> float:
         total += np.sum((centered - recon) ** 2)
         count += centered.size
     return total / count
-
-
-__all__ = [
-    "DEFAULT_COMPONENT_CAP",
-    "DEFAULT_FVE_CUTOFF",
-    "EigenBasis",
-    "SensorBasis",
-    "fit_basis",
-    "fit_sensor_basis",
-    "project",
-    "projection_residual_mse",
-    "sample_covariance",
-    "sample_mean",
-    "select_num_components",
-    "discrete_integral",
-]

@@ -263,14 +263,12 @@ class Windows:
     """N windows of R sensor curves on one shared grid of M points.
 
     curves is (N, R, M). labels is (N,) piece-wise RUL labels, or None for
-    unlabeled test windows. engine_ref is (N, 2): the unit id and the
-    window's start cycle.
+    unlabeled test windows.
     """
 
     grid: np.ndarray
     curves: np.ndarray
     labels: np.ndarray | None
-    engine_ref: np.ndarray
 
     def __post_init__(self):
         if self.curves.ndim != 3 or self.curves.shape[2] != len(self.grid):
@@ -280,8 +278,6 @@ class Windows:
         n = len(self.curves)
         if self.labels is not None and self.labels.shape != (n,):
             raise ValueError(f"labels {self.labels.shape} do not match {n} windows")
-        if self.engine_ref.shape != (n, 2):
-            raise ValueError(f"engine_ref {self.engine_ref.shape} does not match {n} windows")
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -292,9 +288,7 @@ def _window_grid(window_length: int) -> np.ndarray:
 
 
 def sliding_windows(
-    units: list[tuple[int, np.ndarray]],
-    window_length: int,
-    t_cap: float = DEFAULT_RUL_CAP,
+    units: list[np.ndarray], window_length: int, t_cap: float = DEFAULT_RUL_CAP
 ) -> Windows:
     """Every length-M_d window of each unit's (n, R) rows, units in order.
 
@@ -302,10 +296,10 @@ def sliding_windows(
     min(t_cap, n - c). A unit shorter than the window gives no windows.
     """
     m = int(window_length)
-    counts = np.array([max(len(rows) - m + 1, 0) for _, rows in units])
+    counts = np.array([max(len(rows) - m + 1, 0) for rows in units])
     ends = np.cumsum(counts)
-    curves = np.empty((ends[-1], units[0][1].shape[1], m))
-    for (_, rows), end, n in zip(units, ends, counts):
+    curves = np.empty((ends[-1], units[0].shape[1], m))
+    for rows, end, n in zip(units, ends, counts):
         if n:
             curves[end - n : end] = np.lib.stride_tricks.sliding_window_view(rows, m, axis=0)
     c = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + 1  # 1..n per unit
@@ -313,7 +307,6 @@ def sliding_windows(
         grid=_window_grid(m),
         curves=curves,
         labels=piecewise_rul(c, np.repeat(counts, counts), t_cap).astype(np.float64),
-        engine_ref=np.column_stack([np.repeat([u for u, _ in units], counts), c]),
     )
 
 
@@ -339,8 +332,7 @@ def last_windows(
         model,
         scaler,
     )
-    n_cycles = np.array([t.n_cycles for t in trajectories])
-    tail = np.minimum(n_cycles, m)
+    tail = np.minimum([t.n_cycles for t in trajectories], m)
     ends = np.cumsum(tail)
     # Grid point j of window i reads row ends[i] - m + j, clamped to the
     # first row of that trajectory's tail.
@@ -349,9 +341,6 @@ def last_windows(
         grid=_window_grid(m),
         curves=np.ascontiguousarray(rows[index].transpose(0, 2, 1)),
         labels=None,
-        engine_ref=np.column_stack(
-            [[t.unit_id for t in trajectories], np.maximum(1, n_cycles - m + 1)]
-        ),
     )
 
 
@@ -372,10 +361,7 @@ def training_instances(
 ) -> Windows:
     """All labeled sliding windows from the subset's training units, each
     unit transformed on its own."""
-    units = [
-        (t.unit_id, transform_rows(t.op_settings, t.sensors, model, scaler))
-        for t in subset.train
-    ]
+    units = [transform_rows(t.op_settings, t.sensors, model, scaler) for t in subset.train]
     return sliding_windows(units, subset.window_length, t_cap)
 
 

@@ -28,16 +28,14 @@ REL_FLOOR = 1e-4
 
 
 def make_instances(curves, labels=None, grid=None):
-    """Windows over (N, R, M) curves; window i belongs to unit i."""
+    """Windows over (N, R, M) curves."""
     curves = np.asarray(curves, dtype=float)
     if grid is None:
         grid = np.arange(1, curves.shape[-1] + 1, dtype=float)
-    n = len(curves)
     return Windows(
         grid=grid,
         curves=curves,
         labels=None if labels is None else np.asarray(labels, dtype=float),
-        engine_ref=np.column_stack([np.arange(n), np.ones(n, dtype=int)]),
     )
 
 
@@ -48,7 +46,6 @@ def take(windows, index):
         grid=windows.grid,
         curves=windows.curves[index],
         labels=None if labels is None else labels[index],
-        engine_ref=windows.engine_ref[index],
     )
 
 

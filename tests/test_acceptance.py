@@ -92,7 +92,7 @@ def test_criterion_4_pipeline_counting(fd001_root):
     started = time.monotonic()
     subset = load_subset(fd001_root, "FD001")
     unit1 = subset.train[0]
-    windows = sliding_windows([(unit1.unit_id, unit1.sensors)], subset.window_length)
+    windows = sliding_windows([unit1.sensors], subset.window_length)
     labels = list(windows.labels)
     elapsed = time.monotonic() - started
     ok = (

@@ -514,6 +514,15 @@ def _truncate_components(doc):
         row.pop()
 
 
+def _set_sensor(i, key, value):
+    return lambda doc: doc["basis"]["sensors"][i].__setitem__(key, value)
+
+
+def _float_num_components(doc):
+    sensor = doc["basis"]["sensors"][1]
+    sensor["num_components"] = float(sensor["num_components"])
+
+
 def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
@@ -554,6 +563,19 @@ def _nest_a(doc):
         (_set("condition_model", None), "condition_model is null"),
         (_set("scaler", None), "scaler is null"),
         (_set("window_length", None), "window_length None"),
+        (_set("subset_id", ["FD001"]), "subset_id is ['FD001']"),
+        (_set("label_scale", True), "label_scale is True, expected a number"),
+        (_set("label_scale", "130"), "label_scale is '130', expected a number"),
+        (_set_sensor(0, "sensor_id", 2.5), "sensor_id is 2.5, expected an integer"),
+        (_float_num_components, "basis.sensors[1].num_components"),
+        (_set_sensor(1, "num_components", 3), "num_components 3 does not match"),
+        (lambda d: d["basis"].__setitem__("component_cap", "2"),
+         "component_cap is '2', expected an integer"),
+        (lambda d: d["basis"].__setitem__("fve_cutoff", False), "fve_cutoff is False"),
+        (lambda d: d["train_config"].__setitem__("epochs", 40.0),
+         "train_config.epochs is 40.0, expected an integer"),
+        (_set("seed", FAST_CONFIG["seed"] + 1), "seed 12 does not match train_config.seed 11"),
+        (_set("seed", True), "seed True does not match"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -593,3 +615,48 @@ def test_train_and_evaluate_smoke(subset_id, window_length, tmp_path):
     rows = (out / "report.csv").read_text().strip().split("\n")[1:]
     assert [int(row.split(",")[0]) for row in rows] == [1, 2, 3, 4, 5]
     assert all(np.isfinite([float(v) for v in row.split(",")[1:]]).all() for row in rows)
+
+
+def test_evaluate_rejects_artifact_with_list_subset_id(mini_run, mini_root, tmp_path, capsys):
+    # Once a TypeError traceback (exit 1) from hashing the list.
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    doc["subset_id"] = ["FD001"]
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
+    for command in ("evaluate", "inspect"):
+        assert cli.main([command, *argv]) == 3
+        assert "subset_id is ['FD001']" in capsys.readouterr().err
+    assert not (tmp_path / "inspect").exists()
+
+
+def test_inspect_of_other_subset_writes_nothing(fd002_run, mini_root, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(
+        [
+            "inspect",
+            "--model", str(fd002_run.out / "artifact.json"),
+            "--data-root", str(mini_root),
+            "--subset", "FD001",
+            "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert "window length 21" in capsys.readouterr().err
+    assert not (out / "inspect").exists()
+
+
+def test_inspect_of_unknown_unit_writes_nothing(mini_run, mini_root, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(
+        [
+            "inspect",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(mini_root),
+            "--out", str(out),
+            "--unit", "99",
+        ]
+    )
+    assert code == 3
+    assert "unit 99 not found" in capsys.readouterr().err
+    assert not (out / "inspect").exists()

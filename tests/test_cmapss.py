@@ -202,7 +202,7 @@ def test_window_count_identity(fd001_subset):
     m = fd001_subset.window_length
     for traj in fd001_subset.train[:25]:
         expected = max(0, traj.n_cycles - m + 1)
-        assert len(sliding_windows([(traj.unit_id, traj.sensors)], m)) == expected
+        assert len(sliding_windows([traj.sensors], m)) == expected
 
 
 def test_trajectory_invariants_enforced():

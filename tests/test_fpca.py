@@ -178,7 +178,6 @@ def test_fit_basis_requires_shared_grid():
                 grid=np.arange(1, 5, dtype=float),
                 curves=np.zeros((2, 1, 5)),
                 labels=None,
-                engine_ref=np.ones((2, 2), dtype=int),
             )
         )
 

@@ -277,24 +277,24 @@ def degradation_traj(n, unit_id=1):
 
 def test_slide_windows_counting_example():
     traj = degradation_traj(144)
-    windows = sliding_windows([(1, traj.sensors)], 31)
+    windows = sliding_windows([traj.sensors], 31)
     assert len(windows) == 114
     assert windows.curves.shape == (114, 21, 31)
     assert windows.labels[0] == 113.0
     assert windows.labels[-1] == 0.0
-    assert list(windows.engine_ref[0]) == [1, 1]
+    assert np.array_equal(windows.curves[0], traj.sensors[:31].T)  # window 1 starts at cycle 1
     assert np.array_equal(windows.curves[2], traj.sensors[2:33].T)
     assert np.array_equal(windows.grid, np.arange(1.0, 32.0))
 
 
 def test_slide_windows_single_window():
-    windows = sliding_windows([(1, degradation_traj(31).sensors)], 31)
+    windows = sliding_windows([degradation_traj(31).sensors], 31)
     assert len(windows) == 1
     assert windows.labels[0] == 0.0
 
 
 def test_slide_windows_too_short():
-    windows = sliding_windows([(1, degradation_traj(30).sensors)], 31)
+    windows = sliding_windows([degradation_traj(30).sensors], 31)
     assert len(windows) == 0
     assert windows.curves.shape == (0, 21, 31)
 
@@ -307,32 +307,32 @@ def test_slide_windows_sensor_selection():
     rows = transform_rows(
         traj.op_settings, traj.sensors, constant_predictor(0.0), MinMaxScaler(minimum, maximum)
     )
-    windows = sliding_windows([(1, rows)], 31)
+    windows = sliding_windows([rows], 31)
     assert windows.curves[0].shape == (3, 31)
     assert np.array_equal(windows.curves[0], traj.sensors[:31, keep].T)
 
 
 def test_sliding_windows_concatenate_units():
-    units = [(3, degradation_traj(33, 3).sensors), (5, degradation_traj(20, 5).sensors),
-             (9, degradation_traj(180, 9).sensors)]
+    units = [degradation_traj(33, 3).sensors, degradation_traj(20, 5).sensors,
+             degradation_traj(180, 9).sensors]
     windows = sliding_windows(units, 31, t_cap=100)
     assert len(windows) == 3 + 150  # the 20-cycle unit is too short
     assert windows.curves.flags.c_contiguous
     assert list(windows.labels[:3]) == [2.0, 1.0, 0.0]
     assert windows.labels[3] == 100.0  # 149 capped
     assert windows.labels[-1] == 0.0
-    assert [list(r) for r in windows.engine_ref[[0, 2, 3, -1]]] == [
-        [3, 1], [3, 3], [9, 1], [9, 150]
-    ]
-    assert np.array_equal(windows.curves[4], units[2][1][1:32].T)
+    # Windows 0, 2, 3 and -1 start at cycles 1 and 3 of unit 3, then 1 and 150 of unit 9.
+    expected = [(0, units[0], 1), (2, units[0], 3), (3, units[2], 1), (-1, units[2], 150)]
+    for i, rows, start in expected:
+        assert np.array_equal(windows.curves[i], rows[start - 1 : start + 30].T)
+    assert np.array_equal(windows.curves[4], units[2][1:32].T)
 
 
 def test_last_window_tail():
     traj = degradation_traj(200)
     windows = last_windows([traj], 21, constant_predictor(0.0), unit_scaler())
     assert windows.labels is None
-    assert list(windows.engine_ref[0]) == [1, 180]
-    assert np.array_equal(windows.curves[0], traj.sensors[179:].T)
+    assert np.array_equal(windows.curves[0], traj.sensors[179:].T)  # cycles 180..200
 
 
 def test_last_window_pads_short_trajectory():
@@ -371,7 +371,6 @@ def test_test_instances_match_whole_trajectory_path(fd002_subset):
         rows = transform_rows(t.op_settings, t.sensors, model, scaler)
         pad = np.repeat(rows[:1], max(0, 21 - t.n_cycles), axis=0)
         want = np.concatenate([pad, rows])[-21:].T
-        assert list(got.engine_ref[i]) == [t.unit_id, max(1, t.n_cycles - 20)]
         np.testing.assert_allclose(got.curves[i], want, rtol=0, atol=1e-12)
 
 
@@ -386,14 +385,9 @@ def test_training_curves_stay_in_unit_interval(fd001_pipeline, fd001_subset):
 
 
 def test_functional_instance_shape_check():
-    ref = np.ones((1, 2), dtype=int)
     with pytest.raises(ValueError):
-        Windows(grid=np.arange(5.0), curves=np.zeros((1, 2, 4)), labels=None, engine_ref=ref)
+        Windows(grid=np.arange(5.0), curves=np.zeros((1, 2, 4)), labels=None)
     with pytest.raises(ValueError):
-        Windows(grid=np.arange(4.0), curves=np.zeros((2, 4)), labels=None, engine_ref=ref)
+        Windows(grid=np.arange(4.0), curves=np.zeros((2, 4)), labels=None)
     with pytest.raises(ValueError):
-        Windows(
-            grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=np.zeros(2), engine_ref=ref
-        )
-    with pytest.raises(ValueError):
-        Windows(grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=None, engine_ref=ref.T)
+        Windows(grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=np.zeros(2))

@@ -1,11 +1,16 @@
-"""The README's Library snippet runs as written on a small corpus."""
+"""The README's Library snippet runs as written on a small corpus, and its
+config defaults are the code's."""
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 from cmapss_synth import write_subset
+
+from fmlp_rul.cli import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +27,8 @@ def test_readme_library_snippet_runs(tmp_path, capsys):
     estimates, report = namespace["estimates"], namespace["report"]
     assert estimates.shape == (5,) and np.isfinite(estimates).all()
     assert capsys.readouterr().out.split() == [repr(report.rmse), repr(report.score)]
+
+
+def test_readme_config_defaults_are_the_code_defaults():
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert json.loads(block) == dataclasses.asdict(ExperimentConfig())
