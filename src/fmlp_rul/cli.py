@@ -229,6 +229,11 @@ def _float_cells(row) -> str:
 
 
 def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None) -> int:
+    if unit is not None and cfg.data_root is None:
+        raise ConfigError(
+            "--unit needs --data-root (or config key 'data_root'): unit features"
+            " are read from the train file"
+        )
     pipeline = _load_pipeline(model_path)
     network = pipeline.network
     out = Path(cfg.out_dir) / "inspect"

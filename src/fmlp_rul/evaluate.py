@@ -8,7 +8,7 @@ computed; every emitted report carries the cap so the convention is
 visible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,15 +96,39 @@ class EngineRecord:
 
 @dataclass
 class EvalReport:
-    """Per-engine errors plus aggregate metrics and baseline comparisons."""
+    """Per-engine errors; the aggregate metrics and the baseline
+    comparisons are derived from them."""
 
     subset_id: str | None
     records: list[EngineRecord]
-    rmse: float
-    score: float
     t_cap: int
-    # baseline name -> {"rmse": .., "score": .., "imp_rmse": .., "imp_score": ..}
-    baselines: dict = field(default_factory=dict)
+
+    @property
+    def rmse(self) -> float:
+        return rmse([r.error for r in self.records])
+
+    @property
+    def score(self) -> float:
+        return score([r.error for r in self.records])
+
+    @property
+    def baselines(self) -> dict:
+        """Baseline name -> {"citation", "rmse", "imp_rmse"[, "score", "imp_score"]}."""
+        if self.subset_id is None:
+            return {}
+        own_rmse, own_score = self.rmse, self.score
+        baselines = {}
+        for name, table in BASELINE_RMSE.items():
+            entry = {
+                "citation": BASELINE_CITATIONS[name],
+                "rmse": table[self.subset_id],
+                "imp_rmse": improvement(own_rmse, table[self.subset_id]),
+            }
+            if name in BASELINE_SCORE:
+                entry["score"] = BASELINE_SCORE[name][self.subset_id]
+                entry["imp_score"] = improvement(own_score, entry["score"])
+            baselines[name] = entry
+        return baselines
 
 
 def build_report(
@@ -132,31 +156,9 @@ def build_report(
         EngineRecord(unit_id=int(u), true_rul=t, estimated_rul=p)
         for u, t, p in zip(unit_ids, truths, predictions)
     ]
-    errors = [r.error for r in records]
-    own_rmse = rmse(errors)
-    own_score = score(errors)
-
-    baselines = {}
-    if subset_id is not None:
-        for name, table in BASELINE_RMSE.items():
-            entry = {
-                "citation": BASELINE_CITATIONS[name],
-                "rmse": table[subset_id],
-                "imp_rmse": improvement(own_rmse, table[subset_id]),
-            }
-            if name in BASELINE_SCORE:
-                entry["score"] = BASELINE_SCORE[name][subset_id]
-                entry["imp_score"] = improvement(own_score, BASELINE_SCORE[name][subset_id])
-            baselines[name] = entry
-
-    return EvalReport(
-        subset_id=subset_id,
-        records=records,
-        rmse=own_rmse,
-        score=own_score,
-        t_cap=t_cap,
-        baselines=baselines,
-    )
+    if not records:
+        raise ValueError("no errors to aggregate")
+    return EvalReport(subset_id=subset_id, records=records, t_cap=t_cap)
 
 
 def report_to_csv(report: EvalReport) -> str:

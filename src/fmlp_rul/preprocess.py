@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
+from .errors import DegenerateSensorError, TrainingError
 from .numerics import logistic, seeded_rng
 
 # Sensors whose post-removal range falls below this are flagged constant
@@ -68,7 +69,8 @@ class ConditionModel:
         n_sensors, _, h = self.w1.shape
         w1_flat = self.w1.transpose(1, 0, 2).reshape(N_SETTINGS, n_sensors * h)
         hidden = logistic(x @ w1_flat + self.b1.reshape(-1))
-        out = (hidden.reshape(-1, n_sensors, h) * self.w2).sum(axis=2) + self.b2
+        hidden_s = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
+        out = (hidden_s @ self.w2[:, :, None])[:, :, 0].T + self.b2
         return out * self.target_scale + self.target_mean
 
 
@@ -104,14 +106,14 @@ def fit_condition_regressors(
     distinct, group, counts = np.unique(
         x_raw, axis=0, return_inverse=True, return_counts=True
     )
-    # A ones column carries the hidden bias through the first-layer products.
-    x = np.column_stack([(distinct - setting_min) / span, np.ones(len(distinct))])
+    # A ones row carries the hidden bias through the first-layer products.
+    x = np.vstack([((distinct - setting_min) / span).T, np.ones(len(distinct))])
     # The squared-error gradient at a distinct row's prediction p is
     # weight * p - target, with its row count and target sum scaled by 2/n.
-    weight = counts[:, None] * (2.0 / n)
+    weight = counts * (2.0 / n)
     target = np.zeros((len(distinct), n_sensors))
     np.add.at(target, group.reshape(-1), y)
-    target *= 2.0 / n
+    target = (2.0 / n) * target.T  # (S, rows), the layout of the per-sensor products
 
     h = cfg.hidden_units
     rng = seeded_rng(cfg.seed)
@@ -120,51 +122,62 @@ def fit_condition_regressors(
     b2 = np.zeros(n_sensors)
 
     # All sensors train at once: the first layer is one (settings+1,
-    # sensor*hidden) matrix, the second runs block-wise on the (rows,
-    # sensor, hidden) view. Each epoch streams the rows through tiles small
-    # enough for the hidden-layer buffers to stay in cache.
+    # sensor*hidden) matrix, held negated so that its product is the
+    # logistic's exponent; the second layer and both gradients are
+    # per-sensor matmuls on the (sensor, rows, hidden) view. Each epoch
+    # streams the rows through tiles whose buffers stay in cache.
     lr = cfg.learning_rate
-    w1b = np.zeros((N_SETTINGS + 1, n_sensors * h))
-    w1b[:N_SETTINGS] = w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
+    neg_w1b = np.zeros((N_SETTINGS + 1, n_sensors * h))
+    neg_w1b[:N_SETTINGS] = -w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
     tile = max(1, _TILE_BYTES // (8 * n_sensors * h))
     hidden_buf = np.empty((tile, n_sensors * h))
-    dhid_buf = np.empty_like(hidden_buf)
-    for _ in range(cfg.epochs):
-        grad_w1b = np.zeros_like(w1b)
-        grad_w2 = np.zeros_like(w2)
+    slope_buf = np.empty_like(hidden_buf)
+    outer_buf = np.empty((n_sensors, N_SETTINGS + 1, tile))
+    for epoch in range(1, cfg.epochs + 1):
+        # w2 is fixed within the epoch, so it multiplies the first-layer
+        # sums of (settings row x dpred) against h(1-h) once, after the last tile.
+        grad_w1 = np.zeros((n_sensors, N_SETTINGS + 1, h))
+        grad_w2 = np.zeros((n_sensors, 1, h))
         grad_b2 = np.zeros_like(b2)
-        for lo in range(0, len(x), tile):
-            rows = slice(lo, lo + tile)
-            xt = x[rows]
-            hidden = hidden_buf[: len(xt)]
-            np.matmul(xt, w1b, out=hidden)
-            np.clip(np.negative(hidden, out=hidden), None, 700.0, out=hidden)
-            np.exp(hidden, out=hidden)
-            hidden += 1.0
-            np.reciprocal(hidden, out=hidden)  # logistic activations
-            hidden3 = hidden.reshape(-1, n_sensors, h)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
+            for lo in range(0, len(distinct), tile):
+                rows = slice(lo, lo + tile)
+                xt = x[:, rows]
+                t = xt.shape[1]
+                hidden = hidden_buf[:t]
+                np.matmul(xt.T, neg_w1b, out=hidden)
+                np.minimum(hidden, 700.0, out=hidden)
+                np.exp(hidden, out=hidden)
+                hidden += 1.0
+                np.reciprocal(hidden, out=hidden)  # logistic activations
+                hidden_s = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
+                dpred = (hidden_s @ w2[:, :, None])[:, :, 0]  # (S, t)
+                dpred += b2[:, None]
+                dpred *= weight[rows]
+                dpred -= target[:, rows]
+                grad_b2 += dpred.sum(axis=1)
+                grad_w2 += dpred[:, None, :] @ hidden_s
+                slope = slope_buf[:t]
+                np.subtract(1.0, hidden, out=slope)
+                slope *= hidden  # h(1 - h)
+                slope_s = slope.reshape(-1, n_sensors, h).transpose(1, 0, 2)
+                outer = np.multiply(xt, dpred[:, None, :], out=outer_buf[:, :, :t])
+                grad_w1 += outer @ slope_s
+            grad_w1 *= w2[:, None, :]
 
-            dpred = np.einsum("nsh,sh->ns", hidden3, w2)
-            dpred += b2
-            dpred *= weight[rows]
-            dpred -= target[rows]
-            grad_b2 += dpred.sum(axis=0)
+            neg_w1b += lr * grad_w1.transpose(1, 0, 2).reshape(N_SETTINGS + 1, -1)
+            w2 -= lr * grad_w2[:, 0]
+            b2 -= lr * grad_b2
+        # A non-finite gradient makes a parameter non-finite in the same epoch.
+        blocks = ("w1", neg_w1b[:N_SETTINGS]), ("b1", neg_w1b[N_SETTINGS]), ("w2", w2), ("b2", b2)
+        for name, block in blocks:
+            if not np.isfinite(block).all():
+                raise TrainingError(
+                    f"condition fit diverged at epoch {epoch}: non-finite parameter block {name}"
+                )
 
-            dhid = dhid_buf[: len(hidden)]
-            dhid3 = dhid.reshape(hidden3.shape)
-            np.einsum("nsh,ns->nsh", hidden3, dpred, out=dhid3)
-            grad_w2 += dhid3.sum(axis=0)
-            np.subtract(1.0, hidden, out=hidden)  # activations become 1 - h
-            dhid *= hidden
-            dhid3 *= w2
-            grad_w1b += xt.T @ dhid
-
-        w1b -= lr * grad_w1b
-        w2 -= lr * grad_w2
-        b2 -= lr * grad_b2
-
-    w1 = w1b[:N_SETTINGS].reshape(N_SETTINGS, n_sensors, h).transpose(1, 0, 2).copy()
-    b1 = w1b[N_SETTINGS].reshape(n_sensors, h).copy()
+    w1 = -neg_w1b[:N_SETTINGS].reshape(N_SETTINGS, n_sensors, h).transpose(1, 0, 2)
+    b1 = -neg_w1b[N_SETTINGS].reshape(n_sensors, h)
 
     return ConditionModel(
         setting_min=setting_min,
@@ -347,10 +360,19 @@ def last_windows(
 def fit_preprocessing(
     train: list[EngineTrajectory], cfg: ConditionFitConfig | None = None
 ) -> tuple[ConditionModel, MinMaxScaler]:
-    """Fit the condition regressors, then the min-max scaler on residuals."""
+    """Fit the condition regressors, then the min-max scaler on residuals.
+    Raises DegenerateSensorError if no sensor varies after removal."""
     model = fit_condition_regressors(train, cfg)
     residuals = [remove_condition_effect(t.op_settings, t.sensors, model) for t in train]
-    return model, fit_minmax(residuals)
+    scaler = fit_minmax(residuals)
+    if not scaler.retained.size:
+        largest = max(np.abs(scaler.minimum).max(), np.abs(scaler.maximum).max())
+        raise DegenerateSensorError(
+            f"no sensor varies after condition removal: every residual range is below"
+            f" {CONSTANT_SENSOR_EPS:g} and the largest residual magnitude is {largest:.3g}:"
+            " a diverged condition fit or constant readings leave nothing to model"
+        )
+    return model, scaler
 
 
 def training_instances(

@@ -660,3 +660,53 @@ def test_inspect_of_unknown_unit_writes_nothing(mini_run, mini_root, tmp_path, c
     assert code == 3
     assert "unit 99 not found" in capsys.readouterr().err
     assert not (out / "inspect").exists()
+
+
+def test_inspect_unit_without_data_root_is_usage_error(mini_run, tmp_path, capsys):
+    # Once exit 0 with the sensor CSVs written and the feature file dropped.
+    out = tmp_path / "out"
+    code = cli.main(
+        ["inspect", "--model", str(mini_run / "artifact.json"), "--out", str(out), "--unit", "5"]
+    )
+    assert code == 2
+    assert "--data-root" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def six_condition_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fd002_small")
+    write_subset(root, "FD002", 7, n_train=8, n_test=5)
+    return root
+
+
+def _train_fd002(root, tmp_path, **config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"subset": "FD002", "seed": 7, "epochs": 5, **config}))
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", str(cfg_path), "--data-root", str(root), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_condition_fit_is_training_error(six_condition_root, tmp_path, capsys):
+    # Once overflow warnings, then a ValueError traceback from fit_basis.
+    code, out = _train_fd002(six_condition_root, tmp_path, condition_learning_rate=5)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert re.search(r"condition fit diverged at epoch \d+: non-finite parameter block \w+", err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_condition_fit_that_leaves_no_sensor_is_numeric_error(six_condition_root, tmp_path, capsys):
+    # 50 epochs at this rate leave b2 finite but near 1e47, so every residual
+    # column is constant; once a ValueError traceback from fpca.project.
+    code, out = _train_fd002(
+        six_condition_root, tmp_path, condition_learning_rate=5, condition_epochs=50
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "no sensor varies after condition removal" in err
+    assert "diverged condition fit" in err
+    assert not out.exists()

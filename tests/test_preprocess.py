@@ -7,6 +7,7 @@ from model_oracles import reference_condition_fit
 
 from fmlp_rul import preprocess
 from fmlp_rul.cmapss import DataSubset, EngineTrajectory
+from fmlp_rul.numerics import logistic
 from fmlp_rul.preprocess import (
     ConditionFitConfig,
     ConditionModel,
@@ -128,6 +129,63 @@ def test_regressor_matches_reference_fit():
         np.testing.assert_allclose(
             getattr(model, field), getattr(expected, field), rtol=0, atol=1e-12
         )
+
+
+# The six FD002/FD004 operating regimes: altitude (kft), Mach, TRA.
+SIX_REGIMES = np.array(
+    [[0.0, 0.0, 100.0], [10.0, 0.25, 100.0], [20.0, 0.7, 100.0],
+     [25.0, 0.62, 60.0], [35.0, 0.84, 100.0], [42.0, 0.84, 100.0]]
+)
+
+
+def test_regressor_matches_reference_fit_six_regimes():
+    # H = 3 exercises the per-sensor layout at a width other than the
+    # default; the distinct rows span at least three tiles.
+    rng = np.random.Generator(np.random.PCG64(21))
+    cfg = ConditionFitConfig(hidden_units=3, epochs=30, learning_rate=0.05, seed=9)
+    regime = rng.integers(0, 6, 1500)
+    settings = SIX_REGIMES[regime] + np.round(
+        rng.normal(0, [2e-3, 2e-4, 0.0], (1500, 3)), 4
+    )
+    sensors = rng.normal(0, 1, (6, 21))[regime] * 10 + rng.normal(0, 0.5, (1500, 21))
+    train = [
+        make_traj(u + 1, settings[rows], sensors[rows])
+        for u, rows in enumerate(np.array_split(np.arange(1500), 5))
+    ]
+    tile = preprocess._TILE_BYTES // (8 * 21 * cfg.hidden_units)
+    assert len(np.unique(settings, axis=0)) > 2 * tile
+
+    model = fit_condition_regressors(train, cfg)
+    expected = reference_condition_fit(train, cfg)
+    for field in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(
+            getattr(model, field), getattr(expected, field), rtol=0, atol=1e-12
+        )
+
+
+def test_condition_predict_matches_per_sensor_loop():
+    rng = np.random.Generator(np.random.PCG64(23))
+    s, h = 21, 5
+    model = ConditionModel(
+        setting_min=np.array([0.0, 0.0, 60.0]),
+        setting_max=np.array([42.0, 0.84, 100.0]),
+        target_mean=rng.uniform(10, 500, s),
+        target_scale=rng.uniform(0.1, 20, s),
+        w1=rng.normal(0, 1, (s, 3, h)),
+        b1=rng.normal(0, 1, (s, h)),
+        w2=rng.normal(0, 1, (s, h)),
+        b2=rng.normal(0, 1, s),
+        config=ConditionFitConfig(hidden_units=h),
+    )
+    settings = SIX_REGIMES[rng.integers(0, 6, 300)] + rng.normal(0, 1e-3, (300, 3))
+    x = (settings - model.setting_min) / (model.setting_max - model.setting_min)
+    expected = np.column_stack(
+        [
+            logistic(x @ model.w1[i] + model.b1[i]) @ model.w2[i] + model.b2[i]
+            for i in range(s)
+        ]
+    ) * model.target_scale + model.target_mean
+    np.testing.assert_allclose(model.predict(settings), expected, rtol=1e-13, atol=0)
 
 
 def test_regressor_rejects_empty_input():
