@@ -50,8 +50,6 @@ class ExperimentConfig:
     component_cap: int = 2
     t_cap: int = 130
     condition_hidden: int = 8
-    condition_epochs: int = 500
-    condition_learning_rate: float = 0.05
 
     def train_config(self) -> fmlp.TrainConfig:
         """The TrainConfig fields, each from the config key of the same name."""
@@ -64,11 +62,7 @@ class ExperimentConfig:
 
 
 # The config key that sets each ConditionFitConfig field.
-_CONDITION_KEYS = {
-    "hidden_units": "condition_hidden",
-    "epochs": "condition_epochs",
-    "learning_rate": "condition_learning_rate",
-}
+_CONDITION_KEYS = {"hidden_units": "condition_hidden"}
 
 
 def validate_config(doc: dict) -> ExperimentConfig:

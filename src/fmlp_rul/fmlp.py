@@ -37,7 +37,7 @@ from .preprocess import (
     last_windows,
 )
 
-ARTIFACT_SCHEMA = "fmlp-artifact/1"
+ARTIFACT_SCHEMA = "fmlp-artifact/2"
 
 ACT_LOGISTIC = "logistic"
 ACT_LINEAR = "linear"
@@ -316,6 +316,10 @@ def train(
     if train_idx.size == 0:
         raise ValueError("validation split leaves no training data")
 
+    # Gathered once; each epoch's shuffled rows are taken into fixed buffers.
+    train_scores, train_targets = scores[train_idx], targets[train_idx]
+    val_scores, val_targets = scores[val_idx], targets[val_idx]
+    epoch_scores, epoch_targets = np.empty_like(train_scores), np.empty_like(train_targets)
     params = model.params
     grad = np.empty_like(params)
     grad_blocks = [view for _, view in model.blocks(grad)]
@@ -324,8 +328,9 @@ def train(
     stale = 0
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = train_idx[rng.permutation(train_idx.size)]
-        epoch_scores, epoch_targets = scores[order], targets[order]
+        order = rng.permutation(train_idx.size)
+        np.take(train_scores, order, axis=0, out=epoch_scores)
+        np.take(train_targets, order, axis=0, out=epoch_targets)
         with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
             for start in range(0, order.size, cfg.batch_size):
                 batch = slice(start, start + cfg.batch_size)
@@ -339,12 +344,12 @@ def train(
                 f"training diverged at epoch {epoch}: non-finite parameter block {name}"
             )
 
-        train_mse = _loss_scores(model, scores[train_idx], targets[train_idx])
+        train_mse = _loss_scores(model, train_scores, train_targets)
         if not np.isfinite(train_mse):
             raise TrainingError(f"training loss diverged at epoch {epoch}")
         val_mse = None
         if n_val:
-            val_mse = _loss_scores(model, scores[val_idx], targets[val_idx])
+            val_mse = _loss_scores(model, val_scores, val_targets)
             if not np.isfinite(val_mse):
                 raise TrainingError(f"validation loss diverged at epoch {epoch}")
         trace.append(TraceRow(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
@@ -365,7 +370,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization ("fmlp-artifact/1"): a single JSON document holding
+# Artifact serialization ("fmlp-artifact/2"): a single JSON document holding
 # the network, the eigenbasis, and the preprocessing artifacts.
 
 

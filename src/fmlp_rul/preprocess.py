@@ -19,9 +19,9 @@ CONSTANT_SENSOR_EPS = 1e-9
 
 DEFAULT_RUL_CAP = 130
 
-# Byte budget of one (rows, sensor*hidden) float64 tile buffer in the
-# condition fit, so that its working set stays in a core's L2 cache.
-_TILE_BYTES = 256 * 1024
+# Ridge on the diagonal of each condition fit's normal matrix (row weights
+# sum to 1): it bounds the output weights where hidden columns are collinear.
+CONDITION_RIDGE = 1e-8
 
 
 @dataclass
@@ -29,14 +29,11 @@ class ConditionFitConfig:
     """Hyperparameters for the per-sensor condition regressors."""
 
     hidden_units: int = 8
-    epochs: int = 500
-    learning_rate: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden_units", "epochs", "learning_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.hidden_units > 0:
+            raise ValueError(f"hidden_units must be > 0, got {self.hidden_units}")
 
 
 @dataclass
@@ -59,17 +56,18 @@ class ConditionModel:
     b2: np.ndarray  # (S,)
     config: ConditionFitConfig
 
-    def _scale_settings(self, settings: np.ndarray) -> np.ndarray:
+    def hidden(self, settings: np.ndarray) -> np.ndarray:
+        """Every sensor's hidden activations for an (n, 3) block of
+        settings: (n, S*H), sensor-major along the columns."""
         span = np.maximum(self.setting_max - self.setting_min, CONSTANT_SENSOR_EPS)
-        return (settings - self.setting_min) / span
+        x = (np.asarray(settings, dtype=np.float64) - self.setting_min) / span
+        w1_flat = self.w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
+        return logistic(x @ w1_flat + self.b1.reshape(-1))
 
     def predict(self, settings: np.ndarray) -> np.ndarray:
         """Predict all sensor values for an (n, 3) block of settings."""
-        x = self._scale_settings(np.asarray(settings, dtype=np.float64))
         n_sensors, _, h = self.w1.shape
-        w1_flat = self.w1.transpose(1, 0, 2).reshape(N_SETTINGS, n_sensors * h)
-        hidden = logistic(x @ w1_flat + self.b1.reshape(-1))
-        hidden_s = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
+        hidden_s = self.hidden(settings).reshape(-1, n_sensors, h).transpose(1, 0, 2)
         out = (hidden_s @ self.w2[:, :, None])[:, :, 0].T + self.b2
         return out * self.target_scale + self.target_mean
 
@@ -77,14 +75,13 @@ class ConditionModel:
 def fit_condition_regressors(
     train: list[EngineTrajectory], cfg: ConditionFitConfig | None = None
 ) -> ConditionModel:
-    """Fit one settings->sensor regressor per sensor by full-batch gradient
-    descent on squared error, for the configured epoch budget.
+    """Fit one settings->sensor regressor per sensor: a seeded random hidden
+    layer, then the ridge least-squares output layer from one (H+1, H+1)
+    solve per sensor on the distinct setting rows, each weighted by its
+    share of the rows. A sensor whose fit the Bayesian information
+    criterion does not prefer to its mean keeps w2 = b2 = 0: the mean.
 
-    The hidden layer sees only the settings, so the fit runs on the distinct
-    setting rows: each one carries its row count and its summed targets,
-    which give the same full-batch gradient as the rows it stands for.
-
-    Deterministic: identical seed and data give identical parameters.
+    Deterministic. Raises TrainingError if the solution is not finite.
     """
     if not train:
         raise ValueError("need at least one training trajectory")
@@ -92,104 +89,56 @@ def fit_condition_regressors(
 
     x_raw = np.concatenate([t.op_settings for t in train], axis=0)
     y_raw = np.concatenate([t.sensors for t in train], axis=0)
-    n = x_raw.shape[0]
-
-    setting_min = x_raw.min(axis=0)
-    setting_max = x_raw.max(axis=0)
-    span = np.maximum(setting_max - setting_min, CONSTANT_SENSOR_EPS)
-
-    target_mean = y_raw.mean(axis=0)
-    target_scale = np.maximum(y_raw.std(axis=0), CONSTANT_SENSOR_EPS)
-    y = (y_raw - target_mean) / target_scale
-    n_sensors = y.shape[1]
-
-    distinct, group, counts = np.unique(
-        x_raw, axis=0, return_inverse=True, return_counts=True
-    )
-    # A ones row carries the hidden bias through the first-layer products.
-    x = np.vstack([((distinct - setting_min) / span).T, np.ones(len(distinct))])
-    # The squared-error gradient at a distinct row's prediction p is
-    # weight * p - target, with its row count and target sum scaled by 2/n.
-    weight = counts * (2.0 / n)
-    target = np.zeros((len(distinct), n_sensors))
-    np.add.at(target, group.reshape(-1), y)
-    target = (2.0 / n) * target.T  # (S, rows), the layout of the per-sensor products
-
+    n, n_sensors = y_raw.shape
+    target_std = y_raw.std(axis=0)
     h = cfg.hidden_units
+    # Steep units centred at random points of the scaled settings cube bend
+    # inside the data, so that their columns can fit a non-linear regime map.
     rng = seeded_rng(cfg.seed)
-    w1 = rng.uniform(-0.5, 0.5, size=(n_sensors, N_SETTINGS, h))
-    w2 = rng.uniform(-0.5, 0.5, size=(n_sensors, h))
-    b2 = np.zeros(n_sensors)
-
-    # All sensors train at once: the first layer is one (settings+1,
-    # sensor*hidden) matrix, held negated so that its product is the
-    # logistic's exponent; the second layer and both gradients are
-    # per-sensor matmuls on the (sensor, rows, hidden) view. Each epoch
-    # streams the rows through tiles whose buffers stay in cache.
-    lr = cfg.learning_rate
-    neg_w1b = np.zeros((N_SETTINGS + 1, n_sensors * h))
-    neg_w1b[:N_SETTINGS] = -w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
-    tile = max(1, _TILE_BYTES // (8 * n_sensors * h))
-    hidden_buf = np.empty((tile, n_sensors * h))
-    slope_buf = np.empty_like(hidden_buf)
-    outer_buf = np.empty((n_sensors, N_SETTINGS + 1, tile))
-    for epoch in range(1, cfg.epochs + 1):
-        # w2 is fixed within the epoch, so it multiplies the first-layer
-        # sums of (settings row x dpred) against h(1-h) once, after the last tile.
-        grad_w1 = np.zeros((n_sensors, N_SETTINGS + 1, h))
-        grad_w2 = np.zeros((n_sensors, 1, h))
-        grad_b2 = np.zeros_like(b2)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
-            for lo in range(0, len(distinct), tile):
-                rows = slice(lo, lo + tile)
-                xt = x[:, rows]
-                t = xt.shape[1]
-                hidden = hidden_buf[:t]
-                np.matmul(xt.T, neg_w1b, out=hidden)
-                np.minimum(hidden, 700.0, out=hidden)
-                np.exp(hidden, out=hidden)
-                hidden += 1.0
-                np.reciprocal(hidden, out=hidden)  # logistic activations
-                hidden_s = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
-                dpred = (hidden_s @ w2[:, :, None])[:, :, 0]  # (S, t)
-                dpred += b2[:, None]
-                dpred *= weight[rows]
-                dpred -= target[:, rows]
-                grad_b2 += dpred.sum(axis=1)
-                grad_w2 += dpred[:, None, :] @ hidden_s
-                slope = slope_buf[:t]
-                np.subtract(1.0, hidden, out=slope)
-                slope *= hidden  # h(1 - h)
-                slope_s = slope.reshape(-1, n_sensors, h).transpose(1, 0, 2)
-                outer = np.multiply(xt, dpred[:, None, :], out=outer_buf[:, :, :t])
-                grad_w1 += outer @ slope_s
-            grad_w1 *= w2[:, None, :]
-
-            neg_w1b += lr * grad_w1.transpose(1, 0, 2).reshape(N_SETTINGS + 1, -1)
-            w2 -= lr * grad_w2[:, 0]
-            b2 -= lr * grad_b2
-        # A non-finite gradient makes a parameter non-finite in the same epoch.
-        blocks = ("w1", neg_w1b[:N_SETTINGS]), ("b1", neg_w1b[N_SETTINGS]), ("w2", w2), ("b2", b2)
-        for name, block in blocks:
-            if not np.isfinite(block).all():
-                raise TrainingError(
-                    f"condition fit diverged at epoch {epoch}: non-finite parameter block {name}"
-                )
-
-    w1 = -neg_w1b[:N_SETTINGS].reshape(N_SETTINGS, n_sensors, h).transpose(1, 0, 2)
-    b1 = -neg_w1b[N_SETTINGS].reshape(n_sensors, h)
-
-    return ConditionModel(
-        setting_min=setting_min,
-        setting_max=setting_max,
-        target_mean=target_mean,
-        target_scale=target_scale,
+    w1 = rng.uniform(-6.0, 6.0, size=(n_sensors, N_SETTINGS, h))
+    model = ConditionModel(
+        setting_min=x_raw.min(axis=0),
+        setting_max=x_raw.max(axis=0),
+        target_mean=y_raw.mean(axis=0),
+        target_scale=np.maximum(target_std, CONSTANT_SENSOR_EPS),
         w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
+        b1=-(w1 * rng.uniform(0.0, 1.0, size=w1.shape)).sum(axis=1),  # minus w1 . centre
+        w2=np.zeros((n_sensors, h)),
+        b2=np.zeros(n_sensors),
         config=cfg,
     )
+
+    distinct, group, counts = np.unique(x_raw, axis=0, return_inverse=True, return_counts=True)
+    target_sum = np.zeros((len(distinct), n_sensors))
+    np.add.at(target_sum, group.reshape(-1), y_raw)
+    root_w = np.sqrt(counts / n)
+    # Each distinct row's standardized mean target, times its root weight.
+    u = (target_sum / counts[:, None] - model.target_mean) / model.target_scale * root_w[:, None]
+    hidden = model.hidden(distinct)
+    hidden *= root_w[:, None]
+    # Sensor s's root-weighted design is [g[s], root_w]: the ones column of
+    # the output bias stays implicit, so the (rows, S*H) array is not copied.
+    g = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
+    g_t = g.transpose(0, 2, 1)
+    normal = np.empty((n_sensors, h + 1, h + 1))
+    normal[:, :h, :h] = g_t @ g
+    normal[:, :h, h] = normal[:, h, :h] = root_w @ g
+    normal[:, h, h] = root_w @ root_w
+    normal += CONDITION_RIDGE * np.eye(h + 1)
+    rhs = np.empty((n_sensors, h + 1, 1))  # 3-D: numpy 2 reads a 1-D rhs as one vector
+    rhs[:, :h] = g_t @ u.T[:, :, None]
+    rhs[:, h, 0] = root_w @ u
+    theta = np.linalg.solve(normal, rhs)[:, :, 0]
+    if not np.isfinite(theta).all():
+        raise TrainingError("condition fit is not finite: settings or readings too large to fit")
+
+    # At the solution normal @ theta = rhs, so the rows' mean squared residual is
+    # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (H+1) ln n < 0.
+    mean_sq = (target_std / model.target_scale) ** 2
+    rss = mean_sq - (theta * (rhs[:, :, 0] + CONDITION_RIDGE * theta)).sum(axis=1)
+    keep = rss < mean_sq * float(n) ** (-(h + 1) / n)
+    model.w2[keep], model.b2[keep] = theta[keep, :h], theta[keep, h]
+    return model
 
 
 def remove_condition_effect(
@@ -370,7 +319,7 @@ def fit_preprocessing(
         raise DegenerateSensorError(
             f"no sensor varies after condition removal: every residual range is below"
             f" {CONSTANT_SENSOR_EPS:g} and the largest residual magnitude is {largest:.3g}:"
-            " a diverged condition fit or constant readings leave nothing to model"
+            " constant readings, or readings the settings determine, leave nothing to model"
         )
     return model, scaler
 

@@ -1,7 +1,6 @@
 """Shared oracles: random functional-MLP model/batch construction, the
 central-finite-difference gradient check, a plain reference training loop,
-a plain reference fit of the condition regressors, and a line-by-line
-reference trajectory parser."""
+and a line-by-line reference trajectory parser."""
 
 import io
 
@@ -11,13 +10,8 @@ from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
 from fmlp_rul.errors import ParseError
 from fmlp_rul.fmlp import gradients, init_model, loss
 from fmlp_rul.fpca import fit_basis, project
-from fmlp_rul.numerics import logistic, seeded_rng
-from fmlp_rul.preprocess import (
-    CONSTANT_SENSOR_EPS,
-    ConditionFitConfig,
-    ConditionModel,
-    Windows,
-)
+from fmlp_rul.numerics import seeded_rng
+from fmlp_rul.preprocess import Windows
 
 # Relative-error guard: at step 1e-6 the finite-difference quotient carries
 # ~1e-10 absolute roundoff, so components far below 1e-4 cannot be certified
@@ -148,48 +142,6 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
                 if stale > cfg.patience:
                     break
     return list(zip(names, best if best is not None else blocks)), trace
-
-
-def reference_condition_fit(train, cfg: ConditionFitConfig) -> ConditionModel:
-    """The condition fit written plainly: each sensor on its own, full-batch
-    descent over every training row, with dense hidden and output layers."""
-    x_raw = np.concatenate([t.op_settings for t in train], axis=0)
-    y_raw = np.concatenate([t.sensors for t in train], axis=0)
-    n = x_raw.shape[0]
-    setting_min, setting_max = x_raw.min(axis=0), x_raw.max(axis=0)
-    x = (x_raw - setting_min) / np.maximum(setting_max - setting_min, CONSTANT_SENSOR_EPS)
-    target_mean = y_raw.mean(axis=0)
-    target_scale = np.maximum(y_raw.std(axis=0), CONSTANT_SENSOR_EPS)
-    y = (y_raw - target_mean) / target_scale
-
-    n_sensors, h, lr = y.shape[1], cfg.hidden_units, cfg.learning_rate
-    rng = seeded_rng(cfg.seed)
-    w1 = rng.uniform(-0.5, 0.5, size=(n_sensors, x.shape[1], h))
-    w2 = rng.uniform(-0.5, 0.5, size=(n_sensors, h))
-    b1 = np.zeros((n_sensors, h))
-    b2 = np.zeros(n_sensors)
-    for s in range(n_sensors):
-        for _ in range(cfg.epochs):
-            hidden = logistic(x @ w1[s] + b1[s])
-            dpred = 2.0 / n * (hidden @ w2[s] + b2[s] - y[:, s])
-            dhid = np.outer(dpred, w2[s]) * hidden * (1.0 - hidden)
-            grad_w1, grad_b1 = x.T @ dhid, dhid.sum(axis=0)
-            grad_w2, grad_b2 = hidden.T @ dpred, dpred.sum()
-            w1[s] -= lr * grad_w1
-            b1[s] -= lr * grad_b1
-            w2[s] -= lr * grad_w2
-            b2[s] -= lr * grad_b2
-    return ConditionModel(
-        setting_min=setting_min,
-        setting_max=setting_max,
-        target_mean=target_mean,
-        target_scale=target_scale,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-        config=cfg,
-    )
 
 
 def reference_parse_trajectory_file(text: str) -> list[EngineTrajectory]:

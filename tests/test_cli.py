@@ -14,7 +14,6 @@ FAST_CONFIG = {
     "epochs": 40,
     "patience": 40,
     "batch_size": 32,
-    "condition_epochs": 100,
 }
 
 
@@ -61,7 +60,7 @@ def test_train_writes_artifact_and_trace(mini_run):
 
 def test_artifact_is_schema_versioned(mini_run):
     doc = json.loads((mini_run / "artifact.json").read_text())
-    assert doc["schema"] == "fmlp-artifact/1"
+    assert doc["schema"] == "fmlp-artifact/2"
     assert doc["subset_id"] == "FD001"
     assert doc["window_length"] == 31
     assert doc["seed"] == 11
@@ -99,8 +98,6 @@ def test_config_type_checked(tmp_path, capsys):
         ("learning_rate", 0.0),
         ("val_fraction", 0.7),
         ("condition_hidden", 0),
-        ("condition_epochs", 0),
-        ("condition_learning_rate", -1.0),
         ("t_cap", 0),
         ("fve_cutoff", float("nan")),
         ("fve_cutoff", 0.0),
@@ -114,6 +111,16 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
     assert code == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["condition_epochs", "condition_learning_rate"])
+def test_removed_condition_keys_are_unknown(key, tmp_path, capsys):
+    # The condition fit is one least-squares solve: it has no epochs or rate.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"subset": "FD001", key: 10}))
+    code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
+    assert code == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -166,7 +173,7 @@ def test_evaluate_reads_only_test_files(mini_run, mini_root, tmp_path):
 def test_train_reads_only_train_file(mini_root, tmp_path):
     _copy_files(mini_root, tmp_path, ["train_FD001.txt"])
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "condition_epochs": 2}))
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2}))
     code = cli.main(
         ["train", "--config", str(cfg), "--data-root", str(tmp_path), "--out", str(tmp_path)]
     )
@@ -365,7 +372,7 @@ def test_flags_override_config(mini_root, tmp_path):
 
 def test_inspect_labels_use_the_artifact_label_scale(mini_root, tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "condition_epochs": 2, "t_cap": 100}))
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "t_cap": 100}))
     out = tmp_path / "out"
     assert cli.main(
         ["train", "--config", str(cfg), "--data-root", str(mini_root), "--out", str(out)]
@@ -689,24 +696,30 @@ def _train_fd002(root, tmp_path, **config):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverged_condition_fit_is_training_error(six_condition_root, tmp_path, capsys):
-    # Once overflow warnings, then a ValueError traceback from fit_basis.
-    code, out = _train_fd002(six_condition_root, tmp_path, condition_learning_rate=5)
-    assert code == 4
-    err = capsys.readouterr().err
-    assert re.search(r"condition fit diverged at epoch \d+: non-finite parameter block \w+", err)
-    assert not out.exists()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_condition_fit_that_leaves_no_sensor_is_numeric_error(six_condition_root, tmp_path, capsys):
-    # 50 epochs at this rate leave b2 finite but near 1e47, so every residual
-    # column is constant; once a ValueError traceback from fpca.project.
-    code, out = _train_fd002(
-        six_condition_root, tmp_path, condition_learning_rate=5, condition_epochs=50
-    )
+    # Every reading constant across six regimes: removal leaves nothing that varies.
+    root = tmp_path / "data"
+    root.mkdir()
+    lines = (six_condition_root / "train_FD002.txt").read_text().splitlines()
+    rows = [line.split() for line in lines]
+    constant = [" ".join(row[:5] + ["518.67"] * 21) for row in rows]
+    (root / "train_FD002.txt").write_text("\n".join(constant) + "\n")
+    code, out = _train_fd002(root, tmp_path)
     assert code == 4
     err = capsys.readouterr().err
     assert "no sensor varies after condition removal" in err
-    assert "diverged condition fit" in err
+    assert "constant readings" in err
     assert not out.exists()
+
+
+def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, capsys):
+    # fmlp-artifact/1 held a condition fit with an epoch budget; retrain instead.
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    doc["schema"] = "fmlp-artifact/1"
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
+    assert cli.main(["evaluate", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "'fmlp-artifact/1'" in err and "'fmlp-artifact/2'" in err
+    assert not (tmp_path / "report.json").exists()

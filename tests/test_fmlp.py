@@ -341,7 +341,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
     write_subset(tmp_path, "FD002", n_train=6, n_test=5)
     subset = load_subset(tmp_path, "FD002")
-    condition_model, scaler = fit_preprocessing(subset.train, ConditionFitConfig(epochs=20))
+    condition_model, scaler = fit_preprocessing(subset.train, ConditionFitConfig())
     data = training_instances(subset, condition_model, scaler)
     basis = fit_basis(data, sensor_ids=scaler.sensor_ids)
     model = train(data, basis, TrainConfig(epochs=10, seed=4)).model

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_oracles import reference_condition_fit
-
 from fmlp_rul import preprocess
 from fmlp_rul.cmapss import DataSubset, EngineTrajectory
+from fmlp_rul.errors import TrainingError
 from fmlp_rul.numerics import logistic
 from fmlp_rul.preprocess import (
+    CONDITION_RIDGE,
     ConditionFitConfig,
     ConditionModel,
     MinMaxScaler,
@@ -68,7 +68,7 @@ def test_regressor_learns_exact_linear_map():
     sensors = np.tile(target[:, None], (1, 21))
     traj = make_traj(1, settings, sensors)
     model = fit_condition_regressors(
-        [traj], ConditionFitConfig(hidden_units=16, epochs=6000, learning_rate=0.1, seed=3)
+        [traj], ConditionFitConfig(hidden_units=16, seed=3)
     )
     residual = model.predict(settings) - target[:, None]
     worst_rmse = np.sqrt((residual**2).mean(axis=0)).max()
@@ -98,37 +98,48 @@ def test_regressor_deterministic():
     settings = rng.uniform(0, 1, (120, 3))
     sensors = rng.uniform(0, 1, (120, 21))
     traj = make_traj(1, settings, sensors)
-    cfg = ConditionFitConfig(epochs=50, seed=13)
+    cfg = ConditionFitConfig(seed=13)
     m1 = fit_condition_regressors([traj], cfg)
     m2 = fit_condition_regressors([traj], cfg)
     for field in ("w1", "b1", "w2", "b2", "target_mean", "target_scale"):
         assert np.array_equal(getattr(m1, field), getattr(m2, field))
 
 
-def test_regressor_matches_reference_fit():
-    # Repeated setting rows exercise the grouping; more distinct rows than
-    # one tile holds exercise the accumulation across tiles.
+@pytest.mark.parametrize("hidden_units", [2, 8])
+def test_regressor_solve_matches_lstsq(hidden_units):
+    # Oracle: the grouped, root-weighted normal solve against lstsq on every
+    # row, each weighted 1/n, stacked over ridge rows. Repeated setting rows
+    # exercise the grouping; the last sensor is noise that BIC leaves at
+    # its mean. Both solves agree to 1e-10 of the largest coefficient.
     rng = np.random.Generator(np.random.PCG64(8))
-    cfg = ConditionFitConfig(hidden_units=8, epochs=50, learning_rate=0.05, seed=4)
+    cfg = ConditionFitConfig(hidden_units=hidden_units, seed=4)
     distinct = rng.uniform(0, 1, (300, 3)) * [42.0, 0.84, 100.0]
     settings = distinct[rng.integers(0, len(distinct), 900)]
-    sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(
-        0, 0.1, (900, 21)
-    )
+    sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(0, 0.1, (900, 21))
+    sensors[:, 20] = rng.normal(0, 1, 900)
     train = [
         make_traj(u + 1, settings[rows], sensors[rows])
         for u, rows in enumerate(np.array_split(np.arange(900), 3))
     ]
-    n_distinct = len(np.unique(settings, axis=0))
-    assert n_distinct < len(settings)
-    assert n_distinct > preprocess._TILE_BYTES // (8 * 21 * cfg.hidden_units)
+    assert len(np.unique(settings, axis=0)) < len(settings)
 
     model = fit_condition_regressors(train, cfg)
-    expected = reference_condition_fit(train, cfg)
-    for field in ("w1", "b1", "w2", "b2"):
-        np.testing.assert_allclose(
-            getattr(model, field), getattr(expected, field), rtol=0, atol=1e-12
-        )
+    n, h = len(settings), hidden_units
+    x = (settings - settings.min(axis=0)) / np.ptp(settings, axis=0)
+    y = (sensors - sensors.mean(axis=0)) / sensors.std(axis=0)
+    kept = []
+    for s in range(21):
+        design = np.column_stack([logistic(x @ model.w1[s] + model.b1[s]), np.ones(n)])
+        stacked = np.vstack([design / np.sqrt(n), np.sqrt(CONDITION_RIDGE) * np.eye(h + 1)])
+        target = np.append(y[:, s] / np.sqrt(n), np.zeros(h + 1))
+        want = np.linalg.lstsq(stacked, target, rcond=None)[0]
+        rss = np.mean((y[:, s] - design @ want) ** 2)
+        kept.append(n * np.log(rss / np.mean(y[:, s] ** 2)) + (h + 1) * np.log(n) < 0)
+        if not kept[-1]:
+            want[:] = 0.0
+        got = np.append(model.w2[s], model.b2[s])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
+    assert 0 < sum(kept) < 20 and not kept[20]
 
 
 # The six FD002/FD004 operating regimes: altitude (kft), Mach, TRA.
@@ -138,29 +149,37 @@ SIX_REGIMES = np.array(
 )
 
 
-def test_regressor_matches_reference_fit_six_regimes():
-    # H = 3 exercises the per-sensor layout at a width other than the
-    # default; the distinct rows span at least three tiles.
+def test_removal_matches_regime_means_on_nonlinear_regime_map():
+    # Each of the six regimes shifts every sensor by an arbitrary amount, so
+    # no linear map of the settings fits; removal must come within the noise
+    # of subtracting each regime's own mean.
     rng = np.random.Generator(np.random.PCG64(21))
-    cfg = ConditionFitConfig(hidden_units=3, epochs=30, learning_rate=0.05, seed=9)
-    regime = rng.integers(0, 6, 1500)
-    settings = SIX_REGIMES[regime] + np.round(
-        rng.normal(0, [2e-3, 2e-4, 0.0], (1500, 3)), 4
-    )
-    sensors = rng.normal(0, 1, (6, 21))[regime] * 10 + rng.normal(0, 0.5, (1500, 21))
+    regime = rng.integers(0, 6, 3000)
+    settings = SIX_REGIMES[regime] + np.round(rng.normal(0, [2e-3, 5e-4, 0.0], (3000, 3)), 4)
+    noise = 0.5
+    sensors = rng.normal(0, 10, (6, 21))[regime] + rng.normal(0, noise, (3000, 21))
     train = [
         make_traj(u + 1, settings[rows], sensors[rows])
-        for u, rows in enumerate(np.array_split(np.arange(1500), 5))
+        for u, rows in enumerate(np.array_split(np.arange(3000), 10))
     ]
-    tile = preprocess._TILE_BYTES // (8 * 21 * cfg.hidden_units)
-    assert len(np.unique(settings, axis=0)) > 2 * tile
+    means = np.array([sensors[regime == k].mean(axis=0) for k in range(6)])
+    centred = sensors - means[regime]
+    linear = np.column_stack([settings, np.ones(3000)])
+    linear_residual = sensors - linear @ np.linalg.lstsq(linear, sensors, rcond=None)[0]
+    assert np.sqrt(np.mean((linear_residual - centred) ** 2, axis=0)).min() > noise
 
-    model = fit_condition_regressors(train, cfg)
-    expected = reference_condition_fit(train, cfg)
-    for field in ("w1", "b1", "w2", "b2"):
-        np.testing.assert_allclose(
-            getattr(model, field), getattr(expected, field), rtol=0, atol=1e-12
-        )
+    model = fit_condition_regressors(train, ConditionFitConfig(seed=0))
+    gap = remove_condition_effect(settings, sensors, model) - centred
+    assert np.sqrt(np.mean(gap**2, axis=0)).max() < noise
+
+
+def test_regressor_rejects_non_finite_solution():
+    rng = np.random.Generator(np.random.PCG64(4))
+    settings = rng.uniform(0, 1, (50, 3))
+    settings[:2, 0] = [1e308, -1e308]  # the settings span overflows
+    traj = make_traj(1, settings, rng.uniform(0, 1, (50, 21)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+        fit_condition_regressors([traj])
 
 
 def test_condition_predict_matches_per_sensor_loop():
@@ -410,7 +429,7 @@ def test_last_window_whole_trajectory():
 
 def test_test_instances_match_whole_trajectory_path(fd002_subset):
     model, scaler = preprocess.fit_preprocessing(
-        fd002_subset.train[:6], ConditionFitConfig(epochs=20)
+        fd002_subset.train[:6], ConditionFitConfig()
     )
     full = fd002_subset.test[0]
     short = EngineTrajectory(
