@@ -39,26 +39,19 @@ from .preprocess import (
 
 ARTIFACT_SCHEMA = "fmlp-artifact/2"
 
-ACT_LOGISTIC = "logistic"
-ACT_LINEAR = "linear"
-
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
 
+# The parameter blocks in their order in FmlpModel.params: the functional
+# layer (a, b, beta), the logistic hidden layer (w1, b1), the linear output
+# unit (w2, b2).
+BLOCKS = ("a", "b", "beta", "w1", "b1", "w2", "b2")
 
-@dataclass
-class NumericalLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str
 
-    def __post_init__(self):
-        if self.activation not in (ACT_LOGISTIC, ACT_LINEAR):
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weights.T + self.bias
-        return _logistic(out) if self.activation == ACT_LOGISTIC else out
+def _block_shapes(k: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Each block's shape for K functional neurons and D basis components."""
+    h = HIDDEN_WIDTH
+    return dict(zip(BLOCKS, [(k,), (k,), (k, d), (h, 1), (h,), (1, h), (1,)]))
 
 
 @dataclass
@@ -77,51 +70,45 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ValueError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
 class FmlpModel:
     """The trained network and the eigenbasis its functional layer reads.
 
-    Every network parameter lives in one float64 vector, ``params``: ``a``,
-    ``b``, ``beta`` and each layer's ``weights`` and ``bias`` are views into
-    it, in the order ``blocks`` lists them.
+    Every network parameter lives in one float64 vector, ``params``; each
+    block in ``BLOCKS`` is a view into it.
     """
 
     a: np.ndarray  # (K,) functional-neuron output weights
     b: np.ndarray  # (K,) functional-neuron biases
     beta: np.ndarray  # (K, D) weight-function coefficients, sensor-major
-    layers: list[NumericalLayer]
+    w1: np.ndarray  # (2, 1) hidden-layer weights
+    b1: np.ndarray  # (2,) hidden-layer biases
+    w2: np.ndarray  # (1, 2) output weights
+    b2: np.ndarray  # (1,) output bias
     basis: EigenBasis
     label_scale: float = float(DEFAULT_RUL_CAP)
     train_config: TrainConfig | None = None
     params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        k = len(self.a)
-        if self.b.shape != (k,) or self.beta.shape != (k, self.basis.total_components):
-            raise ValueError("parameter shapes do not match K and the basis")
-        last = self.layers[-1] if self.layers else None
-        if last is None or last.activation != ACT_LINEAR or last.weights.shape[:1] != (1,):
-            raise ValueError("numerical_layers must end in a linear layer of width 1")
-        arrays = [self.a, self.b, self.beta]
-        arrays += [x for layer in self.layers for x in (layer.weights, layer.bias)]
-        self.params = np.concatenate([np.ravel(x) for x in arrays], dtype=np.float64)
-        views = [view for _, view in self.blocks(self.params)]
-        self.a, self.b, self.beta = views[:3]
-        self.layers = [
-            NumericalLayer(weights, bias, layer.activation)
-            for layer, weights, bias in zip(self.layers, views[3::2], views[4::2])
-        ]
+        for name, shape in _block_shapes(self.n_functional, self.basis.total_components).items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(
+                    f"block {name} has shape {np.shape(getattr(self, name))}, expected {shape}"
+                )
+        arrays = [np.ravel(getattr(self, name)) for name in BLOCKS]
+        self.params = np.concatenate(arrays, dtype=np.float64)
+        for name, view in self.blocks(self.params):
+            setattr(self, name, view)
 
     def blocks(self, vector: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(name, view) per parameter block of a vector laid out like ``params``."""
-        shapes = [("a", self.a.shape), ("b", self.b.shape), ("beta", self.beta.shape)]
-        for i, layer in enumerate(self.layers):
-            shapes.append((f"layers[{i}].weights", layer.weights.shape))
-            shapes.append((f"layers[{i}].bias", layer.bias.shape))
         views, start = [], 0
-        for name, shape in shapes:
+        for name, shape in _block_shapes(self.n_functional, self.basis.total_components).items():
             size = math.prod(shape)
             views.append((name, vector[start : start + size].reshape(shape)))
             start += size
@@ -146,17 +133,16 @@ class FmlpModel:
 
     def predict_many(self, windows: Windows) -> np.ndarray:
         """Clamped RUL estimates in cycles, one per window."""
-        _, xs = self._forward(project(self.basis, windows))
-        return np.maximum(0.0, xs[-1][:, 0] * self.label_scale)
+        out = self._forward(project(self.basis, windows))[3]
+        return np.maximum(0.0, out * self.label_scale)
 
-    def _forward(self, scores: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The functional activations z (N, K), and H (N, 1) followed by
-        each numerical layer's output."""
+    def _forward(self, scores: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The functional activations z (N, K), their sum H (N, 1), the
+        hidden activations (N, 2) and the output (N,)."""
         z = _logistic(scores @ self.beta.T + self.b)
-        xs = [(z @ self.a)[:, None]]
-        for layer in self.layers:
-            xs.append(layer.apply(xs[-1]))
-        return z, xs
+        h = (z @ self.a)[:, None]
+        hidden = _logistic(h @ self.w1.T + self.b1)
+        return z, h, hidden, (hidden @ self.w2.T + self.b2)[:, 0]
 
     def copy(self) -> "FmlpModel":
         return dataclasses.replace(self)  # __post_init__ packs a new vector
@@ -201,7 +187,7 @@ def loss(model: FmlpModel, windows: Windows) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked by callers
 def _loss_scores(model: FmlpModel, scores: np.ndarray, targets: np.ndarray) -> float:
-    residual = model._forward(scores)[1][-1][:, 0] - targets
+    residual = model._forward(scores)[3] - targets
     return float(np.mean(residual**2))
 
 
@@ -219,20 +205,18 @@ def _gradient_into(
 ) -> None:
     """Write the batch-MSE gradient into ``grad_blocks``, the views of a
     vector laid out like ``model.params``. Finiteness is the caller's check."""
-    z, xs = model._forward(scores)
-    grad = xs[-1][:, 0] - targets
-    grad *= 2.0 / scores.shape[0]
-    grad = grad[:, None]  # dJ/d(final output)
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer, out = model.layers[i], xs[i + 1]
-        if layer.activation == ACT_LOGISTIC:
-            grad = grad * out * (1.0 - out)
-        np.matmul(grad.T, xs[i], out=grad_blocks[3 + 2 * i])
-        np.add.reduce(grad, axis=0, out=grad_blocks[4 + 2 * i])
-        grad = grad @ layer.weights  # (N, in)
+    g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2 = grad_blocks
+    z, h, hidden, out = model._forward(scores)
+    dout = out - targets
+    dout *= 2.0 / scores.shape[0]
+    dout = dout[:, None]  # dJ/d(output)
+    np.matmul(dout.T, hidden, out=g_w2)
+    np.add.reduce(dout, axis=0, out=g_b2)
+    dhidden = (dout @ model.w2) * hidden * (1.0 - hidden)  # dJ/d(hidden pre-activation)
+    np.matmul(dhidden.T, h, out=g_w1)
+    np.add.reduce(dhidden, axis=0, out=g_b1)
 
-    dh = grad[:, 0]  # dJ/dH
-    g_a, g_b, g_beta = grad_blocks[:3]
+    dh = (dhidden @ model.w1)[:, 0]  # dJ/dH
     np.matmul(z.T, dh, out=g_a)
     dpre = dh[:, None] * model.a  # dJ/dz, then dJ/d(pre-activation)
     dpre *= z
@@ -252,21 +236,16 @@ def init_model(
     d = basis.total_components
     a = rng.uniform(-init_scale, init_scale, size=n_functional)
     beta = rng.uniform(-init_scale, init_scale, size=(n_functional, d))
-    hidden = NumericalLayer(
-        weights=rng.uniform(-init_scale, init_scale, size=(HIDDEN_WIDTH, 1)),
-        bias=np.zeros(HIDDEN_WIDTH),
-        activation=ACT_LOGISTIC,
-    )
-    out = NumericalLayer(
-        weights=rng.uniform(-init_scale, init_scale, size=(1, HIDDEN_WIDTH)),
-        bias=np.zeros(1),
-        activation=ACT_LINEAR,
-    )
+    w1 = rng.uniform(-init_scale, init_scale, size=(HIDDEN_WIDTH, 1))
+    w2 = rng.uniform(-init_scale, init_scale, size=(1, HIDDEN_WIDTH))
     return FmlpModel(
         a=a,
         b=np.zeros(n_functional),
         beta=beta,
-        layers=[hidden, out],
+        w1=w1,
+        b1=np.zeros(HIDDEN_WIDTH),
+        w2=w2,
+        b2=np.zeros(1),
         basis=basis,
         label_scale=label_scale,
     )
@@ -383,6 +362,9 @@ _CONDITION_ARRAYS = (
     "setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2"
 )
 
+# The artifact's numerical_layers, in order: (weights block, bias block, activation).
+_HEAD = (("w1", "b1", "logistic"), ("w2", "b2", "linear"))
+
 
 def model_to_doc(model: FmlpModel) -> dict:
     """The network as a JSON-ready document, with the pipeline keys null;
@@ -413,18 +395,11 @@ def model_to_doc(model: FmlpModel) -> dict:
                 for s in model.basis.sensors
             ],
         },
-        "functional_layer": {
-            "a": _array(model.a),
-            "b": _array(model.b),
-            "beta": _array(model.beta),
-        },
+        "functional_layer": {name: _array(getattr(model, name)) for name in BLOCKS[:3]},
         "numerical_layers": [
-            {
-                "weights": _array(l.weights),
-                "bias": _array(l.bias),
-                "activation": l.activation,
-            }
-            for l in model.layers
+            {"weights": _array(getattr(model, w)), "bias": _array(getattr(model, b)),
+             "activation": activation}
+            for w, b, activation in _HEAD
         ],
     }
 
@@ -478,36 +453,30 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         )
         func, cfg_doc = doc["functional_layer"], doc["train_config"]
         train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
-        network = FmlpModel(
-            a=np.array(func["a"]),
-            b=np.array(func["b"]),
-            beta=np.array(func["beta"]),
-            layers=[
-                NumericalLayer(
-                    weights=np.array(l["weights"]),
-                    bias=np.array(l["bias"]),
-                    activation=l["activation"],
-                )
-                for l in doc["numerical_layers"]
-            ],
-            basis=basis,
-            label_scale=_scalar(doc["label_scale"], float, "label_scale"),
-            train_config=train_config,
-        )
+        head = doc["numerical_layers"]
+        activations = [l.get("activation") if isinstance(l, dict) else l for l in head]
+        expected = [activation for _, _, activation in _HEAD]
+        if activations != expected:
+            raise ArtifactError(
+                f"artifact numerical_layers has activations {activations}, expected {expected}"
+            )
+        params = {name: np.array(func[name]) for name in BLOCKS[:3]}
+        for (w, b, _), layer in zip(_HEAD, head):
+            params[w], params[b] = np.array(layer["weights"]), np.array(layer["bias"])
+        label_scale = _scalar(doc["label_scale"], float, "label_scale")
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
-        pipeline = Pipeline(
-            condition_model=ConditionModel(
-                **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
-                config=_config(ConditionFitConfig, cm_doc["config"], "condition_model.config"),
-            ),
-            scaler=MinMaxScaler(
-                minimum=np.array(scaler_doc["minimum"]),
-                maximum=np.array(scaler_doc["maximum"]),
-            ),
-            network=network,
-            subset_id=doc["subset_id"],
+        condition_model = ConditionModel(
+            **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
+            config=_config(ConditionFitConfig, cm_doc["config"], "condition_model.config"),
         )
-        _check_blocks(pipeline)
+        scaler = MinMaxScaler(
+            minimum=np.array(scaler_doc["minimum"]), maximum=np.array(scaler_doc["maximum"])
+        )
+        _check_blocks(params, label_scale, basis, condition_model, scaler)
+        network = FmlpModel(
+            **params, basis=basis, label_scale=label_scale, train_config=train_config
+        )
+        pipeline = Pipeline(condition_model, scaler, network, doc["subset_id"])
         # The document repeats values the pipeline derives; each copy must agree.
         copies = {
             "window_length": (doc["window_length"], len(basis.grid), "the basis grid length"),
@@ -542,25 +511,26 @@ def _config(cls, doc: dict, name: str):
     return cls(**{key: _scalar(v, types[key], f"{name}.{key}") for key, v in doc.items()})
 
 
-def _check_blocks(pipeline: Pipeline) -> None:
+def _check_blocks(
+    params: dict[str, np.ndarray],
+    label_scale: float,
+    basis: EigenBasis,
+    cm: ConditionModel,
+    scaler: MinMaxScaler,
+) -> None:
     """Every numeric block of a loaded artifact is finite and has the shape
     the other blocks imply; ArtifactError names the first that is not."""
-    network, cm, scaler = pipeline.network, pipeline.condition_model, pipeline.scaler
-    basis, k = network.basis, network.n_functional
     m, n_s, h = len(basis.grid), N_SENSORS, cm.config.hidden_units
-    blocks = {"label_scale": (network.label_scale, ()), "basis.grid": (basis.grid, (m,))}
-    shapes = {"a": (k,), "b": (k,), "beta": (k, basis.total_components)}
-    for name, shape in shapes.items():
-        blocks[f"functional_layer.{name}"] = (getattr(network, name), shape)
+    blocks = {"label_scale": (label_scale, ()), "basis.grid": (basis.grid, (m,))}
+    names = {name: f"functional_layer.{name}" for name in BLOCKS[:3]}
+    for i, (w, b, _) in enumerate(_HEAD):
+        names[w], names[b] = f"numerical_layers[{i}].weights", f"numerical_layers[{i}].bias"
+    for name, shape in _block_shapes(len(params["a"]), basis.total_components).items():
+        blocks[names[name]] = (params[name], shape)
     for sb in basis.sensors:
         shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
         for name, shape in shapes.items():
             blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
-    fan_in = 1  # the functional layer's output H is one number
-    for i, layer in enumerate(network.layers):
-        blocks[f"numerical_layers[{i}].weights"] = (layer.weights, (len(layer.bias), fan_in))
-        blocks[f"numerical_layers[{i}].bias"] = (layer.bias, (len(layer.bias),))
-        fan_in = len(layer.bias)
     shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2
     shapes += [(n_s, N_SETTINGS, h), (n_s, h), (n_s, h), (n_s,)]
     for name, shape in zip(_CONDITION_ARRAYS, shapes):
@@ -574,8 +544,8 @@ def _check_blocks(pipeline: Pipeline) -> None:
             )
         if not np.isfinite(array).all():
             raise ArtifactError(f"artifact block {name} holds a non-finite value")
-    if not network.label_scale > 0:
-        raise ArtifactError(f"artifact block label_scale is {network.label_scale}, expected > 0")
+    if not label_scale > 0:
+        raise ArtifactError(f"artifact block label_scale is {label_scale}, expected > 0")
     ids = [sb.sensor_id for sb in basis.sensors]
     if ids != scaler.sensor_ids:
         raise ArtifactError(

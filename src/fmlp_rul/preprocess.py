@@ -23,6 +23,8 @@ DEFAULT_RUL_CAP = 130
 # sum to 1): it bounds the output weights where hidden columns are collinear.
 CONDITION_RIDGE = 1e-8
 
+CONDITION_FIT_NOT_FINITE = "condition fit is not finite: settings or readings too large to fit"
+
 
 @dataclass
 class ConditionFitConfig:
@@ -34,6 +36,8 @@ class ConditionFitConfig:
     def __post_init__(self):
         if not self.hidden_units > 0:
             raise ValueError(f"hidden_units must be > 0, got {self.hidden_units}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -90,7 +94,10 @@ def fit_condition_regressors(
     x_raw = np.concatenate([t.op_settings for t in train], axis=0)
     y_raw = np.concatenate([t.sensors for t in train], axis=0)
     n, n_sensors = y_raw.shape
-    target_std = y_raw.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        target_mean, target_std = y_raw.mean(axis=0), y_raw.std(axis=0)
+    if not (np.isfinite(target_mean).all() and np.isfinite(target_std).all()):
+        raise TrainingError(CONDITION_FIT_NOT_FINITE)
     h = cfg.hidden_units
     # Steep units centred at random points of the scaled settings cube bend
     # inside the data, so that their columns can fit a non-linear regime map.
@@ -99,7 +106,7 @@ def fit_condition_regressors(
     model = ConditionModel(
         setting_min=x_raw.min(axis=0),
         setting_max=x_raw.max(axis=0),
-        target_mean=y_raw.mean(axis=0),
+        target_mean=target_mean,
         target_scale=np.maximum(target_std, CONSTANT_SENSOR_EPS),
         w1=w1,
         b1=-(w1 * rng.uniform(0.0, 1.0, size=w1.shape)).sum(axis=1),  # minus w1 . centre
@@ -130,7 +137,7 @@ def fit_condition_regressors(
     rhs[:, h, 0] = root_w @ u
     theta = np.linalg.solve(normal, rhs)[:, :, 0]
     if not np.isfinite(theta).all():
-        raise TrainingError("condition fit is not finite: settings or readings too large to fit")
+        raise TrainingError(CONDITION_FIT_NOT_FINITE)
 
     # At the solution normal @ theta = rhs, so the rows' mean squared residual is
     # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (H+1) ln n < 0.

@@ -50,8 +50,8 @@ def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):
     basis = fit_basis(make_instances(basis_curves))
     model = init_model(basis, rng, n_functional=k)
     model.b[:] = rng.uniform(-0.5, 0.5, k)
-    for layer in model.layers:
-        layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+    for bias in (model.b1, model.b2):
+        bias[:] = rng.uniform(-0.5, 0.5, bias.shape)
     batch_curves = rng.uniform(0, 1, size=(batch_size, n_sensors, m))
     labels = rng.uniform(0, 130, batch_size)
     return model, make_instances(batch_curves, labels)
@@ -95,8 +95,7 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     w2 = rng.uniform(-s, s, size=(1, hidden_width))
     b, b1, b2 = np.zeros(n_functional), np.zeros(hidden_width), np.zeros(1)
     blocks = [a, b, beta, w1, b1, w2, b2]
-    names = ["a", "b", "beta", "layers[0].weights", "layers[0].bias",
-             "layers[1].weights", "layers[1].bias"]
+    names = ["a", "b", "beta", "w1", "b1", "w2", "b2"]
 
     def forward(scores):
         z = _clipped_logistic(scores @ beta.T + b)

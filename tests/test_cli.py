@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmapss_synth import write_subset
 
+import fmlp_rul
 from fmlp_rul import cli
 
 FAST_CONFIG = {
@@ -111,6 +116,16 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
     assert code == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [(["--seed", "-1"], {}), ([], {"seed": 2**64})])
+def test_seed_outside_64_bits_is_config_error(argv, config, tmp_path, capsys):
+    # -1 once ended in a numpy ValueError traceback (exit 1); 2**64 was accepted.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"subset": "FD001", **config}))
+    code = cli.main(["train", "--config", str(cfg), "--data-root", str(tmp_path), *argv])
+    assert code == 2
+    assert "config key 'seed' must be in [0, 2**64)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["condition_epochs", "condition_learning_rate"])
@@ -540,6 +555,19 @@ def _nest_a(doc):
     layer["a"] = [[x] for x in layer["a"]]
 
 
+def _three_layer_head(doc):
+    # a second logistic layer of width 2 between the hidden layer and the output
+    hidden = {"weights": [[0.5, -0.5], [0.25, 0.75]], "bias": [0.0, 0.0]}
+    doc["numerical_layers"].insert(1, {**hidden, "activation": "logistic"})
+
+
+def _hidden_width_3(doc):
+    hidden, out = doc["numerical_layers"]
+    hidden["weights"].append([0.5])
+    hidden["bias"].append(0.0)
+    out["weights"][0].append(0.5)
+
+
 @pytest.mark.parametrize(
     "mutate,block",
     [
@@ -564,7 +592,15 @@ def _nest_a(doc):
         (_nest_a, "functional_layer.a has shape (4, 1), expected (4,)"),
         (_set("numerical_layers", []), "numerical_layers"),
         (lambda d: d["numerical_layers"][1].__setitem__("weights", 1.0),
-         "numerical_layers must end in a linear layer of width 1"),
+         "numerical_layers[1].weights has shape (), expected (1, 2)"),
+        (_three_layer_head,
+         "numerical_layers has activations ['logistic', 'logistic', 'linear'],"
+         " expected ['logistic', 'linear']"),
+        (lambda d: d["numerical_layers"][0].__setitem__("activation", "linear"),
+         "numerical_layers has activations ['linear', 'linear']"),
+        (_hidden_width_3, "numerical_layers[0].weights has shape (3, 1), expected (2, 1)"),
+        (lambda d: d["numerical_layers"][0].pop("activation"),
+         "numerical_layers has activations [None, 'linear']"),
         (_set("label_scale", 0), "label_scale is 0.0, expected > 0"),
         (_set("label_scale", -130), "label_scale is -130.0, expected > 0"),
         (_set("condition_model", None), "condition_model is null"),
@@ -583,6 +619,7 @@ def _nest_a(doc):
          "train_config.epochs is 40.0, expected an integer"),
         (_set("seed", FAST_CONFIG["seed"] + 1), "seed 12 does not match train_config.seed 11"),
         (_set("seed", True), "seed True does not match"),
+        (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -723,3 +760,26 @@ def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, 
     err = capsys.readouterr().err
     assert "'fmlp-artifact/1'" in err and "'fmlp-artifact/2'" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
+    # One reading of 1e200 once overflowed the sensor's std: the condition
+    # predictions became NaN and the FPCA raised a ValueError traceback (exit 1).
+    write_subset(tmp_path, "FD001", n_train=6, n_test=3)
+    path = tmp_path / "train_FD001.txt"
+    lines = path.read_text().splitlines()
+    row = lines[3].split()
+    row[10] = "1e200"
+    lines[3] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    src = Path(fmlp_rul.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    python = [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning"]  # as CI runs
+    argv = ["--data-root", str(tmp_path), "--subset", "FD001", "--out", str(tmp_path / "out")]
+    run = subprocess.run(
+        [*python, "-m", "fmlp_rul.cli", "train", *argv], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 4, run.stderr
+    assert "condition fit is not finite: settings or readings too large to fit" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()

@@ -17,8 +17,7 @@ from fmlp_rul.cmapss import DataSubset, load_subset
 from fmlp_rul.errors import ArtifactError, TrainingError
 from fmlp_rul.fmlp import (
     _CONDITION_ARRAYS,
-    ACT_LINEAR,
-    ACT_LOGISTIC,
+    BLOCKS,
     Pipeline,
     TrainConfig,
     gradients,
@@ -54,12 +53,7 @@ def two_mode_basis(m=24, n=400):
 
 
 def zeroed(model):
-    model.a[:] = 0.0
-    model.b[:] = 0.0
-    model.beta[:] = 0.0
-    for layer in model.layers:
-        layer.weights[:] = 0.0
-        layer.bias[:] = 0.0
+    model.params[:] = 0.0
     return model
 
 
@@ -131,7 +125,7 @@ def test_forward_matches_weight_curve_integrals():
 def test_forward_dead_network_returns_bias():
     model, batch = random_model_and_batch(7)
     zeroed(model)
-    model.layers[-1].bias[0] = 0.625
+    model.b2[0] = 0.625
     estimates = model.predict_many(batch)
     assert estimates == pytest.approx([0.625 * model.label_scale] * len(batch), abs=1e-12)
 
@@ -139,18 +133,23 @@ def test_forward_dead_network_returns_bias():
 def test_default_architecture_shape():
     model, batch = random_model_and_batch(8)
     assert model.n_functional == 4
-    assert [l.activation for l in model.layers] == [ACT_LOGISTIC, ACT_LINEAR]
-    assert model.layers[0].weights.shape == (2, 1)
-    assert model.layers[1].weights.shape == (1, 2)
+    d = model.basis.total_components
+    shapes = [(4,), (4,), (4, d), (2, 1), (2,), (1, 2), (1,)]
+    blocks = model.blocks(model.params)
+    assert [(name, view.shape) for name, view in blocks] == list(zip(BLOCKS, shapes))
+    assert model.params.size == 4 + 4 + 4 * d + 2 + 2 + 2 + 1
+    for name, view in blocks:  # each block is its view into params
+        assert np.array_equal(getattr(model, name), view), name
+        assert np.shares_memory(getattr(model, name), model.params), name
     assert np.isfinite(model.predict_many(batch)).all()
 
 
 def test_predict_clamps_negative_estimates():
     model, batch = random_model_and_batch(9)
     zeroed(model)
-    model.layers[-1].bias[0] = -3.2 / model.label_scale
+    model.b2[0] = -3.2 / model.label_scale
     assert np.array_equal(model.predict_many(batch), np.zeros(len(batch)))
-    model.layers[-1].bias[0] = 3.2 / model.label_scale
+    model.b2[0] = 3.2 / model.label_scale
     assert model.predict_many(batch) == pytest.approx([3.2] * len(batch), rel=1e-12)
 
 
@@ -164,16 +163,17 @@ def test_predict_is_pure():
 def test_model_validation():
     from dataclasses import replace
 
-    from fmlp_rul.fmlp import NumericalLayer
-
     model, _ = random_model_and_batch(11)
-    bad_layers = model.layers[:-1] + [
-        NumericalLayer(model.layers[-1].weights, model.layers[-1].bias, ACT_LOGISTIC)
-    ]
-    with pytest.raises(ValueError):
-        replace(model, layers=bad_layers)
-    with pytest.raises(ValueError):
-        replace(model, beta=model.beta[:, :-1])
+    for name, bad in [
+        ("w1", np.zeros((3, 1))),  # a hidden width other than 2
+        ("b1", np.zeros(3)),
+        ("w2", np.zeros((2, 2))),  # an output wider than 1
+        ("w2", np.zeros((1, 3))),
+        ("b2", np.zeros(())),
+        ("beta", model.beta[:, :-1]),
+    ]:
+        with pytest.raises(ValueError, match=f"block {name} has shape"):
+            replace(model, **{name: bad})
 
 
 # --- loss --------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_model_validation():
 def test_loss_zero_at_perfect_fit():
     model, batch = random_model_and_batch(12)
     zeroed(model)
-    model.layers[-1].bias[0] = 0.5
+    model.b2[0] = 0.5
     batch.labels[:] = 0.5 * model.label_scale
     assert loss(model, batch) == 0.0
 
@@ -190,7 +190,7 @@ def test_loss_zero_at_perfect_fit():
 def test_loss_hand_value():
     model, batch = random_model_and_batch(13, batch_size=2)
     zeroed(model)
-    model.layers[-1].bias[0] = 0.5
+    model.b2[0] = 0.5
     batch.labels[:] = [(0.5 - 0.1) * model.label_scale, (0.5 + 0.1) * model.label_scale]
     assert loss(model, batch) == pytest.approx(0.01, rel=1e-12)
 
@@ -221,7 +221,7 @@ def test_gradients_match_finite_differences():
 def test_gradients_zero_at_perfect_fit():
     model, batch = random_model_and_batch(16)
     zeroed(model)
-    model.layers[-1].bias[0] = 0.25
+    model.b2[0] = 0.25
     batch.labels[:] = 0.25 * model.label_scale
     grads = gradients(model, batch)
     assert grads.shape == model.params.shape
@@ -355,9 +355,8 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert np.array_equal(loaded.a, model.a)
     assert np.array_equal(loaded.b, model.b)
     assert np.array_equal(loaded.beta, model.beta)
-    for before, after in zip(model.layers, loaded.layers):
-        assert np.array_equal(before.weights, after.weights)
-        assert np.array_equal(before.bias, after.bias)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
     assert np.array_equal(loaded.basis.grid, model.basis.grid)
     for before, after in zip(model.basis.sensors, loaded.basis.sensors):
         for name in ("mean", "eigenvalues", "components"):
