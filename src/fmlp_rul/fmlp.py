@@ -37,7 +37,7 @@ from .preprocess import (
     last_windows,
 )
 
-ARTIFACT_SCHEMA = "fmlp-artifact/2"
+ARTIFACT_SCHEMA = "fmlp-artifact/3"
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
@@ -349,7 +349,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization ("fmlp-artifact/2"): a single JSON document holding
+# Artifact serialization ("fmlp-artifact/3"): a single JSON document holding
 # the network, the eigenbasis, and the preprocessing artifacts.
 
 
@@ -478,8 +478,10 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         )
         pipeline = Pipeline(condition_model, scaler, network, doc["subset_id"])
         # The document repeats values the pipeline derives; each copy must agree.
+        m = len(basis.grid)
         copies = {
-            "window_length": (doc["window_length"], len(basis.grid), "the basis grid length"),
+            "window_length": (doc["window_length"], m, "the basis grid length"),
+            "basis.grid": (basis_doc["grid"], np.arange(1.0, m + 1).tolist(), "the grid 1..M"),
             "seed": (doc["seed"], network.seed, "train_config.seed"),
         }
         for i, (s, sb) in enumerate(zip(basis_doc["sensors"], basis.sensors)):
@@ -531,8 +533,7 @@ def _check_blocks(
         shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
         for name, shape in shapes.items():
             blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
-    shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2
-    shapes += [(n_s, N_SETTINGS, h), (n_s, h), (n_s, h), (n_s,)]
+    shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2 + [(N_SETTINGS, h), (h,), (n_s, h), (n_s,)]
     for name, shape in zip(_CONDITION_ARRAYS, shapes):
         blocks[f"condition_model.{name}"] = (getattr(cm, name), shape)
     blocks["scaler.minimum"] = (scaler.minimum, (n_s,))

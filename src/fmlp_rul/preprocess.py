@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
-from .errors import DegenerateSensorError, TrainingError
+from .errors import DegenerateSensorError, NumericError, TrainingError
 from .numerics import logistic, seeded_rng
 
 # Sensors whose post-removal range falls below this are flagged constant
@@ -45,34 +45,31 @@ class ConditionModel:
     """Per-sensor regressors mapping the 3 operating settings to a
     predicted ("would-be") sensor value.
 
-    Each sensor has an independent single-hidden-layer network (logistic
-    hidden units, linear output). Inputs are min-max scaled and targets are
-    standardized internally; predictions are returned in raw sensor units.
+    One hidden layer of logistic units, drawn once and shared by every
+    sensor, feeds one linear output per sensor. Inputs are min-max scaled
+    and targets are standardized internally; predictions are returned in
+    raw sensor units.
     """
 
     setting_min: np.ndarray  # (3,)
     setting_max: np.ndarray  # (3,)
     target_mean: np.ndarray  # (S,)
     target_scale: np.ndarray  # (S,)
-    w1: np.ndarray  # (S, 3, H)
-    b1: np.ndarray  # (S, H)
+    w1: np.ndarray  # (3, H)
+    b1: np.ndarray  # (H,)
     w2: np.ndarray  # (S, H)
     b2: np.ndarray  # (S,)
     config: ConditionFitConfig
 
     def hidden(self, settings: np.ndarray) -> np.ndarray:
-        """Every sensor's hidden activations for an (n, 3) block of
-        settings: (n, S*H), sensor-major along the columns."""
+        """The hidden activations for an (n, 3) block of settings: (n, H)."""
         span = np.maximum(self.setting_max - self.setting_min, CONSTANT_SENSOR_EPS)
         x = (np.asarray(settings, dtype=np.float64) - self.setting_min) / span
-        w1_flat = self.w1.transpose(1, 0, 2).reshape(N_SETTINGS, -1)
-        return logistic(x @ w1_flat + self.b1.reshape(-1))
+        return logistic(x @ self.w1 + self.b1)
 
     def predict(self, settings: np.ndarray) -> np.ndarray:
         """Predict all sensor values for an (n, 3) block of settings."""
-        n_sensors, _, h = self.w1.shape
-        hidden_s = self.hidden(settings).reshape(-1, n_sensors, h).transpose(1, 0, 2)
-        out = (hidden_s @ self.w2[:, :, None])[:, :, 0].T + self.b2
+        out = self.hidden(settings) @ self.w2.T + self.b2
         return out * self.target_scale + self.target_mean
 
 
@@ -80,10 +77,11 @@ def fit_condition_regressors(
     train: list[EngineTrajectory], cfg: ConditionFitConfig | None = None
 ) -> ConditionModel:
     """Fit one settings->sensor regressor per sensor: a seeded random hidden
-    layer, then the ridge least-squares output layer from one (H+1, H+1)
-    solve per sensor on the distinct setting rows, each weighted by its
-    share of the rows. A sensor whose fit the Bayesian information
-    criterion does not prefer to its mean keeps w2 = b2 = 0: the mean.
+    layer shared by every sensor, then the ridge least-squares output layers
+    from one (H+1, H+1) solve with the S sensors as right-hand sides, on the
+    distinct setting rows, each weighted by its share of the rows. A sensor
+    whose fit the Bayesian information criterion does not prefer to its mean
+    keeps w2 = b2 = 0: the mean.
 
     Deterministic. Raises TrainingError if the solution is not finite.
     """
@@ -102,14 +100,14 @@ def fit_condition_regressors(
     # Steep units centred at random points of the scaled settings cube bend
     # inside the data, so that their columns can fit a non-linear regime map.
     rng = seeded_rng(cfg.seed)
-    w1 = rng.uniform(-6.0, 6.0, size=(n_sensors, N_SETTINGS, h))
+    w1 = rng.uniform(-6.0, 6.0, size=(N_SETTINGS, h))
     model = ConditionModel(
         setting_min=x_raw.min(axis=0),
         setting_max=x_raw.max(axis=0),
         target_mean=target_mean,
         target_scale=np.maximum(target_std, CONSTANT_SENSOR_EPS),
         w1=w1,
-        b1=-(w1 * rng.uniform(0.0, 1.0, size=w1.shape)).sum(axis=1),  # minus w1 . centre
+        b1=-(w1 * rng.uniform(0.0, 1.0, size=w1.shape)).sum(axis=0),  # minus w1 . centre
         w2=np.zeros((n_sensors, h)),
         b2=np.zeros(n_sensors),
         config=cfg,
@@ -118,33 +116,21 @@ def fit_condition_regressors(
     distinct, group, counts = np.unique(x_raw, axis=0, return_inverse=True, return_counts=True)
     target_sum = np.zeros((len(distinct), n_sensors))
     np.add.at(target_sum, group.reshape(-1), y_raw)
-    root_w = np.sqrt(counts / n)
+    root_w = np.sqrt(counts / n)[:, None]
     # Each distinct row's standardized mean target, times its root weight.
-    u = (target_sum / counts[:, None] - model.target_mean) / model.target_scale * root_w[:, None]
-    hidden = model.hidden(distinct)
-    hidden *= root_w[:, None]
-    # Sensor s's root-weighted design is [g[s], root_w]: the ones column of
-    # the output bias stays implicit, so the (rows, S*H) array is not copied.
-    g = hidden.reshape(-1, n_sensors, h).transpose(1, 0, 2)
-    g_t = g.transpose(0, 2, 1)
-    normal = np.empty((n_sensors, h + 1, h + 1))
-    normal[:, :h, :h] = g_t @ g
-    normal[:, :h, h] = normal[:, h, :h] = root_w @ g
-    normal[:, h, h] = root_w @ root_w
-    normal += CONDITION_RIDGE * np.eye(h + 1)
-    rhs = np.empty((n_sensors, h + 1, 1))  # 3-D: numpy 2 reads a 1-D rhs as one vector
-    rhs[:, :h] = g_t @ u.T[:, :, None]
-    rhs[:, h, 0] = root_w @ u
-    theta = np.linalg.solve(normal, rhs)[:, :, 0]
+    u = (target_sum / counts[:, None] - model.target_mean) / model.target_scale * root_w
+    design = np.column_stack([model.hidden(distinct), np.ones(len(distinct))]) * root_w
+    normal, rhs = design.T @ design + CONDITION_RIDGE * np.eye(h + 1), design.T @ u
+    theta = np.linalg.solve(normal, rhs)  # (H+1, S): one column per sensor
     if not np.isfinite(theta).all():
         raise TrainingError(CONDITION_FIT_NOT_FINITE)
 
     # At the solution normal @ theta = rhs, so the rows' mean squared residual is
     # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (H+1) ln n < 0.
     mean_sq = (target_std / model.target_scale) ** 2
-    rss = mean_sq - (theta * (rhs[:, :, 0] + CONDITION_RIDGE * theta)).sum(axis=1)
+    rss = mean_sq - (theta * (rhs + CONDITION_RIDGE * theta)).sum(axis=0)
     keep = rss < mean_sq * float(n) ** (-(h + 1) / n)
-    model.w2[keep], model.b2[keep] = theta[keep, :h], theta[keep, h]
+    model.w2[keep], model.b2[keep] = theta[:h, keep].T, theta[h, keep]
     return model
 
 
@@ -207,8 +193,14 @@ def transform_rows(
     scaler: MinMaxScaler,
 ) -> np.ndarray:
     """Condition removal then min-max scaling of (n, S) raw rows, keeping
-    the retained sensors: (n, R). Both act row by row."""
-    return scaler.scale_retained(remove_condition_effect(settings, sensors, model))
+    the retained sensors: (n, R). Both act row by row.
+
+    Raises NumericError if a row does not scale to finite values."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rows = scaler.scale_retained(remove_condition_effect(settings, sensors, model))
+    if not np.isfinite(rows).all():
+        raise NumericError("scaled rows are not finite: settings or readings too large to scale")
+    return rows
 
 
 def linear_rul(c, n_instances):

@@ -65,7 +65,7 @@ def test_train_writes_artifact_and_trace(mini_run):
 
 def test_artifact_is_schema_versioned(mini_run):
     doc = json.loads((mini_run / "artifact.json").read_text())
-    assert doc["schema"] == "fmlp-artifact/2"
+    assert doc["schema"] == "fmlp-artifact/3"
     assert doc["subset_id"] == "FD001"
     assert doc["window_length"] == 31
     assert doc["seed"] == 11
@@ -568,6 +568,18 @@ def _hidden_width_3(doc):
     out["weights"][0].append(0.5)
 
 
+def _per_sensor_w1(doc):
+    # fmlp-artifact/2 drew one condition hidden layer per sensor: w1 was (S, 3, H)
+    cm = doc["condition_model"]
+    cm["w1"] = [cm["w1"]] * 21
+
+
+def _reverse_grid(doc):
+    # train writes the grid 1..M; this one is reversed and shifted: 315, 305, ..., 15
+    grid = doc["basis"]["grid"]
+    doc["basis"]["grid"] = [315.0 - 10 * i for i in range(len(grid))]
+
+
 @pytest.mark.parametrize(
     "mutate,block",
     [
@@ -620,6 +632,8 @@ def _hidden_width_3(doc):
         (_set("seed", FAST_CONFIG["seed"] + 1), "seed 12 does not match train_config.seed 11"),
         (_set("seed", True), "seed True does not match"),
         (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
+        (_per_sensor_w1, "condition_model.w1 has shape (21, 3, 8), expected (3, 8)"),
+        (_reverse_grid, "basis.grid [315.0, 305.0"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -750,15 +764,15 @@ def test_condition_fit_that_leaves_no_sensor_is_numeric_error(six_condition_root
 
 
 def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, capsys):
-    # fmlp-artifact/1 held a condition fit with an epoch budget; retrain instead.
+    # fmlp-artifact/2 held one condition hidden layer per sensor; retrain instead.
     doc = json.loads((mini_run / "artifact.json").read_text())
-    doc["schema"] = "fmlp-artifact/1"
+    doc["schema"] = "fmlp-artifact/2"
     artifact = tmp_path / "artifact.json"
     artifact.write_text(json.dumps(doc))
     argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
     assert cli.main(["evaluate", *argv]) == 3
     err = capsys.readouterr().err
-    assert "'fmlp-artifact/1'" in err and "'fmlp-artifact/2'" in err
+    assert "'fmlp-artifact/2'" in err and "'fmlp-artifact/3'" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -783,3 +797,39 @@ def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
     assert "condition fit is not finite: settings or readings too large to fit" in run.stderr
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_huge_reading_in_scored_file_is_numeric_error(mini_run, mini_root, tmp_path, command):
+    # A reading of -1e308 in the retained sensor with the smallest min-max span
+    # once overflowed the scaling: evaluate reported a NaN RMSE, predict printed
+    # a NaN estimate, and under -W error::RuntimeWarning both ended in a traceback.
+    scaler = json.loads((mini_run / "artifact.json").read_text())["scaler"]
+    span = np.subtract(scaler["maximum"], scaler["minimum"])
+    sensor = int(np.argmin(np.where(span > 0, span, np.inf)))
+    for name in ("test_FD001.txt", "RUL_FD001.txt"):
+        (tmp_path / name).write_text((mini_root / name).read_text())
+    path = tmp_path / "test_FD001.txt"
+    lines = path.read_text().splitlines()
+    row = lines[-1].split()
+    row[5 + sensor] = "-1e308"
+    lines[-1] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["--data-root", str(tmp_path), "--out", str(out)],
+        "predict": [str(path)],
+    }[command]
+    src = Path(fmlp_rul.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    python = [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning"]  # as CI runs
+    run = subprocess.run(
+        [*python, "-m", "fmlp_rul.cli", command, "--model", str(mini_run / "artifact.json"),
+         *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 4, run.stderr
+    assert "settings or readings too large to scale" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert "nan" not in run.stdout.lower()
+    assert not list(tmp_path.rglob("report.*"))

@@ -1,5 +1,5 @@
-"""The README's Library snippet runs as written on a small corpus, and its
-config defaults are the code's."""
+"""The README's Library snippet runs as written on a small corpus, its
+config defaults are the code's, and it names the artifact schema."""
 
 import dataclasses
 import json
@@ -10,6 +10,7 @@ import numpy as np
 
 from cmapss_synth import write_subset
 
+from fmlp_rul import fmlp
 from fmlp_rul.cli import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +33,7 @@ def test_readme_library_snippet_runs(tmp_path, capsys):
 def test_readme_config_defaults_are_the_code_defaults():
     (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert json.loads(block) == dataclasses.asdict(ExperimentConfig())
+
+
+def test_readme_names_the_artifact_schema():
+    assert fmlp.ARTIFACT_SCHEMA in README.read_text(encoding="utf-8")
