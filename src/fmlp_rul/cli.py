@@ -9,6 +9,7 @@ directory: artifact.json, trace.csv, report.csv, report.json, inspect/.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -85,7 +86,12 @@ def validate_config(doc: dict) -> ExperimentConfig:
         else:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"config key {key!r} must be a number")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):  # JSON's NaN and Infinity extensions, too
+                raise ConfigError(f"config key {key!r} must be a finite number, got {value}")
         setattr(cfg, key, value)
     if cfg.subset is not None and cfg.subset not in SUBSET_IDS:
         raise ConfigError(f"subset must be one of {SUBSET_IDS}, got {cfg.subset!r}")
@@ -98,7 +104,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
             field, _, rule = str(exc).partition(" ")
             raise ConfigError(f"config key {keys.get(field, field)!r} {rule}") from exc
     for key, ok, rule in (
-        ("t_cap", cfg.t_cap > 0, "must be > 0"),
+        ("t_cap", 0 < cfg.t_cap < 2**63, "must be in (0, 2**63)"),
         ("component_cap", cfg.component_cap > 0, "must be > 0"),
         ("fve_cutoff", 0.0 < cfg.fve_cutoff <= 1.0, "must be in (0, 1]"),
     ):
@@ -113,9 +119,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an integer of over 4300 digits
             raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+    if isinstance(doc, dict):  # validate_config rejects any other root
+        doc.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(doc)
 
 
@@ -179,8 +186,6 @@ def _load_pipeline(path: str | None) -> fmlp.Pipeline:
 def _load_scored_subset(cfg: ExperimentConfig, pipeline: fmlp.Pipeline, split: str):
     """One split of the configured subset, else the artifact's; its window length must match."""
     subset_id = cfg.subset or pipeline.subset_id
-    if subset_id is None:
-        raise ConfigError("subset is neither configured nor recorded in the artifact")
     _require(cfg, "data_root")
     if pipeline.window_length != WINDOW_LENGTHS[subset_id]:
         raise ArtifactError(
@@ -202,8 +207,9 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
         t_cap=int(pipeline.network.label_scale),
     )
     out = Path(cfg.out_dir)
+    doc = json.dumps(ev.report_to_doc(report), indent=1)  # every metric, before any write
     atomic_write(out / "report.csv", ev.report_to_csv(report))
-    atomic_write(out / "report.json", json.dumps(ev.report_to_doc(report), indent=1))
+    atomic_write(out / "report.json", doc)
     print(ev.format_comparison_table(report))
     return EXIT_OK
 

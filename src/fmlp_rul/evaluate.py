@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .preprocess import DEFAULT_RUL_CAP
 
 # Published metric values for prior methods on the four subsets
@@ -57,22 +58,28 @@ BASELINE_CITATIONS = {
 REFERENCE_BASELINE = "LSTM"
 
 
-def rmse(errors) -> float:
-    """Root mean squared error of per-engine errors h."""
+def _metric(name: str, errors, f) -> float:
+    """f(h) on the per-engine errors h; NumericError if it overflows."""
     h = np.asarray(errors, dtype=np.float64)
     if h.size == 0:
         raise ValueError("no errors to aggregate")
-    return float(np.sqrt(np.mean(h**2)))
+    with np.errstate(over="ignore"):  # checked below
+        value = float(f(h))
+    if not np.isfinite(value):
+        raise NumericError(f"{name} overflows: an error of {np.max(np.abs(h))} cycles")
+    return value
+
+
+def rmse(errors) -> float:
+    """Root mean squared error of per-engine errors h."""
+    return _metric("RMSE", errors, lambda h: np.sqrt(np.mean(h**2)))
 
 
 def score(errors) -> float:
     """Asymmetric exponential score: sum of e^{-h/13}-1 for h < 0 and
     e^{h/10}-1 for h >= 0."""
-    h = np.asarray(errors, dtype=np.float64)
-    if h.size == 0:
-        raise ValueError("no errors to aggregate")
-    return float(
-        np.sum(np.where(h < 0, np.expm1(-h / 13.0), np.expm1(h / 10.0)))
+    return _metric(
+        "score", errors, lambda h: np.sum(np.where(h < 0, np.expm1(-h / 13.0), np.expm1(h / 10.0)))
     )
 
 

@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
-from .errors import ArtifactError, TrainingError
+from .errors import ArtifactError, NumericError, TrainingError
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
 from .numerics import seeded_rng
@@ -37,7 +37,7 @@ from .preprocess import (
     last_windows,
 )
 
-ARTIFACT_SCHEMA = "fmlp-artifact/3"
+ARTIFACT_SCHEMA = "fmlp-artifact/4"
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
@@ -68,6 +68,8 @@ class TrainConfig:
         for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not math.isfinite(2 * self.init_scale):  # uniform(-s, s) needs a finite span
+            raise ValueError(f"init_scale must leave 2 * init_scale finite, got {self.init_scale}")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ValueError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
         if not 0 <= self.seed < 2**64:
@@ -118,10 +120,6 @@ class FmlpModel:
     def n_functional(self) -> int:
         return len(self.a)
 
-    @property
-    def seed(self) -> int | None:
-        return self.train_config.seed if self.train_config else None
-
     def weight_curve(self, k: int, r: int) -> np.ndarray:
         """Weight function of neuron k for sensor position r on the grid."""
         coefficients = self.beta[k, self.basis.component_slices()[r]]
@@ -129,12 +127,21 @@ class FmlpModel:
 
     def functional_layer(self, windows: Windows) -> np.ndarray:
         """Logistic activations of the K functional neurons: (N, K)."""
-        return _logistic(project(self.basis, windows) @ self.beta.T + self.b)
+        return self._checked_forward(windows)[0]
 
     def predict_many(self, windows: Windows) -> np.ndarray:
         """Clamped RUL estimates in cycles, one per window."""
-        out = self._forward(project(self.basis, windows))[3]
-        return np.maximum(0.0, out * self.label_scale)
+        return np.maximum(0.0, self._checked_forward(windows)[1])
+
+    @np.errstate(over="ignore", invalid="ignore")  # checked below
+    def _checked_forward(self, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+        """The functional activations (N, K) and unclamped estimates (N,). Raises
+        NumericError if H or an estimate is not finite (huge but finite weights)."""
+        z, h, _, out = self._forward(project(self.basis, windows))
+        estimates = out * self.label_scale
+        if not (np.isfinite(h).all() and np.isfinite(estimates).all()):
+            raise NumericError("network output is not finite: weights too large for these windows")
+        return z, estimates
 
     def _forward(self, scores: np.ndarray) -> tuple[np.ndarray, ...]:
         """The functional activations z (N, K), their sum H (N, 1), the
@@ -156,7 +163,7 @@ class Pipeline:
     condition_model: ConditionModel
     scaler: MinMaxScaler
     network: FmlpModel
-    subset_id: str | None
+    subset_id: str
 
     @property
     def window_length(self) -> int:
@@ -349,8 +356,8 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization ("fmlp-artifact/3"): a single JSON document holding
-# the network, the eigenbasis, and the preprocessing artifacts.
+# Artifact serialization ("fmlp-artifact/4"): one JSON document holding the
+# network, the eigenbasis and the preprocessing state, each value once.
 
 
 def _array(x) -> list:
@@ -362,26 +369,17 @@ _CONDITION_ARRAYS = (
     "setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2"
 )
 
-# The artifact's numerical_layers, in order: (weights block, bias block, activation).
-_HEAD = (("w1", "b1", "logistic"), ("w2", "b2", "linear"))
-
 
 def model_to_doc(model: FmlpModel) -> dict:
-    """The network as a JSON-ready document, with the pipeline keys null;
-    ``pipeline_to_doc`` fills them in place."""
+    """The network as a JSON-ready document; ``pipeline_to_doc`` adds the
+    pipeline keys."""
     return {
         "schema": ARTIFACT_SCHEMA,
-        "subset_id": None,
-        "window_length": None,
-        "seed": model.seed,
         "label_scale": model.label_scale,
         "train_config": (
             dataclasses.asdict(model.train_config) if model.train_config else None
         ),
-        "condition_model": None,
-        "scaler": None,
         "basis": {
-            "grid": _array(model.basis.grid),
             "fve_cutoff": model.basis.fve_cutoff,
             "component_cap": model.basis.component_cap,
             "sensors": [
@@ -390,33 +388,28 @@ def model_to_doc(model: FmlpModel) -> dict:
                     "mean": _array(s.mean),
                     "eigenvalues": _array(s.eigenvalues),
                     "components": _array(s.components),
-                    "num_components": s.num_components,
                 }
                 for s in model.basis.sensors
             ],
         },
-        "functional_layer": {name: _array(getattr(model, name)) for name in BLOCKS[:3]},
-        "numerical_layers": [
-            {"weights": _array(getattr(model, w)), "bias": _array(getattr(model, b)),
-             "activation": activation}
-            for w, b, activation in _HEAD
-        ],
+        "network": {name: _array(getattr(model, name)) for name in BLOCKS},
     }
 
 
 def pipeline_to_doc(pipeline: Pipeline) -> dict:
-    """The artifact document: the network's, with the pipeline keys filled."""
+    """The artifact document: the network's, with the pipeline keys added."""
     cm, scaler = pipeline.condition_model, pipeline.scaler
     condition_doc = {field: _array(getattr(cm, field)) for field in _CONDITION_ARRAYS}
     condition_doc["config"] = dataclasses.asdict(cm.config)
-    doc = model_to_doc(pipeline.network)
-    doc.update(
-        subset_id=pipeline.subset_id,
-        window_length=pipeline.window_length,
-        condition_model=condition_doc,
-        scaler={"minimum": _array(scaler.minimum), "maximum": _array(scaler.maximum)},
-    )
-    return doc
+    network_doc = model_to_doc(pipeline.network)
+    return {
+        "schema": network_doc.pop("schema"),
+        "subset_id": pipeline.subset_id,
+        "window_length": pipeline.window_length,
+        "condition_model": condition_doc,
+        "scaler": {"minimum": _array(scaler.minimum), "maximum": _array(scaler.maximum)},
+        **network_doc,
+    }
 
 
 def pipeline_from_doc(doc: dict) -> Pipeline:
@@ -429,41 +422,31 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
                 f" expected {ARTIFACT_SCHEMA!r}"
             )
         for key in ("condition_model", "scaler"):
-            if doc[key] is None:
-                raise ArtifactError(f"artifact block {key} is null: no preprocessing state")
-        if doc["subset_id"] is not None and doc["subset_id"] not in SUBSET_IDS:
-            raise ArtifactError(
-                f"artifact field subset_id is {doc['subset_id']!r},"
-                f" expected null or one of {SUBSET_IDS}"
-            )
-        basis_doc = doc["basis"]
-        basis = EigenBasis(
-            grid=np.array(basis_doc["grid"]),
-            sensors=[
-                SensorBasis(
-                    sensor_id=_scalar(s["sensor_id"], int, f"basis.sensors[{i}].sensor_id"),
-                    mean=np.array(s["mean"]),
-                    eigenvalues=np.array(s["eigenvalues"]),
-                    components=np.array(s["components"]),
+            if doc.get(key) is None:
+                raise ArtifactError(
+                    f"artifact block {key} is null or missing: no preprocessing state"
                 )
-                for i, s in enumerate(basis_doc["sensors"])
-            ],
-            fve_cutoff=_scalar(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
-            component_cap=_scalar(basis_doc["component_cap"], int, "basis.component_cap"),
-        )
-        func, cfg_doc = doc["functional_layer"], doc["train_config"]
-        train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
-        head = doc["numerical_layers"]
-        activations = [l.get("activation") if isinstance(l, dict) else l for l in head]
-        expected = [activation for _, _, activation in _HEAD]
-        if activations != expected:
+        if doc["subset_id"] not in SUBSET_IDS:
             raise ArtifactError(
-                f"artifact numerical_layers has activations {activations}, expected {expected}"
+                f"artifact field subset_id is {doc['subset_id']!r}, expected one of {SUBSET_IDS}"
             )
-        params = {name: np.array(func[name]) for name in BLOCKS[:3]}
-        for (w, b, _), layer in zip(_HEAD, head):
-            params[w], params[b] = np.array(layer["weights"]), np.array(layer["bias"])
+        m = _scalar(doc["window_length"], int, "window_length")
+        if not m > 0:
+            raise ArtifactError(f"artifact field window_length is {m}, expected > 0")
+        basis_doc, net_doc, cfg_doc = doc["basis"], doc["network"], doc["train_config"]
+        sensors = [
+            SensorBasis(
+                sensor_id=_scalar(s["sensor_id"], int, f"basis.sensors[{i}].sensor_id"),
+                mean=np.array(s["mean"]),
+                eigenvalues=np.array(s["eigenvalues"]),
+                components=np.array(s["components"]),
+            )
+            for i, s in enumerate(basis_doc["sensors"])
+        ]
+        params = {name: np.array(net_doc[name]) for name in BLOCKS}
         label_scale = _scalar(doc["label_scale"], float, "label_scale")
+        if not label_scale > 0:
+            raise ArtifactError(f"artifact field label_scale is {label_scale}, expected > 0")
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
         condition_model = ConditionModel(
             **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
@@ -472,38 +455,30 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         scaler = MinMaxScaler(
             minimum=np.array(scaler_doc["minimum"]), maximum=np.array(scaler_doc["maximum"])
         )
-        _check_blocks(params, label_scale, basis, condition_model, scaler)
+        _check_blocks(params, m, sensors, condition_model, scaler)
+        basis = EigenBasis(
+            grid=np.arange(1.0, m + 1),  # the grid windowing uses
+            sensors=sensors,
+            fve_cutoff=_scalar(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
+            component_cap=_scalar(basis_doc["component_cap"], int, "basis.component_cap"),
+        )
+        train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
         network = FmlpModel(
             **params, basis=basis, label_scale=label_scale, train_config=train_config
         )
-        pipeline = Pipeline(condition_model, scaler, network, doc["subset_id"])
-        # The document repeats values the pipeline derives; each copy must agree.
-        m = len(basis.grid)
-        copies = {
-            "window_length": (doc["window_length"], m, "the basis grid length"),
-            "basis.grid": (basis_doc["grid"], np.arange(1.0, m + 1).tolist(), "the grid 1..M"),
-            "seed": (doc["seed"], network.seed, "train_config.seed"),
-        }
-        for i, (s, sb) in enumerate(zip(basis_doc["sensors"], basis.sensors)):
-            copies[f"basis.sensors[{i}].num_components"] = (
-                s["num_components"], sb.num_components, "its count of components"
-            )
-        for name, (stored, derived, source) in copies.items():
-            if stored != derived or type(stored) is not type(derived):
-                raise ArtifactError(
-                    f"artifact {name} {stored!r} does not match {source} {derived!r}"
-                )
-        return pipeline
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return Pipeline(condition_model, scaler, network, doc["subset_id"])
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
 
 
 def _scalar(value, kind: type, name: str):
     """``value`` as ``kind``. An int must be a JSON integer and a float any
-    JSON number; a bool or a string is neither."""
+    finite JSON number; a bool or a string is neither."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         expected = "an integer" if kind is int else "a number"
         raise ArtifactError(f"artifact field {name} is {value!r}, expected {expected}")
+    if kind is float and not math.isfinite(value):
+        raise ArtifactError(f"artifact field {name} is {value!r}, expected a finite number")
     return kind(value)
 
 
@@ -515,21 +490,23 @@ def _config(cls, doc: dict, name: str):
 
 def _check_blocks(
     params: dict[str, np.ndarray],
-    label_scale: float,
-    basis: EigenBasis,
+    m: int,
+    sensors: list[SensorBasis],
     cm: ConditionModel,
     scaler: MinMaxScaler,
 ) -> None:
     """Every numeric block of a loaded artifact is finite and has the shape
-    the other blocks imply; ArtifactError names the first that is not."""
-    m, n_s, h = len(basis.grid), N_SENSORS, cm.config.hidden_units
-    blocks = {"label_scale": (label_scale, ()), "basis.grid": (basis.grid, (m,))}
-    names = {name: f"functional_layer.{name}" for name in BLOCKS[:3]}
-    for i, (w, b, _) in enumerate(_HEAD):
-        names[w], names[b] = f"numerical_layers[{i}].weights", f"numerical_layers[{i}].bias"
-    for name, shape in _block_shapes(len(params["a"]), basis.total_components).items():
-        blocks[names[name]] = (params[name], shape)
-    for sb in basis.sensors:
+    the other blocks and the window length M imply; ArtifactError names the
+    first that is not."""
+    if not sensors:  # nothing would bound M
+        raise ArtifactError("artifact basis covers no sensors")
+    n_s, h = N_SENSORS, cm.config.hidden_units
+    d = sum(sb.num_components for sb in sensors)
+    blocks = {
+        f"network.{name}": (params[name], shape)
+        for name, shape in _block_shapes(len(params["a"]), d).items()
+    }
+    for sb in sensors:
         shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
         for name, shape in shapes.items():
             blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
@@ -545,9 +522,7 @@ def _check_blocks(
             )
         if not np.isfinite(array).all():
             raise ArtifactError(f"artifact block {name} holds a non-finite value")
-    if not label_scale > 0:
-        raise ArtifactError(f"artifact block label_scale is {label_scale}, expected > 0")
-    ids = [sb.sensor_id for sb in basis.sensors]
+    ids = [sb.sensor_id for sb in sensors]
     if ids != scaler.sensor_ids:
         raise ArtifactError(
             f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
@@ -564,7 +539,9 @@ def load_model(stream: TextIO) -> Pipeline:
     missing preprocessing state."""
     try:
         doc = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:
+        raise  # read_file names the line
+    except ValueError as exc:  # not JSON, or an integer of over 4300 digits
         raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArtifactError("artifact root must be a JSON object")

@@ -26,6 +26,11 @@ CONDITION_RIDGE = 1e-8
 CONDITION_FIT_NOT_FINITE = "condition fit is not finite: settings or readings too large to fit"
 
 
+# The widest shared hidden layer. The fit's (n, H+1) float64 design matrix
+# over n distinct setting rows (12,670 on full-size FD002) stays near 26 MB.
+MAX_HIDDEN_UNITS = 256
+
+
 @dataclass
 class ConditionFitConfig:
     """Hyperparameters for the per-sensor condition regressors."""
@@ -34,8 +39,10 @@ class ConditionFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.hidden_units > 0:
-            raise ValueError(f"hidden_units must be > 0, got {self.hidden_units}")
+        if not 0 < self.hidden_units <= MAX_HIDDEN_UNITS:
+            raise ValueError(
+                f"hidden_units must be in [1, {MAX_HIDDEN_UNITS}], got {self.hidden_units}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmapss_synth import write_subset
 
@@ -65,10 +67,18 @@ def test_train_writes_artifact_and_trace(mini_run):
 
 def test_artifact_is_schema_versioned(mini_run):
     doc = json.loads((mini_run / "artifact.json").read_text())
-    assert doc["schema"] == "fmlp-artifact/3"
+    assert doc["schema"] == "fmlp-artifact/4"
     assert doc["subset_id"] == "FD001"
     assert doc["window_length"] == 31
-    assert doc["seed"] == 11
+    assert doc["train_config"]["seed"] == 11
+    # Each value is stored once: the seed, the grid and the component counts are derived.
+    assert set(doc) == {
+        "schema", "subset_id", "window_length", "label_scale", "train_config",
+        "condition_model", "scaler", "basis", "network",
+    }
+    assert set(doc["basis"]) == {"fve_cutoff", "component_cap", "sensors"}
+    assert set(doc["basis"]["sensors"][0]) == {"sensor_id", "mean", "eigenvalues", "components"}
+    assert list(doc["network"]) == list(fmlp_rul.fmlp.BLOCKS)
 
 
 def test_evaluate_outputs(mini_run):
@@ -108,6 +118,14 @@ def test_config_type_checked(tmp_path, capsys):
         ("fve_cutoff", 0.0),
         ("fve_cutoff", 1.5),
         ("component_cap", 0),
+        # Each of these once ended in a traceback (exit 1) or in exit 4:
+        ("init_scale", float("inf")),  # OverflowError from rng.uniform
+        ("init_scale", 1e308),  # 2 * init_scale overflows: the same OverflowError
+        ("t_cap", 2**63),  # OverflowError: Python int too large to convert to C long
+        ("condition_hidden", 10**30),  # ValueError: Maximum allowed dimension exceeded
+        ("condition_hidden", 257),
+        ("learning_rate", float("inf")),  # exit 4: training diverged at epoch 1
+        ("learning_rate", 10**400),  # OverflowError: int too large to convert to float
     ],
 )
 def test_config_range_checked_before_work(key, value, tmp_path, capsys):
@@ -377,6 +395,42 @@ def test_top_level_help(capsys):
     assert cli.main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("text", ["[1]", '{"epochs": 1' + "0" * 5000 + "}"])
+def test_config_that_json_cannot_hold_is_config_error(text, tmp_path, capsys):
+    # A list root once raised AttributeError when --subset was merged into it;
+    # an integer of over 4300 digits raised ValueError from json (both exit 1).
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code = cli.main(["train", "--config", str(cfg), "--subset", "FD001", "--data-root", "x"])
+    assert code == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_artifact_integer_of_too_many_digits_is_artifact_error(mini_run, mini_root, tmp_path, capsys):
+    # json raises ValueError, not JSONDecodeError, past 4300 digits: once exit 1.
+    text = (mini_run / "artifact.json").read_text()
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(text.replace('"window_length": 31', '"window_length": 3' + "1" * 5000))
+    code = cli.main(["predict", "--model", str(artifact), str(mini_root / "test_FD001.txt")])
+    assert code == 3
+    assert "artifact is not valid JSON" in capsys.readouterr().err
+
+
+def test_evaluate_of_estimates_too_far_off_is_numeric_error(mini_run, mini_root, tmp_path, capsys):
+    # Every estimate is 1e6 cycles: the score once overflowed to inf, a
+    # RuntimeWarning traceback under CI's flags.
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    doc["label_scale"] = 1e6
+    doc["network"]["w2"], doc["network"]["b2"] = [[0.0, 0.0]], [1.0]
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(out)]
+    assert cli.main(["evaluate", *argv]) == 4
+    assert "score overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_config(mini_root, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"subset": "FD002", "seed": 1}))
@@ -496,24 +550,28 @@ def test_evaluate_rejects_file_that_is_not_utf8(mini_run, mini_root, tmp_path, c
 
 def test_predict_rejects_artifact_with_nan_weight(mini_run, mini_root, tmp_path, capsys):
     doc = json.loads((mini_run / "artifact.json").read_text())
-    doc["numerical_layers"][0]["weights"][0][0] = float("nan")
+    doc["network"]["w1"][0][0] = float("nan")
     artifact = tmp_path / "artifact.json"
     artifact.write_text(json.dumps(doc))
     code = cli.main(["predict", "--model", str(artifact), str(mini_root / "test_FD001.txt")])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical_layers[0].weights" in captured.err
+    assert "network.w1" in captured.err
 
 
-def _set_nan(path):
+def _set_path(path, value):
     def mutate(doc):
         *keys, last = path
         for key in keys:
             doc = doc[key]
-        doc[last] = float("nan")
+        doc[last] = value
 
     return mutate
+
+
+def _set_nan(path):
+    return _set_path(path, float("nan"))
 
 
 def _drop_last(path):
@@ -540,32 +598,21 @@ def _set_sensor(i, key, value):
     return lambda doc: doc["basis"]["sensors"][i].__setitem__(key, value)
 
 
-def _float_num_components(doc):
-    sensor = doc["basis"]["sensors"][1]
-    sensor["num_components"] = float(sensor["num_components"])
-
-
 def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
 
 def _nest_a(doc):
     # a (K,) block written as (K, 1)
-    layer = doc["functional_layer"]
-    layer["a"] = [[x] for x in layer["a"]]
-
-
-def _three_layer_head(doc):
-    # a second logistic layer of width 2 between the hidden layer and the output
-    hidden = {"weights": [[0.5, -0.5], [0.25, 0.75]], "bias": [0.0, 0.0]}
-    doc["numerical_layers"].insert(1, {**hidden, "activation": "logistic"})
+    network = doc["network"]
+    network["a"] = [[x] for x in network["a"]]
 
 
 def _hidden_width_3(doc):
-    hidden, out = doc["numerical_layers"]
-    hidden["weights"].append([0.5])
-    hidden["bias"].append(0.0)
-    out["weights"][0].append(0.5)
+    network = doc["network"]
+    network["w1"].append([0.5])
+    network["b1"].append(0.0)
+    network["w2"][0].append(0.5)
 
 
 def _per_sensor_w1(doc):
@@ -574,17 +621,10 @@ def _per_sensor_w1(doc):
     cm["w1"] = [cm["w1"]] * 21
 
 
-def _reverse_grid(doc):
-    # train writes the grid 1..M; this one is reversed and shifted: 315, 305, ..., 15
-    grid = doc["basis"]["grid"]
-    doc["basis"]["grid"] = [315.0 - 10 * i for i in range(len(grid))]
-
-
 @pytest.mark.parametrize(
     "mutate,block",
     [
-        (_set_nan(["numerical_layers", 1, "bias", 0]), "numerical_layers[1].bias"),
-        (_set_nan(["basis", "grid", 3]), "basis.grid"),
+        (_set_nan(["network", "b2", 0]), "network.b2"),
         (_set_nan(["basis", "sensors", 0, "mean", 2]), "mean"),
         (_set_nan(["basis", "sensors", 1, "eigenvalues", 0]), "eigenvalues"),
         (_set_nan(["basis", "sensors", 2, "components", 0, 5]), "components"),
@@ -592,48 +632,44 @@ def _reverse_grid(doc):
         (_set_nan(["condition_model", "target_mean", 0]), "condition_model.target_mean"),
         (_set_nan(["scaler", "maximum", 7]), "scaler.maximum"),
         (_set("label_scale", float("inf")), "label_scale"),
+        (_set("label_scale", float("nan")), "label_scale is nan, expected a finite number"),
         (_drop_last(["condition_model", "b2"]), "condition_model.b2"),
         (_drop_last(["condition_model", "w1"]), "condition_model.w1"),
         (lambda d: (_drop_last(["scaler", "minimum"])(d), _drop_last(["scaler", "maximum"])(d)),
          "scaler.minimum"),
         (_make_constant, "scaler retains"),
-        (_drop_last(["basis", "grid"]), "mean has shape (31,), expected (30,)"),
+        (lambda d: d["basis"].__setitem__("sensors", []), "basis covers no sensors"),
+        # window_length is the one record of M: every curve block is checked against it
+        (_set_path(["window_length"], 30), "mean has shape (31,), expected (30,)"),
+        (_set("window_length", 0), "window_length is 0, expected > 0"),
+        (_set("window_length", 31.0), "window_length is 31.0, expected an integer"),
+        (_set("window_length", None), "window_length is None, expected an integer"),
         (_truncate_components, "components has shape"),
-        (_set("window_length", 30), "window_length 30"),
-        (_drop_last(["numerical_layers", 1, "weights", 0]), "numerical_layers[1].weights"),
-        (_nest_a, "functional_layer.a has shape (4, 1), expected (4,)"),
-        (_set("numerical_layers", []), "numerical_layers"),
-        (lambda d: d["numerical_layers"][1].__setitem__("weights", 1.0),
-         "numerical_layers[1].weights has shape (), expected (1, 2)"),
-        (_three_layer_head,
-         "numerical_layers has activations ['logistic', 'logistic', 'linear'],"
-         " expected ['logistic', 'linear']"),
-        (lambda d: d["numerical_layers"][0].__setitem__("activation", "linear"),
-         "numerical_layers has activations ['linear', 'linear']"),
-        (_hidden_width_3, "numerical_layers[0].weights has shape (3, 1), expected (2, 1)"),
-        (lambda d: d["numerical_layers"][0].pop("activation"),
-         "numerical_layers has activations [None, 'linear']"),
+        (_drop_last(["network", "w2", 0]), "network.w2 has shape (1, 1), expected (1, 2)"),
+        (_nest_a, "network.a has shape (4, 1), expected (4,)"),
+        (lambda d: d["network"].__setitem__("w2", 1.0),
+         "network.w2 has shape (), expected (1, 2)"),
+        (_hidden_width_3, "network.w1 has shape (3, 1), expected (2, 1)"),
+        (lambda d: d["network"].pop("b1"), "malformed model artifact: 'b1'"),
         (_set("label_scale", 0), "label_scale is 0.0, expected > 0"),
         (_set("label_scale", -130), "label_scale is -130.0, expected > 0"),
         (_set("condition_model", None), "condition_model is null"),
         (_set("scaler", None), "scaler is null"),
-        (_set("window_length", None), "window_length None"),
+        (lambda d: d.pop("scaler"), "scaler is null or missing"),
         (_set("subset_id", ["FD001"]), "subset_id is ['FD001']"),
+        (_set("subset_id", None), "subset_id is None, expected one of"),
         (_set("label_scale", True), "label_scale is True, expected a number"),
         (_set("label_scale", "130"), "label_scale is '130', expected a number"),
         (_set_sensor(0, "sensor_id", 2.5), "sensor_id is 2.5, expected an integer"),
-        (_float_num_components, "basis.sensors[1].num_components"),
-        (_set_sensor(1, "num_components", 3), "num_components 3 does not match"),
         (lambda d: d["basis"].__setitem__("component_cap", "2"),
          "component_cap is '2', expected an integer"),
         (lambda d: d["basis"].__setitem__("fve_cutoff", False), "fve_cutoff is False"),
         (lambda d: d["train_config"].__setitem__("epochs", 40.0),
          "train_config.epochs is 40.0, expected an integer"),
-        (_set("seed", FAST_CONFIG["seed"] + 1), "seed 12 does not match train_config.seed 11"),
-        (_set("seed", True), "seed True does not match"),
+        (lambda d: d["train_config"].__setitem__("learning_rate", float("inf")),
+         "train_config.learning_rate is inf, expected a finite number"),
         (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
         (_per_sensor_w1, "condition_model.w1 has shape (21, 3, 8), expected (3, 8)"),
-        (_reverse_grid, "basis.grid [315.0, 305.0"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -656,7 +692,7 @@ def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, c
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "functional_layer.a" in captured.err
+    assert "network.a" in captured.err
 
 
 @pytest.mark.parametrize("subset_id,window_length", [("FD003", 38), ("FD004", 19)])
@@ -676,16 +712,19 @@ def test_train_and_evaluate_smoke(subset_id, window_length, tmp_path):
 
 
 def test_evaluate_rejects_artifact_with_list_subset_id(mini_run, mini_root, tmp_path, capsys):
-    # Once a TypeError traceback (exit 1) from hashing the list.
-    doc = json.loads((mini_run / "artifact.json").read_text())
-    doc["subset_id"] = ["FD001"]
-    artifact = tmp_path / "artifact.json"
-    artifact.write_text(json.dumps(doc))
-    argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
-    for command in ("evaluate", "inspect"):
-        assert cli.main([command, *argv]) == 3
-        assert "subset_id is ['FD001']" in capsys.readouterr().err
-    assert not (tmp_path / "inspect").exists()
+    # A list was once a TypeError traceback (exit 1) from hashing it. Null was
+    # accepted, and evaluate without --subset then exited 2: train always
+    # records the subset, so null now fails the same check.
+    for subset_id in (["FD001"], None):
+        doc = json.loads((mini_run / "artifact.json").read_text())
+        doc["subset_id"] = subset_id
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(doc))
+        argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
+        for command in ("evaluate", "inspect"):
+            assert cli.main([command, *argv]) == 3
+            assert f"subset_id is {subset_id!r}" in capsys.readouterr().err
+        assert not (tmp_path / "inspect").exists()
 
 
 def test_inspect_of_other_subset_writes_nothing(fd002_run, mini_root, tmp_path, capsys):
@@ -764,16 +803,18 @@ def test_condition_fit_that_leaves_no_sensor_is_numeric_error(six_condition_root
 
 
 def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, capsys):
-    # fmlp-artifact/2 held one condition hidden layer per sensor; retrain instead.
-    doc = json.loads((mini_run / "artifact.json").read_text())
-    doc["schema"] = "fmlp-artifact/2"
-    artifact = tmp_path / "artifact.json"
-    artifact.write_text(json.dumps(doc))
-    argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
-    assert cli.main(["evaluate", *argv]) == 3
-    err = capsys.readouterr().err
-    assert "'fmlp-artifact/2'" in err and "'fmlp-artifact/3'" in err
-    assert not (tmp_path / "report.json").exists()
+    # fmlp-artifact/2 held one condition hidden layer per sensor, and /3 stored
+    # copies of derived values and a layer-list head; retrain instead.
+    for schema in ("fmlp-artifact/2", "fmlp-artifact/3"):
+        doc = json.loads((mini_run / "artifact.json").read_text())
+        doc["schema"] = schema
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(doc))
+        argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
+        assert cli.main(["evaluate", *argv]) == 3
+        err = capsys.readouterr().err
+        assert repr(schema) in err and "'fmlp-artifact/4'" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
@@ -833,3 +874,92 @@ def test_huge_reading_in_scored_file_is_numeric_error(mini_run, mini_root, tmp_p
     assert "Traceback" not in run.stderr
     assert "nan" not in run.stdout.lower()
     assert not list(tmp_path.rglob("report.*"))
+
+
+def _huge_output(doc):
+    # Finite weights whose estimate is 10 * 1e308 cycles.
+    doc["label_scale"] = 1e308
+    doc["network"]["b2"] = [10.0]
+
+
+def _huge_beta(doc):
+    # Every functional neuron saturates: the estimates stay finite.
+    doc["network"]["beta"] = [[1e308] * len(row) for row in doc["network"]["beta"]]
+
+
+@pytest.mark.parametrize("mutate,code", [(_huge_output, 4), (_huge_beta, 0)])
+@pytest.mark.parametrize("command", ["evaluate", "predict", "inspect"])
+def test_huge_artifact_weights_give_numeric_error_or_finite_estimates(
+    mini_run, mini_root, tmp_path, command, mutate, code
+):
+    # Both artifacts once ended in an overflow traceback under CI's flags; without
+    # them, the first made predict print "1,inf" and exit 0.
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    mutate(doc)
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["--data-root", str(mini_root), "--out", str(out)],
+        "predict": [str(mini_root / "test_FD001.txt")],
+        "inspect": ["--data-root", str(mini_root), "--out", str(out)],
+    }[command]
+    src = Path(fmlp_rul.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    python = [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning"]  # as CI runs
+    run = subprocess.run(
+        [*python, "-m", "fmlp_rul.cli", command, "--model", str(artifact), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "nan" not in run.stdout.lower() and "inf" not in run.stdout.lower()
+    if code:
+        assert "network output is not finite" in run.stderr
+        assert run.stdout == "" and not out.exists()
+
+
+def _leaf_paths(node, path=()):
+    """The path of every scalar in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+_BAD_LEAVES = [
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 0, -1, True, "x", None, [],
+    [[1.0, 2.0], [3.0]],
+]
+
+
+@pytest.fixture(scope="module")
+def mini_leaves(mini_run):
+    """The mini run's artifact and its leaf paths grouped by block, so that a
+    scalar field is drawn as often as a large array."""
+    doc = json.loads((mini_run / "artifact.json").read_text())
+    blocks = {}
+    for path in _leaf_paths(doc):
+        blocks.setdefault(tuple(k for k in path if isinstance(k, str)), []).append(path)
+    return doc, [blocks[name] for name in sorted(blocks)]
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_artifact_with_one_bad_leaf_never_escapes(mini_leaves, mini_root, tmp_path, capsys, data):
+    doc, blocks = mini_leaves
+    path = data.draw(st.sampled_from(data.draw(st.sampled_from(blocks))))
+    doc = json.loads(json.dumps(doc))
+    _set_path(path, data.draw(st.sampled_from(_BAD_LEAVES)))(doc)
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["predict", "--model", str(artifact), str(mini_root / "test_FD001.txt")])
+    out = capsys.readouterr().out.lower()
+    assert code in (0, 3, 4)
+    assert "nan" not in out and "inf" not in out
+    assert code == 0 or out == ""

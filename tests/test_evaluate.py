@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmlp_rul.errors import NumericError
 from fmlp_rul.evaluate import (
     BASELINE_RMSE,
     BASELINE_SCORE,
@@ -23,6 +24,16 @@ def test_rmse_zero():
 
 def test_rmse_hand_value():
     assert rmse([3.0, -4.0]) == pytest.approx(math.sqrt(12.5), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "metric,errors",
+    [(rmse, [1.0, 1e200]), (score, [8000.0]), (score, [-10000.0]), (score, [7095.0] * 3)],
+)
+def test_metric_that_overflows_is_numeric_error(metric, errors):
+    # Once an overflow RuntimeWarning, or an inf written to report.json.
+    with pytest.raises(NumericError, match="overflows"):
+        metric(errors)
 
 
 def test_rmse_permutation_invariant():
