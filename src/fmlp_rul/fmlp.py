@@ -517,8 +517,10 @@ def _check_blocks(
     blocks["scaler.maximum"] = (scaler.maximum, (n_s,))
     for name, (array, shape) in blocks.items():
         if np.shape(array) != shape:
+            # a curve's length is M: name the field the expected shape comes from
+            origin = f" for window_length {m}" if name.startswith("basis") else ""
             raise ArtifactError(
-                f"artifact block {name} has shape {np.shape(array)}, expected {shape}"
+                f"artifact block {name} has shape {np.shape(array)}, expected {shape}{origin}"
             )
         if not np.isfinite(array).all():
             raise ArtifactError(f"artifact block {name} holds a non-finite value")

@@ -641,6 +641,7 @@ def _per_sensor_w1(doc):
         (lambda d: d["basis"].__setitem__("sensors", []), "basis covers no sensors"),
         # window_length is the one record of M: every curve block is checked against it
         (_set_path(["window_length"], 30), "mean has shape (31,), expected (30,)"),
+        (_set("window_length", 30), "window_length 30"),
         (_set("window_length", 0), "window_length is 0, expected > 0"),
         (_set("window_length", 31.0), "window_length is 31.0, expected an integer"),
         (_set("window_length", None), "window_length is None, expected an integer"),
