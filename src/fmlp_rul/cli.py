@@ -9,7 +9,6 @@ directory: artifact.json, trace.csv, report.csv, report.json, inspect/.
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,8 +19,8 @@ import numpy as np
 from . import evaluate as ev
 from . import fmlp
 from .cmapss import SUBSET_IDS, WINDOW_LENGTHS, load_subset, parse_trajectory_file, read_file
-from .errors import ArtifactError, ConfigError, FmlpRulError, IntegrityError
-from .fpca import fit_basis
+from .errors import ArtifactError, ConfigError, FmlpRulError, IntegrityError, json_number
+from .fpca import check_basis_settings, fit_basis
 from .preprocess import (
     ConditionFitConfig,
     fit_preprocessing,
@@ -58,12 +57,7 @@ class ExperimentConfig:
         return fmlp.TrainConfig(**{f.name: getattr(self, f.name) for f in fields})
 
     def condition_config(self) -> ConditionFitConfig:
-        fields = {f: getattr(self, key) for f, key in _CONDITION_KEYS.items()}
-        return ConditionFitConfig(seed=self.seed, **fields)
-
-
-# The config key that sets each ConditionFitConfig field.
-_CONDITION_KEYS = {"hidden_units": "condition_hidden"}
+        return ConditionFitConfig(hidden_units=self.condition_hidden, seed=self.seed)
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
@@ -76,40 +70,28 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in doc.items():
-        default = getattr(cfg, key)
-        if key in ("data_root", "subset", "out_dir"):
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a string")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be an integer")
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a number")
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-            if not math.isfinite(value):  # JSON's NaN and Infinity extensions, too
-                raise ConfigError(f"config key {key!r} must be a finite number, got {value}")
+        name, kind = f"config key {key!r}", type(getattr(cfg, key))
+        if kind in (int, float):
+            value = json_number(value, kind, name, ConfigError)
+        elif not isinstance(value, str) and (value is not None or kind is str):
+            raise ConfigError(f"{name} is {value!r}, expected a string")
         setattr(cfg, key, value)
     if cfg.subset is not None and cfg.subset not in SUBSET_IDS:
         raise ConfigError(f"subset must be one of {SUBSET_IDS}, got {cfg.subset!r}")
-    # The stage configs check their own ranges; their messages start with
-    # the field name, reported here as the config key that set it.
-    for build, keys in ((cfg.train_config, {}), (cfg.condition_config, _CONDITION_KEYS)):
+    if not 0 < cfg.t_cap < 2**63:
+        raise ConfigError(f"config key 't_cap' must be in (0, 2**63), got {cfg.t_cap}")
+    # The stage configs and the basis check their own ranges; their messages
+    # start with the field name, reported here as the config key that set it.
+    for check, keys in (
+        (cfg.train_config, {}),
+        (cfg.condition_config, {"hidden_units": "condition_hidden"}),
+        (lambda: check_basis_settings(cfg.fve_cutoff, cfg.component_cap), {}),
+    ):
         try:
-            build()
+            check()
         except ValueError as exc:
             field, _, rule = str(exc).partition(" ")
             raise ConfigError(f"config key {keys.get(field, field)!r} {rule}") from exc
-    for key, ok, rule in (
-        ("t_cap", 0 < cfg.t_cap < 2**63, "must be in (0, 2**63)"),
-        ("component_cap", cfg.component_cap > 0, "must be > 0"),
-        ("fve_cutoff", 0.0 < cfg.fve_cutoff <= 1.0, "must be in (0, 1]"),
-    ):
-        if not ok:
-            raise ConfigError(f"config key {key!r} {rule}, got {getattr(cfg, key)}")
     return cfg
 
 

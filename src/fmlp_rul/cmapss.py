@@ -3,9 +3,9 @@
 A trajectory file holds one observation per line: unit id, cycle, three
 operating settings, and 21 sensor readings, whitespace separated. Fields
 past column 26 (trailing blanks in some distributions) are ignored. Unit
-ids and cycles are whole numbers, every reading is finite, and each unit's
-rows form one contiguous block. A RUL file holds one non-negative integer
-per line, aligned to test-unit order.
+ids and cycles are whole numbers below 2**63 in magnitude, every reading
+is finite, and each unit's rows form one contiguous block. A RUL file
+holds one non-negative integer per line, aligned to test-unit order.
 """
 
 import io
@@ -116,7 +116,7 @@ def _read_rows(lines: list[str]) -> np.ndarray:
 
 
 def _whole(values: np.ndarray) -> np.ndarray:
-    return np.isfinite(values) & (np.trunc(values) == values)
+    return (np.abs(values) < 2.0**63) & (np.trunc(values) == values)  # whole, within int64
 
 
 def _first_bad_line(lines: list[str]) -> ParseError:
@@ -144,8 +144,8 @@ def _first_bad_line(lines: list[str]) -> ParseError:
             if not _whole(value):
                 return ParseError(
                     line_no,
-                    f"malformed numeric field (unit and cycle must be integers,"
-                    f" got {text!r})",
+                    f"malformed numeric field (unit and cycle must be integers"
+                    f" of magnitude below 2**63, got {text!r})",
                 )
     return ParseError(len(lines), "unreadable trajectory file")
 
@@ -155,9 +155,9 @@ def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTr
 
     Units appear in file order, each as one contiguous block of rows.
     Raises ParseError for a malformed line (too few fields, a non-numeric
-    field, a unit or cycle that is not a whole number) and IntegrityError
-    for a unit whose rows are split into separate blocks, non-contiguous
-    cycles, or a non-finite reading.
+    field, a unit or cycle that is not a whole number below 2**63 in
+    magnitude) and IntegrityError for a unit whose rows are split into
+    separate blocks, non-contiguous cycles, or a non-finite reading.
     """
     lines = list(_as_lines(stream))
     try:

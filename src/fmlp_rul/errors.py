@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all fmlp_rul modules."""
+"""Exception hierarchy shared by all fmlp_rul modules, and the rules for
+reading JSON values that configs and artifacts share."""
+
+import sys
+
+import numpy as np
 
 
 class FmlpRulError(Exception):
@@ -44,3 +49,27 @@ class ConfigError(FmlpRulError):
     """An experiment configuration is malformed or has unknown keys."""
 
     exit_code = 2
+
+
+def json_number(value, kind: type, name: str, error: type[FmlpRulError]):
+    """``value`` as ``kind``, int or float: an int must be a JSON integer and
+    a float a finite JSON number; true, false, strings and null are neither.
+    Otherwise raises ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise error(f"{name} is {value!r}, expected {'an integer' if kind is int else 'a number'}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, Infinity, a huge integer
+        raise error(f"{name} is {value!r}, expected a finite number")
+    return kind(value)
+
+
+def json_block(value, shape: tuple[int, ...], name: str, shape_from: str = "") -> np.ndarray:
+    """An artifact's numeric block, a JSON array nested to ``shape`` whose every
+    leaf is a float under ``json_number``, as a float64 array. Otherwise raises
+    ArtifactError naming the block and ``shape_from``, the shape's source."""
+    cells = np.array(value, dtype=object)
+    if cells.shape != shape:
+        raise ArtifactError(
+            f"artifact block {name} has shape {cells.shape}, expected {shape}{shape_from}"
+        )
+    leaf = f"a leaf of artifact block {name}"
+    return np.array([json_number(v, float, leaf, ArtifactError) for v in cells.flat]).reshape(shape)

@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
-from .errors import ArtifactError, NumericError, TrainingError
+from .errors import ArtifactError, NumericError, TrainingError, json_block, json_number
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
 from .numerics import seeded_rng
@@ -364,10 +364,13 @@ def _array(x) -> list:
     return np.asarray(x, dtype=np.float64).tolist()
 
 
-# The array fields of a ConditionModel, in artifact order.
-_CONDITION_ARRAYS = (
-    "setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2"
-)
+def _condition_shapes(h: int) -> dict[str, tuple[int, ...]]:
+    """Each array of a ConditionModel with H hidden units, in artifact order,
+    with its shape."""
+    s = N_SENSORS
+    names = ("setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2")
+    shapes = [(N_SETTINGS,)] * 2 + [(s,)] * 2 + [(N_SETTINGS, h), (h,), (s, h), (s,)]
+    return dict(zip(names, shapes))
 
 
 def model_to_doc(model: FmlpModel) -> dict:
@@ -399,7 +402,9 @@ def model_to_doc(model: FmlpModel) -> dict:
 def pipeline_to_doc(pipeline: Pipeline) -> dict:
     """The artifact document: the network's, with the pipeline keys added."""
     cm, scaler = pipeline.condition_model, pipeline.scaler
-    condition_doc = {field: _array(getattr(cm, field)) for field in _CONDITION_ARRAYS}
+    condition_doc = {
+        field: _array(getattr(cm, field)) for field in _condition_shapes(cm.config.hidden_units)
+    }
     condition_doc["config"] = dataclasses.asdict(cm.config)
     network_doc = model_to_doc(pipeline.network)
     return {
@@ -413,8 +418,8 @@ def pipeline_to_doc(pipeline: Pipeline) -> dict:
 
 
 def pipeline_from_doc(doc: dict) -> Pipeline:
-    """Rebuild a pipeline from its artifact document. An artifact without
-    preprocessing state, such as a bare network's, is rejected."""
+    """Rebuild a pipeline from its artifact document, checking each value
+    where it is read. An artifact without preprocessing state is rejected."""
     try:
         if doc.get("schema") != ARTIFACT_SCHEMA:
             raise ArtifactError(
@@ -430,38 +435,47 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
             raise ArtifactError(
                 f"artifact field subset_id is {doc['subset_id']!r}, expected one of {SUBSET_IDS}"
             )
-        m = _scalar(doc["window_length"], int, "window_length")
+        m = _field(doc["window_length"], int, "window_length")
         if not m > 0:
             raise ArtifactError(f"artifact field window_length is {m}, expected > 0")
-        basis_doc, net_doc, cfg_doc = doc["basis"], doc["network"], doc["train_config"]
-        sensors = [
-            SensorBasis(
-                sensor_id=_scalar(s["sensor_id"], int, f"basis.sensors[{i}].sensor_id"),
-                mean=np.array(s["mean"]),
-                eigenvalues=np.array(s["eigenvalues"]),
-                components=np.array(s["components"]),
-            )
-            for i, s in enumerate(basis_doc["sensors"])
-        ]
-        params = {name: np.array(net_doc[name]) for name in BLOCKS}
-        label_scale = _scalar(doc["label_scale"], float, "label_scale")
-        if not label_scale > 0:
-            raise ArtifactError(f"artifact field label_scale is {label_scale}, expected > 0")
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
-        condition_model = ConditionModel(
-            **{field: np.array(cm_doc[field]) for field in _CONDITION_ARRAYS},
-            config=_config(ConditionFitConfig, cm_doc["config"], "condition_model.config"),
-        )
-        scaler = MinMaxScaler(
-            minimum=np.array(scaler_doc["minimum"]), maximum=np.array(scaler_doc["maximum"])
-        )
-        _check_blocks(params, m, sensors, condition_model, scaler)
+        cm_config = _config(ConditionFitConfig, cm_doc["config"], "condition_model.config")
+        shapes = _condition_shapes(cm_config.hidden_units)
+        arrays = {k: json_block(cm_doc[k], v, f"condition_model.{k}") for k, v in shapes.items()}
+        condition_model = ConditionModel(**arrays, config=cm_config)
+        scaler = MinMaxScaler(*(
+            json_block(scaler_doc[k], (N_SENSORS,), f"scaler.{k}") for k in ("minimum", "maximum")
+        ))
+        basis_doc, sensors, m_from = doc["basis"], [], f" for window_length {m}"
+        for i, s in enumerate(basis_doc["sensors"]):
+            name, p = f"basis.sensors[{i}]", len(s["components"])
+            curves = {
+                key: json_block(s[key], shape, f"{name}.{key}", m_from)
+                for key, shape in (("mean", (m,)), ("eigenvalues", (m,)), ("components", (p, m)))
+            }
+            sensors.append(SensorBasis(_field(s["sensor_id"], int, f"{name}.sensor_id"), **curves))
+        if not sensors:  # nothing would bound M
+            raise ArtifactError("artifact basis covers no sensors")
+        ids = [sb.sensor_id for sb in sensors]
+        if ids != scaler.sensor_ids:
+            raise ArtifactError(
+                f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
+            )
         basis = EigenBasis(
             grid=np.arange(1.0, m + 1),  # the grid windowing uses
             sensors=sensors,
-            fve_cutoff=_scalar(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
-            component_cap=_scalar(basis_doc["component_cap"], int, "basis.component_cap"),
+            fve_cutoff=_field(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
+            component_cap=_field(basis_doc["component_cap"], int, "basis.component_cap"),
         )
+        net_doc = doc["network"]
+        params = {
+            name: json_block(net_doc[name], shape, f"network.{name}")
+            for name, shape in _block_shapes(len(net_doc["a"]), basis.total_components).items()
+        }
+        label_scale = _field(doc["label_scale"], float, "label_scale")
+        if not label_scale > 0:
+            raise ArtifactError(f"artifact field label_scale is {label_scale}, expected > 0")
+        cfg_doc = doc["train_config"]
         train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
         network = FmlpModel(
             **params, basis=basis, label_scale=label_scale, train_config=train_config
@@ -471,64 +485,19 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
 
 
-def _scalar(value, kind: type, name: str):
-    """``value`` as ``kind``. An int must be a JSON integer and a float any
-    finite JSON number; a bool or a string is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        expected = "an integer" if kind is int else "a number"
-        raise ArtifactError(f"artifact field {name} is {value!r}, expected {expected}")
-    if kind is float and not math.isfinite(value):
-        raise ArtifactError(f"artifact field {name} is {value!r}, expected a finite number")
-    return kind(value)
+def _field(value, kind: type, name: str):
+    return json_number(value, kind, f"artifact field {name}", ArtifactError)
 
 
 def _config(cls, doc: dict, name: str):
-    """A stage config from its artifact block; each value has its default's type."""
-    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    return cls(**{key: _scalar(v, types[key], f"{name}.{key}") for key, v in doc.items()})
-
-
-def _check_blocks(
-    params: dict[str, np.ndarray],
-    m: int,
-    sensors: list[SensorBasis],
-    cm: ConditionModel,
-    scaler: MinMaxScaler,
-) -> None:
-    """Every numeric block of a loaded artifact is finite and has the shape
-    the other blocks and the window length M imply; ArtifactError names the
-    first that is not."""
-    if not sensors:  # nothing would bound M
-        raise ArtifactError("artifact basis covers no sensors")
-    n_s, h = N_SENSORS, cm.config.hidden_units
-    d = sum(sb.num_components for sb in sensors)
-    blocks = {
-        f"network.{name}": (params[name], shape)
-        for name, shape in _block_shapes(len(params["a"]), d).items()
-    }
-    for sb in sensors:
-        shapes = {"mean": (m,), "eigenvalues": (m,), "components": (sb.num_components, m)}
-        for name, shape in shapes.items():
-            blocks[f"basis sensor {sb.sensor_id} {name}"] = (getattr(sb, name), shape)
-    shapes = [(N_SETTINGS,)] * 2 + [(n_s,)] * 2 + [(N_SETTINGS, h), (h,), (n_s, h), (n_s,)]
-    for name, shape in zip(_CONDITION_ARRAYS, shapes):
-        blocks[f"condition_model.{name}"] = (getattr(cm, name), shape)
-    blocks["scaler.minimum"] = (scaler.minimum, (n_s,))
-    blocks["scaler.maximum"] = (scaler.maximum, (n_s,))
-    for name, (array, shape) in blocks.items():
-        if np.shape(array) != shape:
-            # a curve's length is M: name the field the expected shape comes from
-            origin = f" for window_length {m}" if name.startswith("basis") else ""
-            raise ArtifactError(
-                f"artifact block {name} has shape {np.shape(array)}, expected {shape}{origin}"
-            )
-        if not np.isfinite(array).all():
-            raise ArtifactError(f"artifact block {name} holds a non-finite value")
-    ids = [sb.sensor_id for sb in sensors]
-    if ids != scaler.sensor_ids:
-        raise ArtifactError(
-            f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
-        )
+    """A stage config from its artifact block: exactly the dataclass's
+    fields, each with its default's type."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    if doc.keys() != kinds.keys():
+        key = min(doc.keys() ^ kinds.keys())
+        state = "missing" if key in kinds else "unknown"
+        raise ArtifactError(f"artifact field {name}.{key} is {state}")
+    return cls(**{key: _field(doc[key], kind, f"{name}.{key}") for key, kind in kinds.items()})
 
 
 def save_model(pipeline: Pipeline, stream: TextIO) -> None:

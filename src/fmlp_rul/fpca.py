@@ -7,6 +7,7 @@ orthonormal under the discrete integral (1/M) * sum(f * g).
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +59,17 @@ def select_num_components(
     return max(1, min(p_fve, cap))
 
 
+def check_basis_settings(fve_cutoff: float, component_cap: int, rows: Sequence[int] = ()) -> None:
+    """Raise ValueError unless fve_cutoff is in (0, 1], component_cap > 0
+    and each sensor's count of component ``rows`` is in 1..component_cap."""
+    if not 0.0 < fve_cutoff <= 1.0:
+        raise ValueError(f"fve_cutoff must be in (0, 1], got {fve_cutoff}")
+    if not component_cap > 0:
+        raise ValueError(f"component_cap must be > 0, got {component_cap}")
+    if not all(1 <= p <= component_cap for p in rows):
+        raise ValueError(f"component rows {rows} must each be in 1..component_cap {component_cap}")
+
+
 @dataclass
 class SensorBasis:
     """Mean curve, eigenfunctions, and eigenvalues for one sensor."""
@@ -85,6 +97,10 @@ class EigenBasis:
     sensors: list[SensorBasis]
     fve_cutoff: float
     component_cap: int
+
+    def __post_init__(self):
+        rows = [s.num_components for s in self.sensors]
+        check_basis_settings(self.fve_cutoff, self.component_cap, rows)
 
     @property
     def total_components(self) -> int:

@@ -2,6 +2,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from acceptance_log import RESULTS
 from cmapss_synth import write_subset
@@ -9,6 +10,12 @@ from cmapss_synth import write_subset
 from fmlp_rul import cli
 from fmlp_rul.cmapss import load_subset
 from fmlp_rul.fmlp import load_model
+
+# The CLI properties run the program in process: an example's time varies
+# with what it reads, and each example reuses the test's tmp_path and capsys.
+settings.register_profile(
+    "cli", deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmapss_synth import write_subset
@@ -126,6 +128,7 @@ def test_config_type_checked(tmp_path, capsys):
         ("condition_hidden", 257),
         ("learning_rate", float("inf")),  # exit 4: training diverged at epoch 1
         ("learning_rate", 10**400),  # OverflowError: int too large to convert to float
+        ("out_dir", None),  # a TypeError from Path(None) once training was done
     ],
 )
 def test_config_range_checked_before_work(key, value, tmp_path, capsys):
@@ -303,6 +306,28 @@ def test_predict_rejects_non_finite_reading(mini_run, mini_root, tmp_path, capsy
     assert captured.out == ""
     assert f"unit {fields[0]}" in captured.err
     assert f"cycle {fields[1]}" in captured.err
+
+
+@pytest.mark.parametrize("column,token", [(0, "1e20"), (0, "9223372036854775808"), (1, "1e20")])
+@pytest.mark.parametrize("later_bad_line", [False, True])
+def test_predict_rejects_unit_or_cycle_beyond_int64(
+    mini_run, mini_root, tmp_path, capsys, column, token, later_bad_line
+):
+    # Once a RuntimeWarning from the int64 cast: a traceback under CI's flags.
+    # With a malformed later line, the line-by-line reader once named that one.
+    lines = (mini_root / "test_FD001.txt").read_text().splitlines()
+    fields = lines[1].split()
+    fields[column] = token
+    lines[1] = " ".join(fields)
+    if later_bad_line:
+        lines[4] = "x " + lines[4]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(bad)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: malformed numeric field" in captured.err and token in captured.err
 
 
 def test_inspect_emits_sensor_csvs(mini_run, mini_root, capsys):
@@ -615,6 +640,16 @@ def _hidden_width_3(doc):
     network["w2"][0].append(0.5)
 
 
+def _components_above_cap(doc):
+    # sensor 0 gets component_cap + 1 rows, and beta one column per added row
+    sensor = doc["basis"]["sensors"][0]
+    p = len(sensor["components"])
+    extra = doc["basis"]["component_cap"] + 1 - p
+    sensor["components"] += [sensor["components"][0]] * extra
+    for row in doc["network"]["beta"]:
+        row[p:p] = [0.0] * extra
+
+
 def _per_sensor_w1(doc):
     # fmlp-artifact/2 drew one condition hidden layer per sensor: w1 was (S, 3, H)
     cm = doc["condition_model"]
@@ -671,6 +706,22 @@ def _per_sensor_w1(doc):
          "train_config.learning_rate is inf, expected a finite number"),
         (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
         (_per_sensor_w1, "condition_model.w1 has shape (21, 3, 8), expected (3, 8)"),
+        # A boolean is not a number, in any block.
+        (_set_path(["network", "b2", 0], True), "network.b2 is True, expected a number"),
+        (_set_path(["network", "beta", 1, 0], False), "network.beta is False"),
+        (_set_path(["condition_model", "w1", 0, 0], True), "condition_model.w1 is True"),
+        (_set_path(["scaler", "minimum", 3], True), "scaler.minimum is True"),
+        (_set_path(["basis", "sensors", 0, "mean", 0], True), "sensors[0].mean is True"),
+        (_set_path(["network", "a", 0], "0.5"), "network.a is '0.5', expected a number"),
+        # The basis rules of fit_basis hold for a loaded basis, too.
+        (_set_path(["basis", "fve_cutoff"], -1), "fve_cutoff must be in (0, 1], got -1.0"),
+        (_set_path(["basis", "component_cap"], 0), "component_cap must be > 0, got 0"),
+        (_components_above_cap, "component rows [3, 1, 1, 2,"),
+        # A stage config holds exactly its dataclass's fields.
+        (lambda d: d["train_config"].pop("learning_rate"), "train_config.learning_rate is missing"),
+        (lambda d: d["condition_model"]["config"].pop("hidden_units"),
+         "condition_model.config.hidden_units is missing"),
+        (_set_path(["train_config", "momentum"], 0.9), "train_config.momentum is unknown"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):
@@ -947,9 +998,7 @@ def mini_leaves(mini_run):
     return doc, [blocks[name] for name in sorted(blocks)]
 
 
-@settings(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+@settings(settings.get_profile("cli"), max_examples=120)
 @given(data=st.data())
 def test_artifact_with_one_bad_leaf_never_escapes(mini_leaves, mini_root, tmp_path, capsys, data):
     doc, blocks = mini_leaves
@@ -964,3 +1013,94 @@ def test_artifact_with_one_bad_leaf_never_escapes(mini_leaves, mini_root, tmp_pa
     assert code in (0, 3, 4)
     assert "nan" not in out and "inf" not in out
     assert code == 0 or out == ""
+
+
+_UNKNOWN_KEYS = ["learning_rte", "condition_epochs", "", "seed "]
+
+_JSON_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63, 2**64, -(2**63), 10**30, 10**400, -1, 0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308]),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(settings.get_profile("cli"), max_examples=150)
+@given(
+    config=st.dictionaries(
+        st.sampled_from([*dataclasses.asdict(cli.ExperimentConfig()), *_UNKNOWN_KEYS]),
+        _JSON_VALUES,
+        max_size=6,
+    )
+)
+def test_any_flat_config_never_escapes(mini_run, mini_root, tmp_path, capsys, config):
+    # The flags keep a drawn data_root or out_dir from pointing anywhere.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = cli.main(
+        [
+            "evaluate", "--config", str(path),
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(mini_root), "--subset", "FD001", "--out", str(out),
+        ]
+    )
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    report = out / "report.json"
+    assert report.is_file() == (code == 0)
+    if code == 0:
+        text = report.read_text().lower()
+        assert "nan" not in text and "inf" not in text
+
+
+_TOKENS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(["1e20", "nan", "inf", "1e400", "-0", "x", ""]),
+    st.text("0123456789", min_size=20, max_size=400),
+)
+
+
+@st.composite
+def _damaged_trajectory_file(draw, lines):
+    """The lines of a trajectory file with a few fields replaced by drawn
+    tokens, lines dropped or duplicated, and raw non-UTF-8 bytes inserted."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["field", "field", "drop", "duplicate", "bytes"]))
+        if action == "field":
+            fields = lines[i].split(b" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_TOKENS).encode()
+            lines[i] = b" ".join(fields)
+        elif action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            cut = draw(st.integers(0, len(lines[i])))
+            raw = draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3"]))
+            lines[i] = lines[i][:cut] + raw + lines[i][cut:]
+        if not lines:
+            break
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(settings.get_profile("cli"), max_examples=150)
+@given(data=st.data())
+def test_damaged_trajectory_file_never_escapes(mini_run, mini_root, tmp_path, capsys, data):
+    lines = (mini_root / "test_FD001.txt").read_bytes().splitlines()
+    path = tmp_path / "test.txt"
+    path.write_bytes(data.draw(_damaged_trajectory_file(lines)))
+    capsys.readouterr()
+    code = cli.main(["predict", "--model", str(mini_run / "artifact.json"), str(path)])
+    out = capsys.readouterr().out.lower()
+    assert code in (0, 3, 4)
+    assert "nan" not in out and "inf" not in out
+    if code:
+        assert out.splitlines()[1:] == []

@@ -16,10 +16,10 @@ from model_oracles import (
 from fmlp_rul.cmapss import DataSubset, load_subset
 from fmlp_rul.errors import ArtifactError, TrainingError
 from fmlp_rul.fmlp import (
-    _CONDITION_ARRAYS,
     BLOCKS,
     Pipeline,
     TrainConfig,
+    _condition_shapes,
     gradients,
     init_model,
     load_model,
@@ -363,7 +363,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
             assert np.array_equal(getattr(before, name), getattr(after, name))
     assert np.array_equal(loaded.predict_many(data), model.predict_many(data))
     assert loaded.train_config == model.train_config
-    for name in _CONDITION_ARRAYS:
+    for name in _condition_shapes(condition_model.config.hidden_units):
         assert np.array_equal(
             getattr(reloaded.condition_model, name), getattr(condition_model, name)
         )
