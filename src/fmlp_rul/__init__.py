@@ -40,7 +40,6 @@ from .fmlp import (
 from .fpca import EigenBasis, SensorBasis, fit_basis, project, select_num_components
 from .numerics import discrete_integral, eigh, seeded_rng
 from .preprocess import (
-    ConditionFitConfig,
     ConditionModel,
     MinMaxScaler,
     Windows,

@@ -29,15 +29,15 @@ from .fpca import EigenBasis, SensorBasis, project
 from .numerics import logistic as _logistic
 from .numerics import seeded_rng
 from .preprocess import (
+    CONDITION_FEATURES,
     DEFAULT_RUL_CAP,
-    ConditionFitConfig,
     ConditionModel,
     MinMaxScaler,
     Windows,
     last_windows,
 )
 
-ARTIFACT_SCHEMA = "fmlp-artifact/4"
+ARTIFACT_SCHEMA = "fmlp-artifact/5"
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
@@ -356,7 +356,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization ("fmlp-artifact/4"): one JSON document holding the
+# Artifact serialization ("fmlp-artifact/5"): one JSON document holding the
 # network, the eigenbasis and the preprocessing state, each value once.
 
 
@@ -364,12 +364,11 @@ def _array(x) -> list:
     return np.asarray(x, dtype=np.float64).tolist()
 
 
-def _condition_shapes(h: int) -> dict[str, tuple[int, ...]]:
-    """Each array of a ConditionModel with H hidden units, in artifact order,
-    with its shape."""
+def _condition_shapes() -> dict[str, tuple[int, ...]]:
+    """Each array of a ConditionModel, in artifact order, with its shape."""
     s = N_SENSORS
-    names = ("setting_min", "setting_max", "target_mean", "target_scale", "w1", "b1", "w2", "b2")
-    shapes = [(N_SETTINGS,)] * 2 + [(s,)] * 2 + [(N_SETTINGS, h), (h,), (s, h), (s,)]
+    names = ("setting_min", "setting_max", "target_mean", "target_scale", "weights", "bias")
+    shapes = [(N_SETTINGS,)] * 2 + [(s,)] * 2 + [(s, CONDITION_FEATURES), (s,)]
     return dict(zip(names, shapes))
 
 
@@ -402,10 +401,7 @@ def model_to_doc(model: FmlpModel) -> dict:
 def pipeline_to_doc(pipeline: Pipeline) -> dict:
     """The artifact document: the network's, with the pipeline keys added."""
     cm, scaler = pipeline.condition_model, pipeline.scaler
-    condition_doc = {
-        field: _array(getattr(cm, field)) for field in _condition_shapes(cm.config.hidden_units)
-    }
-    condition_doc["config"] = dataclasses.asdict(cm.config)
+    condition_doc = {field: _array(getattr(cm, field)) for field in _condition_shapes()}
     network_doc = model_to_doc(pipeline.network)
     return {
         "schema": network_doc.pop("schema"),
@@ -439,10 +435,10 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         if not m > 0:
             raise ArtifactError(f"artifact field window_length is {m}, expected > 0")
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
-        cm_config = _config(ConditionFitConfig, cm_doc["config"], "condition_model.config")
-        shapes = _condition_shapes(cm_config.hidden_units)
-        arrays = {k: json_block(cm_doc[k], v, f"condition_model.{k}") for k, v in shapes.items()}
-        condition_model = ConditionModel(**arrays, config=cm_config)
+        condition_model = ConditionModel(**{
+            key: json_block(cm_doc[key], shape, f"condition_model.{key}")
+            for key, shape in _condition_shapes().items()
+        })
         scaler = MinMaxScaler(*(
             json_block(scaler_doc[k], (N_SENSORS,), f"scaler.{k}") for k in ("minimum", "maximum")
         ))
@@ -462,7 +458,6 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
                 f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
             )
         basis = EigenBasis(
-            grid=np.arange(1.0, m + 1),  # the grid windowing uses
             sensors=sensors,
             fve_cutoff=_field(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
             component_cap=_field(basis_doc["component_cap"], int, "basis.component_cap"),

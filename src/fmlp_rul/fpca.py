@@ -93,7 +93,6 @@ class SensorBasis:
 class EigenBasis:
     """Per-sensor eigenfunction bases sharing one observation grid."""
 
-    grid: np.ndarray
     sensors: list[SensorBasis]
     fve_cutoff: float
     component_cap: int
@@ -101,6 +100,11 @@ class EigenBasis:
     def __post_init__(self):
         rows = [s.num_components for s in self.sensors]
         check_basis_settings(self.fve_cutoff, self.component_cap, rows)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The grid 1..M that every sensor's curves are sampled on."""
+        return np.arange(1.0, len(self.sensors[0].mean) + 1)
 
     @property
     def total_components(self) -> int:
@@ -164,12 +168,7 @@ def fit_basis(
         fit_sensor_basis(curves[:, r, :], sensor_ids[r], fve_cutoff, component_cap)
         for r in range(n_sensors)
     ]
-    return EigenBasis(
-        grid=windows.grid.copy(),
-        sensors=sensors,
-        fve_cutoff=fve_cutoff,
-        component_cap=component_cap,
-    )
+    return EigenBasis(sensors=sensors, fve_cutoff=fve_cutoff, component_cap=component_cap)
 
 
 def project(basis: EigenBasis, windows: Windows) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
 from .errors import DegenerateSensorError, NumericError, TrainingError
-from .numerics import logistic, seeded_rng
 
 # Sensors whose post-removal range falls below this are flagged constant
 # and excluded from the retained set.
@@ -20,31 +19,14 @@ CONSTANT_SENSOR_EPS = 1e-9
 DEFAULT_RUL_CAP = 130
 
 # Ridge on the diagonal of each condition fit's normal matrix (row weights
-# sum to 1): it bounds the output weights where hidden columns are collinear.
+# sum to 1): it bounds the output weights where feature columns are collinear.
 CONDITION_RIDGE = 1e-8
 
 CONDITION_FIT_NOT_FINITE = "condition fit is not finite: settings or readings too large to fit"
 
-
-# The widest shared hidden layer. The fit's (n, H+1) float64 design matrix
-# over n distinct setting rows (12,670 on full-size FD002) stays near 26 MB.
-MAX_HIDDEN_UNITS = 256
-
-
-@dataclass
-class ConditionFitConfig:
-    """Hyperparameters for the per-sensor condition regressors."""
-
-    hidden_units: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.hidden_units <= MAX_HIDDEN_UNITS:
-            raise ValueError(
-                f"hidden_units must be in [1, {MAX_HIDDEN_UNITS}], got {self.hidden_units}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+# The scaled settings x and their products x_i * x_j with i <= j.
+_PAIRS = np.triu_indices(N_SETTINGS)
+CONDITION_FEATURES = N_SETTINGS + len(_PAIRS[0])
 
 
 @dataclass
@@ -52,49 +34,42 @@ class ConditionModel:
     """Per-sensor regressors mapping the 3 operating settings to a
     predicted ("would-be") sensor value.
 
-    One hidden layer of logistic units, drawn once and shared by every
-    sensor, feeds one linear output per sensor. Inputs are min-max scaled
-    and targets are standardized internally; predictions are returned in
-    raw sensor units.
+    Each sensor is a linear map of the same fixed quadratic features of the
+    min-max scaled settings. Targets are standardized internally;
+    predictions are returned in raw sensor units.
     """
 
     setting_min: np.ndarray  # (3,)
     setting_max: np.ndarray  # (3,)
     target_mean: np.ndarray  # (S,)
     target_scale: np.ndarray  # (S,)
-    w1: np.ndarray  # (3, H)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (S, H)
-    b2: np.ndarray  # (S,)
-    config: ConditionFitConfig
+    weights: np.ndarray  # (S, CONDITION_FEATURES)
+    bias: np.ndarray  # (S,)
 
-    def hidden(self, settings: np.ndarray) -> np.ndarray:
-        """The hidden activations for an (n, 3) block of settings: (n, H)."""
+    def features(self, settings: np.ndarray) -> np.ndarray:
+        """x and x_i * x_j (i <= j) of an (n, 3) block of scaled settings:
+        (n, CONDITION_FEATURES)."""
         span = np.maximum(self.setting_max - self.setting_min, CONSTANT_SENSOR_EPS)
         x = (np.asarray(settings, dtype=np.float64) - self.setting_min) / span
-        return logistic(x @ self.w1 + self.b1)
+        return np.column_stack([x, x[:, _PAIRS[0]] * x[:, _PAIRS[1]]])
 
     def predict(self, settings: np.ndarray) -> np.ndarray:
         """Predict all sensor values for an (n, 3) block of settings."""
-        out = self.hidden(settings) @ self.w2.T + self.b2
+        out = self.features(settings) @ self.weights.T + self.bias
         return out * self.target_scale + self.target_mean
 
 
-def fit_condition_regressors(
-    train: list[EngineTrajectory], cfg: ConditionFitConfig | None = None
-) -> ConditionModel:
-    """Fit one settings->sensor regressor per sensor: a seeded random hidden
-    layer shared by every sensor, then the ridge least-squares output layers
-    from one (H+1, H+1) solve with the S sensors as right-hand sides, on the
-    distinct setting rows, each weighted by its share of the rows. A sensor
-    whose fit the Bayesian information criterion does not prefer to its mean
-    keeps w2 = b2 = 0: the mean.
+def fit_condition_regressors(train: list[EngineTrajectory]) -> ConditionModel:
+    """Fit one settings->sensor regressor per sensor: the ridge least-squares
+    weights on the fixed features from one (F+1, F+1) solve with the S
+    sensors as right-hand sides, on the distinct setting rows, each weighted
+    by its share of the rows. A sensor whose fit the Bayesian information
+    criterion does not prefer to its mean keeps weights = bias = 0: the mean.
 
     Deterministic. Raises TrainingError if the solution is not finite.
     """
     if not train:
         raise ValueError("need at least one training trajectory")
-    cfg = cfg or ConditionFitConfig()
 
     x_raw = np.concatenate([t.op_settings for t in train], axis=0)
     y_raw = np.concatenate([t.sensors for t in train], axis=0)
@@ -103,21 +78,14 @@ def fit_condition_regressors(
         target_mean, target_std = y_raw.mean(axis=0), y_raw.std(axis=0)
     if not (np.isfinite(target_mean).all() and np.isfinite(target_std).all()):
         raise TrainingError(CONDITION_FIT_NOT_FINITE)
-    h = cfg.hidden_units
-    # Steep units centred at random points of the scaled settings cube bend
-    # inside the data, so that their columns can fit a non-linear regime map.
-    rng = seeded_rng(cfg.seed)
-    w1 = rng.uniform(-6.0, 6.0, size=(N_SETTINGS, h))
+    f = CONDITION_FEATURES
     model = ConditionModel(
         setting_min=x_raw.min(axis=0),
         setting_max=x_raw.max(axis=0),
         target_mean=target_mean,
         target_scale=np.maximum(target_std, CONSTANT_SENSOR_EPS),
-        w1=w1,
-        b1=-(w1 * rng.uniform(0.0, 1.0, size=w1.shape)).sum(axis=0),  # minus w1 . centre
-        w2=np.zeros((n_sensors, h)),
-        b2=np.zeros(n_sensors),
-        config=cfg,
+        weights=np.zeros((n_sensors, f)),
+        bias=np.zeros(n_sensors),
     )
 
     distinct, group, counts = np.unique(x_raw, axis=0, return_inverse=True, return_counts=True)
@@ -126,18 +94,19 @@ def fit_condition_regressors(
     root_w = np.sqrt(counts / n)[:, None]
     # Each distinct row's standardized mean target, times its root weight.
     u = (target_sum / counts[:, None] - model.target_mean) / model.target_scale * root_w
-    design = np.column_stack([model.hidden(distinct), np.ones(len(distinct))]) * root_w
-    normal, rhs = design.T @ design + CONDITION_RIDGE * np.eye(h + 1), design.T @ u
-    theta = np.linalg.solve(normal, rhs)  # (H+1, S): one column per sensor
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows: checked below
+        design = np.column_stack([model.features(distinct), np.ones(len(distinct))]) * root_w
+    normal, rhs = design.T @ design + CONDITION_RIDGE * np.eye(f + 1), design.T @ u
+    theta = np.linalg.solve(normal, rhs)  # (F+1, S): one column per sensor
     if not np.isfinite(theta).all():
         raise TrainingError(CONDITION_FIT_NOT_FINITE)
 
     # At the solution normal @ theta = rhs, so the rows' mean squared residual is
-    # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (H+1) ln n < 0.
+    # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (F+1) ln n < 0.
     mean_sq = (target_std / model.target_scale) ** 2
     rss = mean_sq - (theta * (rhs + CONDITION_RIDGE * theta)).sum(axis=0)
-    keep = rss < mean_sq * float(n) ** (-(h + 1) / n)
-    model.w2[keep], model.b2[keep] = theta[:h, keep].T, theta[h, keep]
+    keep = rss < mean_sq * float(n) ** (-(f + 1) / n)
+    model.weights[keep], model.bias[keep] = theta[:f, keep].T, theta[f, keep]
     return model
 
 
@@ -228,31 +197,28 @@ def piecewise_rul(c, n_instances, t_cap: float = DEFAULT_RUL_CAP):
 
 @dataclass
 class Windows:
-    """N windows of R sensor curves on one shared grid of M points.
+    """N windows of R sensor curves on the shared grid 1..M.
 
     curves is (N, R, M). labels is (N,) piece-wise RUL labels, or None for
     unlabeled test windows.
     """
 
-    grid: np.ndarray
     curves: np.ndarray
     labels: np.ndarray | None
 
     def __post_init__(self):
-        if self.curves.ndim != 3 or self.curves.shape[2] != len(self.grid):
-            raise ValueError(
-                f"curves {self.curves.shape} do not match grid length {len(self.grid)}"
-            )
+        if self.curves.ndim != 3:
+            raise ValueError(f"curves {self.curves.shape} are not (N, R, M)")
         n = len(self.curves)
         if self.labels is not None and self.labels.shape != (n,):
             raise ValueError(f"labels {self.labels.shape} do not match {n} windows")
 
+    @property
+    def grid(self) -> np.ndarray:
+        return np.arange(1.0, self.curves.shape[2] + 1)
+
     def __len__(self) -> int:
         return len(self.curves)
-
-
-def _window_grid(window_length: int) -> np.ndarray:
-    return np.arange(1, window_length + 1, dtype=np.float64)
 
 
 def sliding_windows(
@@ -271,11 +237,7 @@ def sliding_windows(
         if n:
             curves[end - n : end] = np.lib.stride_tricks.sliding_window_view(rows, m, axis=0)
     c = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + 1  # 1..n per unit
-    return Windows(
-        grid=_window_grid(m),
-        curves=curves,
-        labels=piecewise_rul(c, np.repeat(counts, counts), t_cap).astype(np.float64),
-    )
+    return Windows(curves, piecewise_rul(c, np.repeat(counts, counts), t_cap).astype(np.float64))
 
 
 def last_windows(
@@ -305,19 +267,16 @@ def last_windows(
     # Grid point j of window i reads row ends[i] - m + j, clamped to the
     # first row of that trajectory's tail.
     index = np.maximum(ends[:, None] - m + np.arange(m), (ends - tail)[:, None])
-    return Windows(
-        grid=_window_grid(m),
-        curves=np.ascontiguousarray(rows[index].transpose(0, 2, 1)),
-        labels=None,
-    )
+    return Windows(np.ascontiguousarray(rows[index].transpose(0, 2, 1)), labels=None)
 
 
 def fit_preprocessing(
-    train: list[EngineTrajectory], cfg: ConditionFitConfig | None = None
+    train: list[EngineTrajectory],
+    _unused=None,  # perfbench/child.py's sweep set-up still passes cfg.condition_config()
 ) -> tuple[ConditionModel, MinMaxScaler]:
     """Fit the condition regressors, then the min-max scaler on residuals.
     Raises DegenerateSensorError if no sensor varies after removal."""
-    model = fit_condition_regressors(train, cfg)
+    model = fit_condition_regressors(train)
     residuals = [remove_condition_effect(t.op_settings, t.sensors, model) for t in train]
     scaler = fit_minmax(residuals)
     if not scaler.retained.size:

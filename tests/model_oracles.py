@@ -21,14 +21,10 @@ FD_STEP = 1e-6
 REL_FLOOR = 1e-4
 
 
-def make_instances(curves, labels=None, grid=None):
+def make_instances(curves, labels=None):
     """Windows over (N, R, M) curves."""
-    curves = np.asarray(curves, dtype=float)
-    if grid is None:
-        grid = np.arange(1, curves.shape[-1] + 1, dtype=float)
     return Windows(
-        grid=grid,
-        curves=curves,
+        np.asarray(curves, dtype=float),
         labels=None if labels is None else np.asarray(labels, dtype=float),
     )
 
@@ -36,11 +32,7 @@ def make_instances(curves, labels=None, grid=None):
 def take(windows, index):
     """The windows at the given positions (an index array or slice)."""
     labels = windows.labels
-    return Windows(
-        grid=windows.grid,
-        curves=windows.curves[index],
-        labels=None if labels is None else labels[index],
-    )
+    return Windows(windows.curves[index], labels=None if labels is None else labels[index])
 
 
 def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):

@@ -72,7 +72,7 @@ def test_criterion_3_fpca_oracle():
         np.outer(rng.normal(0.0, 2.0, n), mode1)
         + np.outer(rng.normal(0.0, 1.0, n), mode2)
     )[:, None, :]
-    basis = fit_basis(make_instances(curves, grid=grid))
+    basis = fit_basis(make_instances(curves))
     sensor = basis.sensors[0]
     recovered = sensor.components[0]
     deviation = min(

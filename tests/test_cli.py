@@ -69,7 +69,7 @@ def test_train_writes_artifact_and_trace(mini_run):
 
 def test_artifact_is_schema_versioned(mini_run):
     doc = json.loads((mini_run / "artifact.json").read_text())
-    assert doc["schema"] == "fmlp-artifact/4"
+    assert doc["schema"] == "fmlp-artifact/5"
     assert doc["subset_id"] == "FD001"
     assert doc["window_length"] == 31
     assert doc["train_config"]["seed"] == 11
@@ -77,6 +77,9 @@ def test_artifact_is_schema_versioned(mini_run):
     assert set(doc) == {
         "schema", "subset_id", "window_length", "label_scale", "train_config",
         "condition_model", "scaler", "basis", "network",
+    }
+    assert set(doc["condition_model"]) == {
+        "setting_min", "setting_max", "target_mean", "target_scale", "weights", "bias",
     }
     assert set(doc["basis"]) == {"fve_cutoff", "component_cap", "sensors"}
     assert set(doc["basis"]["sensors"][0]) == {"sensor_id", "mean", "eigenvalues", "components"}
@@ -114,7 +117,6 @@ def test_config_type_checked(tmp_path, capsys):
         ("epochs", 0),
         ("learning_rate", 0.0),
         ("val_fraction", 0.7),
-        ("condition_hidden", 0),
         ("t_cap", 0),
         ("fve_cutoff", float("nan")),
         ("fve_cutoff", 0.0),
@@ -124,8 +126,6 @@ def test_config_type_checked(tmp_path, capsys):
         ("init_scale", float("inf")),  # OverflowError from rng.uniform
         ("init_scale", 1e308),  # 2 * init_scale overflows: the same OverflowError
         ("t_cap", 2**63),  # OverflowError: Python int too large to convert to C long
-        ("condition_hidden", 10**30),  # ValueError: Maximum allowed dimension exceeded
-        ("condition_hidden", 257),
         ("learning_rate", float("inf")),  # exit 4: training diverged at epoch 1
         ("learning_rate", 10**400),  # OverflowError: int too large to convert to float
         ("out_dir", None),  # a TypeError from Path(None) once training was done
@@ -149,9 +149,10 @@ def test_seed_outside_64_bits_is_config_error(argv, config, tmp_path, capsys):
     assert "config key 'seed' must be in [0, 2**64)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["condition_epochs", "condition_learning_rate"])
+@pytest.mark.parametrize("key", ["condition_epochs", "condition_learning_rate", "condition_hidden"])
 def test_removed_condition_keys_are_unknown(key, tmp_path, capsys):
-    # The condition fit is one least-squares solve: it has no epochs or rate.
+    # The condition fit is one least-squares solve on fixed features: it has
+    # no epochs, rate or hidden width.
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"subset": "FD001", key: 10}))
     code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
@@ -650,10 +651,10 @@ def _components_above_cap(doc):
         row[p:p] = [0.0] * extra
 
 
-def _per_sensor_w1(doc):
-    # fmlp-artifact/2 drew one condition hidden layer per sensor: w1 was (S, 3, H)
-    cm = doc["condition_model"]
-    cm["w1"] = [cm["w1"]] * 21
+def _condition_width_8(doc):
+    # fmlp-artifact/4 held 8 hidden-unit weights per sensor, not 9 feature weights
+    for row in doc["condition_model"]["weights"]:
+        row.pop()
 
 
 @pytest.mark.parametrize(
@@ -663,13 +664,14 @@ def _per_sensor_w1(doc):
         (_set_nan(["basis", "sensors", 0, "mean", 2]), "mean"),
         (_set_nan(["basis", "sensors", 1, "eigenvalues", 0]), "eigenvalues"),
         (_set_nan(["basis", "sensors", 2, "components", 0, 5]), "components"),
-        (_set_nan(["condition_model", "w2", 4, 1]), "condition_model.w2"),
+        (_set_nan(["condition_model", "weights", 4, 1]), "condition_model.weights"),
         (_set_nan(["condition_model", "target_mean", 0]), "condition_model.target_mean"),
         (_set_nan(["scaler", "maximum", 7]), "scaler.maximum"),
         (_set("label_scale", float("inf")), "label_scale"),
         (_set("label_scale", float("nan")), "label_scale is nan, expected a finite number"),
-        (_drop_last(["condition_model", "b2"]), "condition_model.b2"),
-        (_drop_last(["condition_model", "w1"]), "condition_model.w1"),
+        (_drop_last(["condition_model", "bias"]), "condition_model.bias"),
+        (_set("schema", "fmlp-artifact/4"),
+         "unsupported artifact schema 'fmlp-artifact/4', expected 'fmlp-artifact/5'"),
         (lambda d: (_drop_last(["scaler", "minimum"])(d), _drop_last(["scaler", "maximum"])(d)),
          "scaler.minimum"),
         (_make_constant, "scaler retains"),
@@ -705,11 +707,11 @@ def _per_sensor_w1(doc):
         (lambda d: d["train_config"].__setitem__("learning_rate", float("inf")),
          "train_config.learning_rate is inf, expected a finite number"),
         (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
-        (_per_sensor_w1, "condition_model.w1 has shape (21, 3, 8), expected (3, 8)"),
+        (_condition_width_8, "condition_model.weights has shape (21, 8), expected (21, 9)"),
         # A boolean is not a number, in any block.
         (_set_path(["network", "b2", 0], True), "network.b2 is True, expected a number"),
         (_set_path(["network", "beta", 1, 0], False), "network.beta is False"),
-        (_set_path(["condition_model", "w1", 0, 0], True), "condition_model.w1 is True"),
+        (_set_path(["condition_model", "weights", 0, 0], True), "condition_model.weights is True"),
         (_set_path(["scaler", "minimum", 3], True), "scaler.minimum is True"),
         (_set_path(["basis", "sensors", 0, "mean", 0], True), "sensors[0].mean is True"),
         (_set_path(["network", "a", 0], "0.5"), "network.a is '0.5', expected a number"),
@@ -719,8 +721,6 @@ def _per_sensor_w1(doc):
         (_components_above_cap, "component rows [3, 1, 1, 2,"),
         # A stage config holds exactly its dataclass's fields.
         (lambda d: d["train_config"].pop("learning_rate"), "train_config.learning_rate is missing"),
-        (lambda d: d["condition_model"]["config"].pop("hidden_units"),
-         "condition_model.config.hidden_units is missing"),
         (_set_path(["train_config", "momentum"], 0.9), "train_config.momentum is unknown"),
     ],
 )
@@ -855,9 +855,10 @@ def test_condition_fit_that_leaves_no_sensor_is_numeric_error(six_condition_root
 
 
 def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, capsys):
-    # fmlp-artifact/2 held one condition hidden layer per sensor, and /3 stored
-    # copies of derived values and a layer-list head; retrain instead.
-    for schema in ("fmlp-artifact/2", "fmlp-artifact/3"):
+    # fmlp-artifact/2 held one condition hidden layer per sensor, /3 stored
+    # copies of derived values and a layer-list head, and /4 a seeded
+    # condition hidden layer; retrain instead.
+    for schema in ("fmlp-artifact/2", "fmlp-artifact/3", "fmlp-artifact/4"):
         doc = json.loads((mini_run / "artifact.json").read_text())
         doc["schema"] = schema
         artifact = tmp_path / "artifact.json"
@@ -865,19 +866,20 @@ def test_artifact_of_previous_schema_is_rejected(mini_run, mini_root, tmp_path, 
         argv = ["--model", str(artifact), "--data-root", str(mini_root), "--out", str(tmp_path)]
         assert cli.main(["evaluate", *argv]) == 3
         err = capsys.readouterr().err
-        assert repr(schema) in err and "'fmlp-artifact/4'" in err
+        assert repr(schema) in err and "'fmlp-artifact/5'" in err
         assert not (tmp_path / "report.json").exists()
 
 
-def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
-    # One reading of 1e200 once overflowed the sensor's std: the condition
-    # predictions became NaN and the FPCA raised a ValueError traceback (exit 1).
+def _train_with_fields(tmp_path, edits):
+    """Exit code and stderr of CLI train, run as CI runs it, on a small FD001
+    train file whose (line, field) entries are replaced by the given tokens."""
     write_subset(tmp_path, "FD001", n_train=6, n_test=3)
     path = tmp_path / "train_FD001.txt"
     lines = path.read_text().splitlines()
-    row = lines[3].split()
-    row[10] = "1e200"
-    lines[3] = " ".join(row)
+    for (line, field), token in edits.items():
+        row = lines[line].split()
+        row[field] = token
+        lines[line] = " ".join(row)
     path.write_text("\n".join(lines) + "\n")
     src = Path(fmlp_rul.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -886,9 +888,26 @@ def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
     run = subprocess.run(
         [*python, "-m", "fmlp_rul.cli", "train", *argv], capture_output=True, text=True, env=env
     )
-    assert run.returncode == 4, run.stderr
-    assert "condition fit is not finite: settings or readings too large to fit" in run.stderr
-    assert "Traceback" not in run.stderr
+    return run.returncode, run.stderr
+
+
+def test_huge_reading_is_numeric_error_without_traceback(tmp_path):
+    # One reading of 1e200 once overflowed the sensor's std: the condition
+    # predictions became NaN and the FPCA raised a ValueError traceback (exit 1).
+    code, err = _train_with_fields(tmp_path, {(3, 10): "1e200"})
+    assert code == 4, err
+    assert "condition fit is not finite: settings or readings too large to fit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_settings_span_overflow_is_numeric_error_without_traceback(tmp_path):
+    # A setting of 1e308 and one of -1e308 overflow the settings span; scaling
+    # them once raised a RuntimeWarning traceback (exit 1) under CI's flags.
+    code, err = _train_with_fields(tmp_path, {(3, 2): "1e308", (5, 2): "-1e308"})
+    assert code == 4, err
+    assert "condition fit is not finite: settings or readings too large to fit" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1015,7 +1034,7 @@ def test_artifact_with_one_bad_leaf_never_escapes(mini_leaves, mini_root, tmp_pa
     assert code == 0 or out == ""
 
 
-_UNKNOWN_KEYS = ["learning_rte", "condition_epochs", "", "seed "]
+_UNKNOWN_KEYS = ["learning_rte", "condition_epochs", "condition_hidden", "", "seed "]
 
 _JSON_VALUES = st.one_of(
     st.integers(),

@@ -15,13 +15,12 @@ from fmlp_rul.fpca import (
     select_num_components,
 )
 from fmlp_rul.numerics import discrete_integral, seeded_rng
-from fmlp_rul.preprocess import Windows
 
 
-def instances_from_matrix(x, grid=None):
+def instances_from_matrix(x):
     """One single-sensor window per row of an N x M matrix."""
     x = np.asarray(x, dtype=float)
-    return make_instances(x[:, None, :], grid=grid)
+    return make_instances(x[:, None, :])
 
 
 def test_sample_mean_columnwise():
@@ -113,7 +112,7 @@ def test_fit_basis_karhunen_loeve_oracle():
     scores1 = rng.normal(0.0, 2.0, n)
     scores2 = rng.normal(0.0, 1.0, n)
     curves = np.outer(scores1, mode1) + np.outer(scores2, mode2)
-    basis = fit_basis(instances_from_matrix(curves, grid))
+    basis = fit_basis(instances_from_matrix(curves))
     sensor = basis.sensors[0]
     recovered = sensor.components[0]
     deviation = min(
@@ -167,19 +166,6 @@ def test_projection_residual_matches_trailing_eigenvalues():
     expected /= count
     actual = projection_residual_mse(basis, insts)
     assert actual == pytest.approx(expected, rel=1e-6)
-
-
-def test_fit_basis_requires_shared_grid():
-    # One Windows object holds one grid; curves sampled at a different
-    # number of points cannot join it.
-    with pytest.raises(ValueError):
-        fit_basis(
-            Windows(
-                grid=np.arange(1, 5, dtype=float),
-                curves=np.zeros((2, 1, 5)),
-                labels=None,
-            )
-        )
 
 
 def test_fit_basis_requires_two_instances():

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from fmlp_rul import preprocess
 from fmlp_rul.cmapss import DataSubset, EngineTrajectory
 from fmlp_rul.errors import TrainingError
-from fmlp_rul.numerics import logistic
 from fmlp_rul.preprocess import (
+    CONDITION_FEATURES,
     CONDITION_RIDGE,
-    ConditionFitConfig,
     ConditionModel,
     MinMaxScaler,
     Windows,
@@ -34,7 +33,7 @@ def make_traj(unit_id, settings, sensors):
     )
 
 
-def constant_predictor(values, n_sensors=21, hidden=8):
+def constant_predictor(values, n_sensors=21):
     """A ConditionModel that predicts a fixed value per sensor."""
     values = np.broadcast_to(np.asarray(values, dtype=float), (n_sensors,))
     return ConditionModel(
@@ -42,12 +41,15 @@ def constant_predictor(values, n_sensors=21, hidden=8):
         setting_max=np.ones(3),
         target_mean=np.zeros(n_sensors),
         target_scale=np.ones(n_sensors),
-        w1=np.zeros((3, hidden)),
-        b1=np.zeros(hidden),
-        w2=np.zeros((n_sensors, hidden)),
-        b2=values.copy(),
-        config=ConditionFitConfig(),
+        weights=np.zeros((n_sensors, CONDITION_FEATURES)),
+        bias=values.copy(),
     )
+
+
+def quadratic_features(x):
+    """x, then x_i * x_j for i <= j in row-major order: the fixed design."""
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    return np.column_stack([x] + [x[:, i] * x[:, j] for i, j in pairs])
 
 
 def unit_scaler(n_sensors=21):
@@ -67,9 +69,7 @@ def test_regressor_learns_exact_linear_map():
     target = 2.0 * settings[:, 0] + 1.0
     sensors = np.tile(target[:, None], (1, 21))
     traj = make_traj(1, settings, sensors)
-    model = fit_condition_regressors(
-        [traj], ConditionFitConfig(hidden_units=16, seed=3)
-    )
+    model = fit_condition_regressors([traj])
     residual = model.predict(settings) - target[:, None]
     worst_rmse = np.sqrt((residual**2).mean(axis=0)).max()
     assert worst_rmse < 1e-2
@@ -83,7 +83,7 @@ def test_regressor_constant_settings_predicts_mean():
     ) * np.array([1.0, 1.0, 0.0])
     sensors = 50.0 + np.arange(21) * 3.0 + rng.normal(0, 1.5, size=(n, 21))
     traj = make_traj(1, settings, sensors)
-    model = fit_condition_regressors([traj], ConditionFitConfig(seed=1))
+    model = fit_condition_regressors([traj])
     pred = model.predict(settings)
     mean = sensors.mean(axis=0)
     std = sensors.std(axis=0)
@@ -98,21 +98,19 @@ def test_regressor_deterministic():
     settings = rng.uniform(0, 1, (120, 3))
     sensors = rng.uniform(0, 1, (120, 21))
     traj = make_traj(1, settings, sensors)
-    cfg = ConditionFitConfig(seed=13)
-    m1 = fit_condition_regressors([traj], cfg)
-    m2 = fit_condition_regressors([traj], cfg)
-    for field in ("w1", "b1", "w2", "b2", "target_mean", "target_scale"):
+    m1 = fit_condition_regressors([traj])
+    m2 = fit_condition_regressors([traj])
+    for field in ("weights", "bias", "target_mean", "target_scale"):
         assert np.array_equal(getattr(m1, field), getattr(m2, field))
 
 
-@pytest.mark.parametrize("hidden_units", [2, 8])
-def test_regressor_solve_matches_lstsq(hidden_units):
+def test_regressor_solve_matches_lstsq():
     # Oracle: the grouped, root-weighted normal solve against lstsq on every
-    # row, each weighted 1/n, stacked over ridge rows. Repeated setting rows
-    # exercise the grouping; the last sensor is noise that BIC leaves at
-    # its mean. Both solves agree to 1e-10 of the largest coefficient.
+    # row, each weighted 1/n, stacked over ridge rows, on a design built
+    # here. Repeated setting rows exercise the grouping; the last sensor is
+    # noise that BIC leaves at its mean. Both solves agree to 1e-10 of the
+    # largest coefficient.
     rng = np.random.Generator(np.random.PCG64(8))
-    cfg = ConditionFitConfig(hidden_units=hidden_units, seed=4)
     distinct = rng.uniform(0, 1, (300, 3)) * [42.0, 0.84, 100.0]
     settings = distinct[rng.integers(0, len(distinct), 900)]
     sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(0, 0.1, (900, 21))
@@ -123,21 +121,21 @@ def test_regressor_solve_matches_lstsq(hidden_units):
     ]
     assert len(np.unique(settings, axis=0)) < len(settings)
 
-    model = fit_condition_regressors(train, cfg)
-    n, h = len(settings), hidden_units
+    model = fit_condition_regressors(train)
+    n, f = len(settings), 9
     x = (settings - settings.min(axis=0)) / np.ptp(settings, axis=0)
     y = (sensors - sensors.mean(axis=0)) / sensors.std(axis=0)
+    design = np.column_stack([quadratic_features(x), np.ones(n)])
     kept = []
     for s in range(21):
-        design = np.column_stack([logistic(x @ model.w1 + model.b1), np.ones(n)])
-        stacked = np.vstack([design / np.sqrt(n), np.sqrt(CONDITION_RIDGE) * np.eye(h + 1)])
-        target = np.append(y[:, s] / np.sqrt(n), np.zeros(h + 1))
+        stacked = np.vstack([design / np.sqrt(n), np.sqrt(CONDITION_RIDGE) * np.eye(f + 1)])
+        target = np.append(y[:, s] / np.sqrt(n), np.zeros(f + 1))
         want = np.linalg.lstsq(stacked, target, rcond=None)[0]
         rss = np.mean((y[:, s] - design @ want) ** 2)
-        kept.append(n * np.log(rss / np.mean(y[:, s] ** 2)) + (h + 1) * np.log(n) < 0)
+        kept.append(n * np.log(rss / np.mean(y[:, s] ** 2)) + (f + 1) * np.log(n) < 0)
         if not kept[-1]:
             want[:] = 0.0
-        got = np.append(model.w2[s], model.b2[s])
+        got = np.append(model.weights[s], model.bias[s])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
     assert 0 < sum(kept) < 20 and not kept[20]
 
@@ -149,12 +147,10 @@ SIX_REGIMES = np.array(
 )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
+def test_removal_matches_regime_means_on_nonlinear_regime_map():
     # Each of the six regimes shifts every sensor by an arbitrary amount, so
     # no linear map of the settings fits; removal must come within the noise
-    # of subtracting each regime's own mean. One hidden-layer draw serves
-    # every sensor, so several draws are checked.
+    # of subtracting each regime's own mean.
     rng = np.random.Generator(np.random.PCG64(21))
     regime = rng.integers(0, 6, 3000)
     settings = SIX_REGIMES[regime] + np.round(rng.normal(0, [2e-3, 5e-4, 0.0], (3000, 3)), 4)
@@ -170,7 +166,7 @@ def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
     linear_residual = sensors - linear @ np.linalg.lstsq(linear, sensors, rcond=None)[0]
     assert np.sqrt(np.mean((linear_residual - centred) ** 2, axis=0)).min() > noise
 
-    model = fit_condition_regressors(train, ConditionFitConfig(seed=seed))
+    model = fit_condition_regressors(train)
     gap = remove_condition_effect(settings, sensors, model) - centred
     assert np.sqrt(np.mean(gap**2, axis=0)).max() < noise
 
@@ -186,25 +182,19 @@ def test_regressor_rejects_non_finite_solution():
 
 def test_condition_predict_matches_per_sensor_loop():
     rng = np.random.Generator(np.random.PCG64(23))
-    s, h = 21, 5
+    s = 21
     model = ConditionModel(
         setting_min=np.array([0.0, 0.0, 60.0]),
         setting_max=np.array([42.0, 0.84, 100.0]),
         target_mean=rng.uniform(10, 500, s),
         target_scale=rng.uniform(0.1, 20, s),
-        w1=rng.normal(0, 1, (3, h)),
-        b1=rng.normal(0, 1, h),
-        w2=rng.normal(0, 1, (s, h)),
-        b2=rng.normal(0, 1, s),
-        config=ConditionFitConfig(hidden_units=h),
+        weights=rng.normal(0, 1, (s, 9)),
+        bias=rng.normal(0, 1, s),
     )
     settings = SIX_REGIMES[rng.integers(0, 6, 300)] + rng.normal(0, 1e-3, (300, 3))
     x = (settings - model.setting_min) / (model.setting_max - model.setting_min)
     expected = np.column_stack(
-        [
-            logistic(x @ model.w1 + model.b1) @ model.w2[i] + model.b2[i]
-            for i in range(s)
-        ]
+        [quadratic_features(x) @ model.weights[i] + model.bias[i] for i in range(s)]
     ) * model.target_scale + model.target_mean
     np.testing.assert_allclose(model.predict(settings), expected, rtol=1e-13, atol=0)
 
@@ -430,9 +420,7 @@ def test_last_window_whole_trajectory():
 
 
 def test_test_instances_match_whole_trajectory_path(fd002_subset):
-    model, scaler = preprocess.fit_preprocessing(
-        fd002_subset.train[:6], ConditionFitConfig()
-    )
+    model, scaler = preprocess.fit_preprocessing(fd002_subset.train[:6])
     full = fd002_subset.test[0]
     short = EngineTrajectory(
         full.unit_id, full.cycles[:9], full.op_settings[:9], full.sensors[:9]
@@ -465,8 +453,6 @@ def test_training_curves_stay_in_unit_interval(fd001_pipeline, fd001_subset):
 
 def test_functional_instance_shape_check():
     with pytest.raises(ValueError):
-        Windows(grid=np.arange(5.0), curves=np.zeros((1, 2, 4)), labels=None)
+        Windows(curves=np.zeros((2, 4)), labels=None)
     with pytest.raises(ValueError):
-        Windows(grid=np.arange(4.0), curves=np.zeros((2, 4)), labels=None)
-    with pytest.raises(ValueError):
-        Windows(grid=np.arange(4.0), curves=np.zeros((1, 2, 4)), labels=np.zeros(2))
+        Windows(curves=np.zeros((1, 2, 4)), labels=np.zeros(2))
