@@ -435,6 +435,9 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         if not m > 0:
             raise ArtifactError(f"artifact field window_length is {m}, expected > 0")
         cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
+        stale = cm_doc.keys() - _condition_shapes().keys()
+        if stale:  # such as a hidden layer's w1 left from an older schema
+            raise ArtifactError(f"artifact field condition_model.{min(stale)} is unknown")
         condition_model = ConditionModel(**{
             key: json_block(cm_doc[key], shape, f"condition_model.{key}")
             for key, shape in _condition_shapes().items()

@@ -126,6 +126,10 @@ def test_config_type_checked(tmp_path, capsys):
         ("init_scale", float("inf")),  # OverflowError from rng.uniform
         ("init_scale", 1e308),  # 2 * init_scale overflows: the same OverflowError
         ("t_cap", 2**63),  # OverflowError: Python int too large to convert to C long
+        # condition_hidden sized the drawn condition layer; it is now an unknown key
+        ("condition_hidden", 0),
+        ("condition_hidden", 10**30),
+        ("condition_hidden", 257),
         ("learning_rate", float("inf")),  # exit 4: training diverged at epoch 1
         ("learning_rate", 10**400),  # OverflowError: int too large to convert to float
         ("out_dir", None),  # a TypeError from Path(None) once training was done
@@ -136,7 +140,8 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     bad.write_text(json.dumps({"subset": "FD001", key: value}))
     code = cli.main(["train", "--config", str(bad), "--data-root", str(tmp_path)])
     assert code == 2
-    assert repr(key) in capsys.readouterr().err
+    named = f"unknown config keys: {key}" if key == "condition_hidden" else repr(key)
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,config", [(["--seed", "-1"], {}), ([], {"seed": 2**64})])
@@ -651,6 +656,11 @@ def _components_above_cap(doc):
         row[p:p] = [0.0] * extra
 
 
+def _per_sensor_w1(doc):
+    # fmlp-artifact/2 drew one condition hidden layer per sensor: w1 was (S, 3, H)
+    doc["condition_model"]["w1"] = [[[0.5] * 8] * 3] * 21
+
+
 def _condition_width_8(doc):
     # fmlp-artifact/4 held 8 hidden-unit weights per sensor, not 9 feature weights
     for row in doc["condition_model"]["weights"]:
@@ -670,6 +680,8 @@ def _condition_width_8(doc):
         (_set("label_scale", float("inf")), "label_scale"),
         (_set("label_scale", float("nan")), "label_scale is nan, expected a finite number"),
         (_drop_last(["condition_model", "bias"]), "condition_model.bias"),
+        # fmlp-artifact/4's drawn layer, left in a /5 condition_model block
+        (_set_path(["condition_model", "w1"], [[0.5] * 8] * 3), "condition_model.w1"),
         (_set("schema", "fmlp-artifact/4"),
          "unsupported artifact schema 'fmlp-artifact/4', expected 'fmlp-artifact/5'"),
         (lambda d: (_drop_last(["scaler", "minimum"])(d), _drop_last(["scaler", "maximum"])(d)),
@@ -708,6 +720,11 @@ def _condition_width_8(doc):
          "train_config.learning_rate is inf, expected a finite number"),
         (lambda d: d["train_config"].__setitem__("seed", -1), "seed must be in [0, 2**64)"),
         (_condition_width_8, "condition_model.weights has shape (21, 8), expected (21, 9)"),
+        # The id names the input: a /2 per-sensor layer is an unknown field in /5.
+        pytest.param(
+            _per_sensor_w1, "artifact field condition_model.w1 is unknown",
+            id="_per_sensor_w1-condition_model.w1 has shape (21, 3, 8) in the input",
+        ),
         # A boolean is not a number, in any block.
         (_set_path(["network", "b2", 0], True), "network.b2 is True, expected a number"),
         (_set_path(["network", "beta", 1, 0], False), "network.beta is False"),

@@ -104,13 +104,14 @@ def test_regressor_deterministic():
         assert np.array_equal(getattr(m1, field), getattr(m2, field))
 
 
-def test_regressor_solve_matches_lstsq():
+@pytest.mark.parametrize("seed", [2, 8])
+def test_regressor_solve_matches_lstsq(seed):
     # Oracle: the grouped, root-weighted normal solve against lstsq on every
     # row, each weighted 1/n, stacked over ridge rows, on a design built
     # here. Repeated setting rows exercise the grouping; the last sensor is
     # noise that BIC leaves at its mean. Both solves agree to 1e-10 of the
-    # largest coefficient.
-    rng = np.random.Generator(np.random.PCG64(8))
+    # largest coefficient, on two data draws.
+    rng = np.random.Generator(np.random.PCG64(seed))
     distinct = rng.uniform(0, 1, (300, 3)) * [42.0, 0.84, 100.0]
     settings = distinct[rng.integers(0, len(distinct), 900)]
     sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(0, 0.1, (900, 21))
@@ -147,15 +148,18 @@ SIX_REGIMES = np.array(
 )
 
 
-def test_removal_matches_regime_means_on_nonlinear_regime_map():
+@pytest.mark.parametrize("seed", range(8))
+def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
     # Each of the six regimes shifts every sensor by an arbitrary amount, so
     # no linear map of the settings fits; removal must come within the noise
-    # of subtracting each regime's own mean.
-    rng = np.random.Generator(np.random.PCG64(21))
+    # of subtracting each regime's own mean. The fixed features have no draw
+    # of their own, so the regime of each row and all noise are drawn anew.
+    shifts = np.random.Generator(np.random.PCG64(21)).normal(0, 10, (6, 21))
+    rng = np.random.Generator(np.random.PCG64(seed))
     regime = rng.integers(0, 6, 3000)
     settings = SIX_REGIMES[regime] + np.round(rng.normal(0, [2e-3, 5e-4, 0.0], (3000, 3)), 4)
     noise = 0.5
-    sensors = rng.normal(0, 10, (6, 21))[regime] + rng.normal(0, noise, (3000, 21))
+    sensors = shifts[regime] + rng.normal(0, noise, (3000, 21))
     train = [
         make_traj(u + 1, settings[rows], sensors[rows])
         for u, rows in enumerate(np.array_split(np.arange(3000), 10))
