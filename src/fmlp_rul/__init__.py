@@ -38,7 +38,7 @@ from .fmlp import (
     train,
 )
 from .fpca import EigenBasis, SensorBasis, fit_basis, project, select_num_components
-from .numerics import discrete_integral, eigh, seeded_rng
+from .numerics import eigh, seeded_rng
 from .preprocess import (
     ConditionModel,
     MinMaxScaler,

@@ -12,7 +12,9 @@ Because the weight functions are linear in beta, the functional layer can
 be evaluated either by building each weight curve and integrating it
 against the instance, or by precomputing the instance's projection scores
 onto the eigenfunctions; both orders of summation agree to rounding.
-Training uses the precomputed-score form.
+Training uses the precomputed-score form, with a ones column appended to
+the scores so that each layer's bias rides inside its matmul (see
+``FmlpModel.layers``).
 """
 
 import dataclasses
@@ -26,7 +28,6 @@ import numpy as np
 from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
 from .errors import ArtifactError, NumericError, TrainingError, json_block, json_number
 from .fpca import EigenBasis, SensorBasis, project
-from .numerics import logistic as _logistic
 from .numerics import seeded_rng
 from .preprocess import (
     CONDITION_FEATURES,
@@ -42,9 +43,9 @@ ARTIFACT_SCHEMA = "fmlp-artifact/5"
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
 
-# The parameter blocks in their order in FmlpModel.params: the functional
-# layer (a, b, beta), the logistic hidden layer (w1, b1), the linear output
-# unit (w2, b2).
+# The parameter blocks by name: the functional layer (a, b, beta), the
+# logistic hidden layer (w1, b1), the linear output unit (w2, b2). Each is a
+# view into FmlpModel.params, which holds them folded as FmlpModel.layers.
 BLOCKS = ("a", "b", "beta", "w1", "b1", "w2", "b2")
 
 
@@ -80,8 +81,8 @@ class TrainConfig:
 class FmlpModel:
     """The trained network and the eigenbasis its functional layer reads.
 
-    Every network parameter lives in one float64 vector, ``params``; each
-    block in ``BLOCKS`` is a view into it.
+    Every network parameter lives in one float64 vector, ``params``, laid
+    out as ``layers`` describes; each block in ``BLOCKS`` is a view into it.
     """
 
     a: np.ndarray  # (K,) functional-neuron output weights
@@ -97,33 +98,36 @@ class FmlpModel:
     params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, shape in _block_shapes(self.n_functional, self.basis.total_components).items():
+        shapes = _block_shapes(self.n_functional, self.basis.total_components)
+        for name, shape in shapes.items():
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(
                     f"block {name} has shape {np.shape(getattr(self, name))}, expected {shape}"
                 )
-        arrays = [np.ravel(getattr(self, name)) for name in BLOCKS]
-        self.params = np.concatenate(arrays, dtype=np.float64)
+        self.params = np.empty(sum(math.prod(shape) for shape in shapes.values()))
         for name, view in self.blocks(self.params):
+            view[...] = getattr(self, name)
             setattr(self, name, view)
+
+    def layers(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The views of a vector laid out like ``params``, one per layer and
+        each with its bias as the last row: [beta.T; b] (D+1, K),
+        [w1.T; b1] (2, 2), then a (K,) and [w2, b2] (3,)."""
+        k, d, h = self.n_functional, self.basis.total_components, HIDDEN_WIDTH
+        i = (d + 1) * k
+        j = i + 2 * h
+        first, second = vector[:i].reshape(d + 1, k), vector[i:j].reshape(2, h)
+        return first, second, vector[j : j + k], vector[j + k :]
 
     def blocks(self, vector: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(name, view) per parameter block of a vector laid out like ``params``."""
-        views, start = [], 0
-        for name, shape in _block_shapes(self.n_functional, self.basis.total_components).items():
-            size = math.prod(shape)
-            views.append((name, vector[start : start + size].reshape(shape)))
-            start += size
-        return views
+        first, second, a, head = self.layers(vector)
+        views = (a, first[-1], first[:-1].T, second[:1].T, second[1], head[None, :-1], head[-1:])
+        return list(zip(BLOCKS, views))
 
     @property
     def n_functional(self) -> int:
         return len(self.a)
-
-    def weight_curve(self, k: int, r: int) -> np.ndarray:
-        """Weight function of neuron k for sensor position r on the grid."""
-        coefficients = self.beta[k, self.basis.component_slices()[r]]
-        return coefficients @ self.basis.sensors[r].components
 
     def functional_layer(self, windows: Windows) -> np.ndarray:
         """Logistic activations of the K functional neurons: (N, K)."""
@@ -137,19 +141,12 @@ class FmlpModel:
     def _checked_forward(self, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
         """The functional activations (N, K) and unclamped estimates (N,). Raises
         NumericError if H or an estimate is not finite (huge but finite weights)."""
-        z, h, _, out = self._forward(project(self.basis, windows))
-        estimates = out * self.label_scale
-        if not (np.isfinite(h).all() and np.isfinite(estimates).all()):
+        forward = _ForwardPass(self, len(windows))
+        forward.run(_with_ones(project(self.basis, windows)))
+        estimates = forward.out * self.label_scale
+        if not (np.isfinite(forward.h).all() and np.isfinite(estimates).all()):
             raise NumericError("network output is not finite: weights too large for these windows")
-        return z, estimates
-
-    def _forward(self, scores: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The functional activations z (N, K), their sum H (N, 1), the
-        hidden activations (N, 2) and the output (N,)."""
-        z = _logistic(scores @ self.beta.T + self.b)
-        h = (z @ self.a)[:, None]
-        hidden = _logistic(h @ self.w1.T + self.b1)
-        return z, h, hidden, (hidden @ self.w2.T + self.b2)[:, 0]
+        return forward.z, estimates
 
     def copy(self) -> "FmlpModel":
         return dataclasses.replace(self)  # __post_init__ packs a new vector
@@ -185,51 +182,88 @@ def _scaled_targets(model: FmlpModel, windows: Windows) -> np.ndarray:
     return windows.labels / model.label_scale
 
 
-def loss(model: FmlpModel, windows: Windows) -> float:
-    """Mean squared error over a labeled batch, in scaled label units."""
-    scores = project(model.basis, windows)
-    targets = _scaled_targets(model, windows)
-    return _loss_scores(model, scores, targets)
+def _with_ones(scores: np.ndarray) -> np.ndarray:
+    """[scores, 1] (N, D+1): the ones column carries the first layer's bias."""
+    x = np.empty((len(scores), scores.shape[1] + 1))
+    x[:, :-1] = scores
+    x[:, -1] = 1.0
+    return x
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is checked by callers
-def _loss_scores(model: FmlpModel, scores: np.ndarray, targets: np.ndarray) -> float:
-    residual = model._forward(scores)[3] - targets
-    return float(np.mean(residual**2))
+def _logistic_in_place(x: np.ndarray) -> np.ndarray:
+    """The logistic 1/(1+e^-x) in place, safe against exp overflow."""
+    np.negative(x, out=x)
+    np.minimum(x, 700.0, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
-def gradients(model: FmlpModel, windows: Windows) -> np.ndarray:
-    """Analytic gradient of the batch MSE, laid out like ``model.params``."""
-    scores = project(model.basis, windows)
-    targets = _scaled_targets(model, windows)
-    grad = np.empty_like(model.params)
-    _gradient_into(model, scores, targets, [view for _, view in model.blocks(grad)])
-    return grad
+class _ForwardPass:
+    """The network's forward pass over n rows of [scores, 1] (n, D+1). It
+    reads the model's parameters through views made once, so it follows
+    every in-place update, and each call overwrites its work arrays; the
+    ones rows are never written. Finiteness is the caller's check."""
+
+    def __init__(self, model: FmlpModel, n: int):
+        self.first, second, self.a, self.head = model.layers(model.params)
+        self.second_t, self.w1 = second.T, second[0]  # [w1, b1] and w1 as a row
+        self.z = np.empty((n, model.n_functional))  # the functional activations
+        self.h1 = np.ones((2, n))  # [H; 1]
+        self.h = self.h1[0]
+        self.hidden1 = np.ones((HIDDEN_WIDTH + 1, n))  # [hidden activations; 1]
+        self.hidden = self.hidden1[:HIDDEN_WIDTH]
+        self.out = np.empty(n)  # the output, then its residual
+
+    def run(self, x: np.ndarray) -> None:
+        _logistic_in_place(np.dot(x, self.first, out=self.z))
+        np.dot(self.z, self.a, out=self.h)
+        _logistic_in_place(np.dot(self.second_t, self.h1, out=self.hidden))
+        np.dot(self.head, self.hidden1, out=self.out)
+
+    @np.errstate(over="ignore", invalid="ignore")  # divergence is checked by callers
+    def mse(self, x: np.ndarray, targets: np.ndarray) -> float:
+        """Mean squared error over the rows of x, in scaled label units."""
+        self.run(x)
+        residual = np.subtract(self.out, targets, out=self.out)
+        return float(np.dot(residual, residual)) / len(targets)
 
 
-def _gradient_into(
-    model: FmlpModel, scores: np.ndarray, targets: np.ndarray, grad_blocks: list[np.ndarray]
-) -> None:
-    """Write the batch-MSE gradient into ``grad_blocks``, the views of a
-    vector laid out like ``model.params``. Finiteness is the caller's check."""
-    g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2 = grad_blocks
-    z, h, hidden, out = model._forward(scores)
-    dout = out - targets
-    dout *= 2.0 / scores.shape[0]
-    dout = dout[:, None]  # dJ/d(output)
-    np.matmul(dout.T, hidden, out=g_w2)
-    np.add.reduce(dout, axis=0, out=g_b2)
-    dhidden = (dout @ model.w2) * hidden * (1.0 - hidden)  # dJ/d(hidden pre-activation)
-    np.matmul(dhidden.T, h, out=g_w1)
-    np.add.reduce(dhidden, axis=0, out=g_b1)
+class _GradientPass(_ForwardPass):
+    """The forward pass plus the batch-MSE gradient, written into ``grad``,
+    a vector laid out like ``params``."""
 
-    dh = (dhidden @ model.w1)[:, 0]  # dJ/dH
-    np.matmul(z.T, dh, out=g_a)
-    dpre = dh[:, None] * model.a  # dJ/dz, then dJ/d(pre-activation)
-    dpre *= z
-    dpre *= 1.0 - z
-    np.matmul(dpre.T, scores, out=g_beta)
-    np.add.reduce(dpre, axis=0, out=g_b)
+    def __init__(self, model: FmlpModel, n: int, grad: np.ndarray):
+        super().__init__(model, n)
+        self.grad, self.grad_layers = grad, model.layers(grad)
+        self.a_row, self.w2_col = self.a[None, :], self.head[:-1, None]
+        self.out_row = self.out[None, :]
+        # The backward arrays hold derivatives of J up to the factor 2/n,
+        # which the gradient takes once at the end.
+        self.dz = np.empty_like(self.z)  # dJ/d(functional pre-activation)
+        self.dhidden = np.empty_like(self.hidden)  # dJ/d(hidden pre-activation)
+        self.dh = np.empty(n)  # dJ/dH
+        self.dh_col = self.dh[:, None]
+
+    def gradient(self, x: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> None:
+        """Write ``scale`` times the gradient of the MSE over the rows of x
+        into ``grad``. The logistic derivatives s(1 - s) overwrite the
+        activations, and each rank-1 outer product is one matmul."""
+        g_first, g_second, g_a, g_head = self.grad_layers
+        self.run(x)
+        residual = np.subtract(self.out, targets, out=self.out)
+        np.dot(self.hidden1, residual, out=g_head)
+        np.dot(self.w2_col, self.out_row, out=self.dhidden)
+        self.dhidden *= self.hidden
+        self.dhidden *= np.subtract(1.0, self.hidden, out=self.hidden)
+        np.dot(self.h1, self.dhidden.T, out=g_second)
+        np.dot(self.w1, self.dhidden, out=self.dh)
+        np.dot(self.dh, self.z, out=g_a)
+        np.dot(self.dh_col, self.a_row, out=self.dz)
+        self.dz *= self.z
+        self.dz *= np.subtract(1.0, self.z, out=self.z)
+        np.dot(x.T, self.dz, out=g_first)
+        self.grad *= scale * 2.0 / len(targets)
 
 
 def init_model(
@@ -292,7 +326,7 @@ def train(
     model = init_model(basis, rng, init_scale=cfg.init_scale, label_scale=label_scale)
     model.train_config = cfg
 
-    scores = project(basis, instances)
+    scores = _with_ones(project(basis, instances))
     targets = _scaled_targets(model, instances)
     n = len(instances)
 
@@ -302,26 +336,32 @@ def train(
     if train_idx.size == 0:
         raise ValueError("validation split leaves no training data")
 
-    # Gathered once; each epoch's shuffled rows are taken into fixed buffers.
+    # Gathered once; each epoch's shuffled rows are taken into fixed buffers,
+    # whose batch views and work arrays are made once.
     train_scores, train_targets = scores[train_idx], targets[train_idx]
     val_scores, val_targets = scores[val_idx], targets[val_idx]
     epoch_scores, epoch_targets = np.empty_like(train_scores), np.empty_like(train_targets)
-    params = model.params
+    params, n_fit = model.params, train_idx.size
     grad = np.empty_like(params)
-    grad_blocks = [view for _, view in model.blocks(grad)]
+    size = min(cfg.batch_size, n_fit)
+    # One pass per batch size: the full batches and a shorter last one.
+    passes = {m: _GradientPass(model, m, grad) for m in {size, n_fit % size} - {0}}
+    batches = [
+        (epoch_scores[s : s + size], epoch_targets[s : s + size], passes[min(size, n_fit - s)])
+        for s in range(0, n_fit, size)
+    ]
+    fit_pass, val_pass = _ForwardPass(model, n_fit), _ForwardPass(model, n_val)
     best = None
     best_val = np.inf
     stale = 0
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(train_idx.size)
+        order = rng.permutation(n_fit)
         np.take(train_scores, order, axis=0, out=epoch_scores)
         np.take(train_targets, order, axis=0, out=epoch_targets)
         with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
-            for start in range(0, order.size, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                _gradient_into(model, epoch_scores[batch], epoch_targets[batch], grad_blocks)
-                grad *= cfg.learning_rate
+            for x, t, step in batches:
+                step.gradient(x, t, cfg.learning_rate)
                 params -= grad
         # A non-finite gradient makes a parameter non-finite in the same step.
         if not np.isfinite(params).all():
@@ -330,12 +370,12 @@ def train(
                 f"training diverged at epoch {epoch}: non-finite parameter block {name}"
             )
 
-        train_mse = _loss_scores(model, train_scores, train_targets)
+        train_mse = fit_pass.mse(train_scores, train_targets)
         if not np.isfinite(train_mse):
             raise TrainingError(f"training loss diverged at epoch {epoch}")
         val_mse = None
         if n_val:
-            val_mse = _loss_scores(model, val_scores, val_targets)
+            val_mse = val_pass.mse(val_scores, val_targets)
             if not np.isfinite(val_mse):
                 raise TrainingError(f"validation loss diverged at epoch {epoch}")
         trace.append(TraceRow(epoch=epoch, train_mse=train_mse, val_mse=val_mse))

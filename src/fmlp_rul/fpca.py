@@ -110,14 +110,6 @@ class EigenBasis:
     def total_components(self) -> int:
         return sum(s.num_components for s in self.sensors)
 
-    def component_slices(self) -> list[slice]:
-        """Column ranges of each sensor's scores in a flattened score vector."""
-        slices, start = [], 0
-        for s in self.sensors:
-            slices.append(slice(start, start + s.num_components))
-            start += s.num_components
-        return slices
-
 
 def fit_sensor_basis(
     x: np.ndarray,
@@ -134,7 +126,8 @@ def fit_sensor_basis(
     values = np.maximum(values, 0.0)
     p = select_num_components(values, fve_cutoff, cap)
     m = x.shape[1]
-    # sqrt(M) rescaling makes the rows orthonormal under discrete_integral.
+    # sqrt(M) rescaling makes the rows orthonormal under the discrete integral
+    # mean(f * g).
     components = np.sqrt(m) * vectors[:, :p].T
     return SensorBasis(
         sensor_id=sensor_id,
@@ -185,17 +178,3 @@ def project(basis: EigenBasis, windows: Windows) -> np.ndarray:
         for r in range(len(basis.sensors))
     ]
     return np.concatenate(blocks, axis=1)
-
-
-def projection_residual_mse(basis: EigenBasis, windows: Windows) -> float:
-    """Mean squared residual of centered curves after projecting onto each
-    sensor's selected eigenfunctions (brute-force check value)."""
-    total, count = 0.0, 0
-    for r, sensor in enumerate(basis.sensors):
-        centered = windows.curves[:, r, :] - sensor.mean
-        m = centered.shape[1]
-        coeffs = centered @ sensor.components.T / m
-        recon = coeffs @ sensor.components
-        total += np.sum((centered - recon) ** 2)
-        count += centered.size
-    return total / count

@@ -1,4 +1,4 @@
-"""Deterministic numerical kernels shared by the FPCA and network code.
+"""Deterministic numerical kernels: the package RNG and the eigensolver.
 
 Everything here is 64-bit float. The eigensolver is LAPACK's symmetric
 solver (``np.linalg.eigh``), reordered to descending eigenvalues; the sign
@@ -21,11 +21,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     platform.
     """
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Standard logistic 1/(1+e^-x), safe against exp overflow."""
-    return 1.0 / (1.0 + np.exp(np.minimum(-x, 700.0)))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -72,12 +67,3 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-values, kind="stable")
     return values[order], _fix_signs(vectors[:, order])
-
-
-def discrete_integral(f: np.ndarray, g: np.ndarray) -> float:
-    """Approximate the integral of f*g on a shared M-point grid: mean(f*g)."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ValueError(f"length mismatch: {f.shape} vs {g.shape}")
-    return float(np.mean(f * g))

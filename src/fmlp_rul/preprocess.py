@@ -65,6 +65,8 @@ def fit_condition_regressors(train: list[EngineTrajectory]) -> ConditionModel:
     sensors as right-hand sides, on the distinct setting rows, each weighted
     by its share of the rows. A sensor whose fit the Bayesian information
     criterion does not prefer to its mean keeps weights = bias = 0: the mean.
+    So does a constant sensor (standard deviation below CONSTANT_SENSOR_EPS),
+    whose fit would be one of rounding noise.
 
     Deterministic. Raises TrainingError if the solution is not finite.
     """
@@ -105,7 +107,7 @@ def fit_condition_regressors(train: list[EngineTrajectory]) -> ConditionModel:
     # mean_sq - theta.(rhs + ridge theta). BIC keeps it if n ln(rss/mean_sq) + (F+1) ln n < 0.
     mean_sq = (target_std / model.target_scale) ** 2
     rss = mean_sq - (theta * (rhs + CONDITION_RIDGE * theta)).sum(axis=0)
-    keep = rss < mean_sq * float(n) ** (-(f + 1) / n)
+    keep = (rss < mean_sq * float(n) ** (-(f + 1) / n)) & (target_std >= CONSTANT_SENSOR_EPS)
     model.weights[keep], model.bias[keep] = theta[:f, keep].T, theta[f, keep]
     return model
 

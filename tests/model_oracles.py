@@ -1,6 +1,8 @@
 """Shared oracles: random functional-MLP model/batch construction, the
-central-finite-difference gradient check, a plain reference training loop,
-and a line-by-line reference trajectory parser."""
+batch loss and gradient through the training kernel, the
+central-finite-difference gradient check, weight curves and the discrete
+integral, a plain reference training loop, and a line-by-line reference
+trajectory parser."""
 
 import io
 
@@ -8,7 +10,8 @@ import numpy as np
 
 from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
 from fmlp_rul.errors import ParseError
-from fmlp_rul.fmlp import gradients, init_model, loss
+from fmlp_rul import fmlp
+from fmlp_rul.fmlp import init_model
 from fmlp_rul.fpca import fit_basis, project
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import Windows
@@ -33,6 +36,65 @@ def take(windows, index):
     """The windows at the given positions (an index array or slice)."""
     labels = windows.labels
     return Windows(windows.curves[index], labels=None if labels is None else labels[index])
+
+
+def discrete_integral(f, g):
+    """Approximate the integral of f*g on a shared M-point grid: mean(f*g)."""
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if f.shape != g.shape or f.ndim != 1:
+        raise ValueError(f"length mismatch: {f.shape} vs {g.shape}")
+    return float(np.mean(f * g))
+
+
+def component_slices(basis):
+    """Column ranges of each sensor's scores in a flattened score vector."""
+    slices, start = [], 0
+    for s in basis.sensors:
+        slices.append(slice(start, start + s.num_components))
+        start += s.num_components
+    return slices
+
+
+def weight_curve(model, k, r):
+    """Weight function of neuron k for sensor position r on the grid."""
+    coefficients = model.beta[k, component_slices(model.basis)[r]]
+    return coefficients @ model.basis.sensors[r].components
+
+
+def projection_residual_mse(basis, windows):
+    """Mean squared residual of centered curves after projecting onto each
+    sensor's selected eigenfunctions (brute-force check value)."""
+    total, count = 0.0, 0
+    for r, sensor in enumerate(basis.sensors):
+        centered = windows.curves[:, r, :] - sensor.mean
+        m = centered.shape[1]
+        coeffs = centered @ sensor.components.T / m
+        recon = coeffs @ sensor.components
+        total += np.sum((centered - recon) ** 2)
+        count += centered.size
+    return total / count
+
+
+def _kernel_inputs(model, windows):
+    """The training kernel's inputs for a labeled batch: [scores, 1] and the
+    scaled targets."""
+    return fmlp._with_ones(project(model.basis, windows)), fmlp._scaled_targets(model, windows)
+
+
+def loss(model, windows):
+    """Mean squared error over a labeled batch, in scaled label units, from
+    the training kernel's forward pass."""
+    return fmlp._ForwardPass(model, len(windows)).mse(*_kernel_inputs(model, windows))
+
+
+def gradients(model, windows):
+    """The training kernel's gradient of the batch MSE, laid out like
+    ``model.params``."""
+    grad = np.empty_like(model.params)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in fmlp.train
+        fmlp._GradientPass(model, len(windows), grad).gradient(*_kernel_inputs(model, windows))
+    return grad
 
 
 def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):

@@ -144,6 +144,16 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+def test_batch_larger_than_training_split_trains(mini_root, tmp_path):
+    # One batch per epoch: the kernel's arrays are sized by the training
+    # split, never by batch_size itself.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 3, "batch_size": 10**30}))
+    argv = ["--config", str(cfg), "--data-root", str(mini_root), "--out", str(tmp_path)]
+    assert cli.main(["train", *argv]) == 0
+    assert cli.main(["evaluate", "--model", str(tmp_path / "artifact.json"), *argv]) == 0
+
+
 @pytest.mark.parametrize("argv,config", [(["--seed", "-1"], {}), ([], {"seed": 2**64})])
 def test_seed_outside_64_bits_is_config_error(argv, config, tmp_path, capsys):
     # -1 once ended in a numpy ValueError traceback (exit 1); 2**64 was accepted.

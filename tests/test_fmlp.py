@@ -6,11 +6,16 @@ import pytest
 
 from cmapss_synth import write_subset
 from model_oracles import (
+    component_slices,
+    discrete_integral,
+    gradients,
+    loss,
     make_instances,
     max_gradient_error,
     random_model_and_batch,
     reference_train,
     take,
+    weight_curve,
 )
 
 from fmlp_rul.cmapss import DataSubset, load_subset
@@ -20,16 +25,14 @@ from fmlp_rul.fmlp import (
     Pipeline,
     TrainConfig,
     _condition_shapes,
-    gradients,
     init_model,
     load_model,
-    loss,
     model_to_doc,
     save_model,
     train,
 )
 from fmlp_rul.fpca import fit_basis
-from fmlp_rul.numerics import discrete_integral, seeded_rng
+from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import fit_preprocessing, training_instances
 
 
@@ -63,15 +66,15 @@ def zeroed(model):
 def test_weight_curve_zero_coefficients():
     model, _ = random_model_and_batch(0)
     model.beta[:] = 0.0
-    assert np.array_equal(model.weight_curve(0, 0), np.zeros(10))
+    assert np.array_equal(weight_curve(model, 0, 0), np.zeros(10))
 
 
 def test_weight_curve_picks_out_eigenfunction():
     model, _ = random_model_and_batch(1)
     model.beta[:] = 0.0
-    slices = model.basis.component_slices()
+    slices = component_slices(model.basis)
     model.beta[2, slices[1].start] = 1.0
-    assert np.array_equal(model.weight_curve(2, 1), model.basis.sensors[1].components[0])
+    assert np.array_equal(weight_curve(model, 2, 1), model.basis.sensors[1].components[0])
 
 
 def test_weight_curve_parseval():
@@ -79,7 +82,7 @@ def test_weight_curve_parseval():
     assert basis.sensors[0].num_components == 2
     model = init_model(basis, seeded_rng(3), n_functional=2)
     model.beta[0, :] = [1.0, 1.0]
-    curve = model.weight_curve(0, 0)
+    curve = weight_curve(model, 0, 0)
     assert discrete_integral(curve, curve) == pytest.approx(2.0, abs=1e-8)
 
 
@@ -114,7 +117,7 @@ def test_forward_matches_weight_curve_integrals():
         for k in range(model.n_functional):
             acc = model.b[k]
             for r in range(len(model.basis.sensors)):
-                acc += discrete_integral(model.weight_curve(k, r), curves[r])
+                acc += discrete_integral(weight_curve(model, k, r), curves[r])
             z_slow[i, k] = 1.0 / (1.0 + np.exp(-acc))
     assert np.max(np.abs(z_fast - z_slow)) < 1e-12
 
@@ -285,12 +288,23 @@ def test_train_deterministic_trace():
     assert np.array_equal(first.model.beta, second.model.beta)
 
 
+# The kernel folds each bias into its layer's matmul and scales the
+# gradient once, so its sums round differently from the plain loop's.
+REFERENCE_RTOL = 1e-12
+
+
 @pytest.mark.parametrize(
     "seed,options",
-    [(3, {}), (4, {}), (5, {"val_fraction": 0.0}), (6, {"patience": 2})],
+    [
+        (3, {}),
+        (4, {}),
+        (5, {"val_fraction": 0.0}),
+        (6, {"patience": 2}),
+        (7, {"batch_size": 256}),  # one batch per epoch: larger than the 180 fit windows
+    ],
 )
 def test_train_matches_reference_loop(seed, options):
-    # the same draws, sums and updates as the plain per-block loop, bit for bit
+    # the same draws and updates as the plain per-block loop, to rounding
     data = take(rank_one_task(), slice(200))
     basis = fit_basis(data)
     cfg = TrainConfig(epochs=40, seed=seed, **options)
@@ -299,8 +313,14 @@ def test_train_matches_reference_loop(seed, options):
     actual = result.model.blocks(result.model.params)
     assert [name for name, _ in actual] == [name for name, _ in expected]
     for (name, got), (_, want) in zip(actual, expected):
-        assert np.array_equal(got, want), name
-    assert [(r.epoch, r.train_mse, r.val_mse) for r in result.trace] == trace
+        np.testing.assert_allclose(got, want, rtol=REFERENCE_RTOL, atol=0, err_msg=name)
+    assert [r.epoch for r in result.trace] == [epoch for epoch, _, _ in trace]
+    for row, (_, train_mse, val_mse) in zip(result.trace, trace):
+        assert row.train_mse == pytest.approx(train_mse, rel=REFERENCE_RTOL, abs=0)
+        if val_mse is None:
+            assert row.val_mse is None
+        else:
+            assert row.val_mse == pytest.approx(val_mse, rel=REFERENCE_RTOL, abs=0)
     if "patience" in options:
         # stopped early, so the result is an earlier epoch's snapshot
         assert len(trace) < cfg.epochs

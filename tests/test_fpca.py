@@ -3,18 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_oracles import make_instances
+from model_oracles import (
+    component_slices,
+    discrete_integral,
+    make_instances,
+    projection_residual_mse,
+)
 
 from fmlp_rul.errors import DegenerateSensorError
 from fmlp_rul.fpca import (
     fit_basis,
     project,
-    projection_residual_mse,
     sample_covariance,
     sample_mean,
     select_num_components,
 )
-from fmlp_rul.numerics import discrete_integral, seeded_rng
+from fmlp_rul.numerics import seeded_rng
 
 
 def instances_from_matrix(x):
@@ -180,7 +184,7 @@ def test_project_layout_and_values():
     basis = fit_basis(insts)
     scores = project(basis, insts)
     assert scores.shape == (10, basis.total_components)
-    slices = basis.component_slices()
+    slices = component_slices(basis)
     for r, sensor in enumerate(basis.sensors):
         for p in range(sensor.num_components):
             manual = discrete_integral(sensor.components[p], curves[0, r])

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmlp_rul.numerics import discrete_integral, eigh, seeded_rng, symmetrize
+from model_oracles import discrete_integral
+
+from fmlp_rul.numerics import eigh, seeded_rng, symmetrize
 
 
 def random_symmetric(order, seed):

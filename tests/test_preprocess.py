@@ -175,6 +175,19 @@ def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
     assert np.sqrt(np.mean(gap**2, axis=0)).max() < noise
 
 
+@pytest.mark.parametrize("corpus", ["fd001_subset", "fd002_subset"])
+def test_regressor_leaves_constant_sensors_at_their_mean(corpus, request):
+    # Rounding leaves a constant sensor's standard deviation just above 0,
+    # and the BIC would keep a fit of that noise; no fit is kept there.
+    train = request.getfixturevalue(corpus).train
+    std = np.concatenate([t.sensors for t in train]).std(axis=0)
+    constant = std < preprocess.CONSTANT_SENSOR_EPS
+    assert (std[constant] > 0).any()  # the case that rounding makes
+    model = fit_condition_regressors(train)
+    assert not model.weights[constant].any()
+    assert not model.bias[constant].any()
+
+
 def test_regressor_rejects_non_finite_solution():
     rng = np.random.Generator(np.random.PCG64(4))
     settings = rng.uniform(0, 1, (50, 3))
