@@ -5,10 +5,13 @@ operating settings, and 21 sensor readings, whitespace separated. Fields
 past column 26 (trailing blanks in some distributions) are ignored. Unit
 ids and cycles are whole numbers below 2**63 in magnitude, every reading
 is finite, and each unit's rows form one contiguous block. A RUL file
-holds one non-negative integer per line, aligned to test-unit order.
+holds one non-negative integer per line in ASCII digits, aligned to
+test-unit order.
 """
 
 import io
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,11 +111,36 @@ def _as_lines(stream: TextIO | str | Iterable[str]) -> Iterable[str]:
     return stream
 
 
-def _read_rows(lines: list[str]) -> np.ndarray:
+def _named_file(stream) -> Path | None:
+    """The path of a text file opened by name on a regular *.txt file and
+    not yet read, which numpy can read again in blocks; None otherwise.
+
+    numpy opens a name through its DataSource, which decompresses names
+    ending in .gz, .bz2, .xz or .lzma, tries those suffixes when the name
+    is missing, and downloads a name with a URL scheme and host. The *.txt
+    rule, the regular-file check and Path, which folds "//" so that no
+    name reads as a URL, keep all three out.
+    """
+    name = getattr(stream, "name", None)
+    if (
+        isinstance(stream, io.TextIOWrapper)
+        and isinstance(name, str)
+        and name.endswith(".txt")
+        and stream.errors == "strict"
+        and stream.tell() == 0
+        and os.path.isfile(name)
+    ):
+        return Path(name)
+    return None
+
+
+def _read_rows(source: Path | list[str], encoding: str | None = None) -> np.ndarray:
     """The first N_COLUMNS fields of every non-blank line, as floats."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, usecols=range(N_COLUMNS), ndmin=2, comments=None)
+        return np.loadtxt(
+            source, usecols=range(N_COLUMNS), ndmin=2, comments=None, encoding=encoding
+        )
 
 
 def _whole(values: np.ndarray) -> np.ndarray:
@@ -158,16 +186,23 @@ def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTr
     field, a unit or cycle that is not a whole number below 2**63 in
     magnitude) and IntegrityError for a unit whose rows are split into
     separate blocks, non-contiguous cycles, or a non-finite reading.
+
+    A text file opened by name on a regular *.txt file is read by that
+    name in numpy's block reader; any other input is read as a list of
+    lines. Both give the same arrays and the same errors.
     """
-    lines = list(_as_lines(stream))
+    path = _named_file(stream)
+    lines = None if path else list(_as_lines(stream))
     try:
-        data = _read_rows(lines)
+        data = _read_rows(path, stream.encoding) if path else _read_rows(lines)
+        if not _whole(data[:, :2]).all():
+            raise ValueError("unit or cycle is not a whole number")
+    except UnicodeDecodeError:
+        raise  # read_file names the line
     except ValueError:
-        raise _first_bad_line(lines) from None
+        raise _first_bad_line(list(stream) if path else lines) from None
     if not len(data):
         return []
-    if not _whole(data[:, :2]).all():
-        raise _first_bad_line(lines)
 
     units = data[:, 0].astype(np.int64)
     cycles = data[:, 1].astype(np.int64)
@@ -193,16 +228,22 @@ def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTr
     return trajectories
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_rul_file(stream: TextIO | str | Iterable[str]) -> list[int]:
-    """Parse a RUL file: one non-negative integer per non-empty line."""
+    """Parse a RUL file: one non-negative integer per non-empty line, written
+    as an optional sign and the ASCII digits 0-9."""
     values = []
     for line_no, line in enumerate(_as_lines(stream), start=1):
         text = line.strip()
         if not text:
             continue
         try:
+            if not _INTEGER.fullmatch(text):  # int() also reads "1_0" and non-ASCII digits
+                raise ValueError(text)
             value = int(text)
-        except ValueError:
+        except ValueError:  # also an integer of over 4300 digits
             raise ParseError(line_no, f"expected an integer, got {text!r}") from None
         if value < 0:
             raise ParseError(line_no, f"RUL must be non-negative, got {value}")

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import os
 import re
@@ -587,6 +588,54 @@ def test_evaluate_rejects_file_that_is_not_utf8(mini_run, mini_root, tmp_path, c
     assert code == 3
     err = capsys.readouterr().err
     assert "line 2" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("literal", ["1_0", "\u0661\u0662"])  # int() reads both
+def test_evaluate_rejects_rul_that_is_not_ascii_digits(mini_run, mini_root, tmp_path, literal, capsys):
+    _copy_files(mini_root, tmp_path, ["test_FD001.txt"])
+    rul = (mini_root / "RUL_FD001.txt").read_text().splitlines()
+    rul[1] = literal
+    (tmp_path / "RUL_FD001.txt").write_text("\n".join(rul) + "\n", encoding="utf-8")
+    code = cli.main(
+        [
+            "evaluate",
+            "--model", str(mini_run / "artifact.json"),
+            "--data-root", str(tmp_path),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    assert f"line 2: expected an integer, got {literal!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# numpy reads a *.txt file by name; when numpy opens a name, it would also
+# decompress "x.txt.gz", fall back to "x.txt.gz" for a missing "x.txt" and
+# download a URL. Each of these must read as the plain file it names.
+@pytest.mark.parametrize(
+    "files,argument,code,message",
+    [
+        ({"x.txt.gz": "gzip"}, "x.txt.gz", 3, "line 1: x.txt.gz is not UTF-8 text"),
+        ({"x.dat": "plain"}, "x.dat", 0, ""),
+        ({"x.txt.gz": "gzip"}, "x.txt", 3, "No such file or directory: 'x.txt'"),
+        ({}, "http://127.0.0.1:9/x.txt", 3, "No such file or directory: 'http://127.0.0.1:9/x.txt'"),
+    ],
+    ids=["gzip", "other-suffix", "missing-beside-gzip", "url"],
+)
+def test_predict_reads_the_named_file_as_plain_text(
+    mini_run, mini_root, tmp_path, monkeypatch, capsys, files, argument, code, message
+):
+    plain = (mini_root / "test_FD001.txt").read_bytes()
+    for name, form in files.items():
+        (tmp_path / name).write_bytes(gzip.compress(plain) if form == "gzip" else plain)
+    model = str(mini_run / "artifact.json")
+    assert cli.main(["predict", "--model", model, str(mini_root / "test_FD001.txt")]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["predict", "--model", model, argument]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == (expected if code == 0 else "")
 
 
 def test_predict_rejects_artifact_with_nan_weight(mini_run, mini_root, tmp_path, capsys):

@@ -8,10 +8,12 @@ from model_oracles import reference_parse_trajectory_file
 from fmlp_rul.cmapss import (
     WINDOW_LENGTHS,
     EngineTrajectory,
+    _named_file,
     format_trajectories,
     load_subset,
     parse_rul_file,
     parse_trajectory_file,
+    read_file,
 )
 from fmlp_rul.errors import IntegrityError, ParseError
 from fmlp_rul.preprocess import sliding_windows
@@ -139,17 +141,25 @@ def test_parse_rejects_split_unit_blocks():
 
 @pytest.mark.parametrize("subset_id", ["FD001", "FD002", "FD003", "FD004"])
 @pytest.mark.parametrize("split", ["train", "test"])
-def test_parser_matches_line_reference(subset_id, split, request):
+def test_parser_matches_line_reference(subset_id, split, request, tmp_path):
     root = request.getfixturevalue(f"{subset_id.lower()}_root")
-    text = (root / f"{split}_{subset_id}.txt").read_text()
-    expected = reference_parse_trajectory_file(text)
-    parsed = parse_trajectory_file(text)
-    assert [t.unit_id for t in parsed] == [t.unit_id for t in expected]
-    for got, want in zip(parsed, expected):
-        assert got.cycles.dtype == want.cycles.dtype
-        assert np.array_equal(got.cycles, want.cycles)
-        assert got.op_settings.tobytes() == want.op_settings.tobytes()
-        assert got.sensors.tobytes() == want.sensors.tobytes()
+    lines = (root / f"{split}_{subset_id}.txt").read_text().splitlines()
+    lines[1:1] = ["", " \t "]  # blank lines, which every reader skips
+    lines[3] += " 42.0 43.0"  # trailing fields, which every reader ignores
+    path = tmp_path / f"{split}_{subset_id}.txt"
+    for newline in ("\n", "\r\n"):
+        text = newline.join(lines) + newline
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            assert _named_file(fh) == path  # read by name, in numpy's block reader
+        expected = reference_parse_trajectory_file(text)
+        for parsed in (parse_trajectory_file(text), read_file(path, parse_trajectory_file)):
+            assert [t.unit_id for t in parsed] == [t.unit_id for t in expected]
+            for got, want in zip(parsed, expected):
+                assert got.cycles.dtype == want.cycles.dtype
+                assert np.array_equal(got.cycles, want.cycles)
+                assert got.op_settings.tobytes() == want.op_settings.tobytes()
+                assert got.sensors.tobytes() == want.sensors.tobytes()
 
 
 def test_load_subset_reads_only_requested_splits(fd001_root, tmp_path):
