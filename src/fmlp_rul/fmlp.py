@@ -42,6 +42,7 @@ ARTIFACT_SCHEMA = "fmlp-artifact/5"
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
+_ONE = np.array(1.0)  # 0-d, made once: numpy converts a Python float operand per call
 
 # The parameter blocks by name: the functional layer (a, b, beta), the
 # logistic hidden layer (w1, b1), the linear output unit (w2, b2). Each is a
@@ -141,7 +142,7 @@ class FmlpModel:
     def _checked_forward(self, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
         """The functional activations (N, K) and unclamped estimates (N,). Raises
         NumericError if H or an estimate is not finite (huge but finite weights)."""
-        forward = _ForwardPass(self, len(windows))
+        forward = _Kernel(self, len(windows))
         forward.run(_with_ones(project(self.basis, windows)))
         estimates = forward.out * self.label_scale
         if not (np.isfinite(forward.h).all() and np.isfinite(estimates).all()):
@@ -191,35 +192,74 @@ def _with_ones(scores: np.ndarray) -> np.ndarray:
 
 
 def _logistic_in_place(x: np.ndarray) -> np.ndarray:
-    """The logistic 1/(1+e^-x) in place, safe against exp overflow."""
-    np.negative(x, out=x)
-    np.minimum(x, 700.0, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    return np.reciprocal(x, out=x)
+    """The logistic 1/(1+e^-x) in place. Every caller runs it under
+    ``errstate(over="ignore")``: for x below about -709.78, e^-x overflows
+    to inf and 1/(1+inf) is exactly 0, the logistic's limit."""
+    np.negative(x, x)
+    np.exp(x, x)
+    np.add(x, _ONE, x)
+    return np.reciprocal(x, x)
 
 
-class _ForwardPass:
-    """The network's forward pass over n rows of [scores, 1] (n, D+1). It
-    reads the model's parameters through views made once, so it follows
-    every in-place update, and each call overwrites its work arrays; the
-    ones rows are never written. Finiteness is the caller's check."""
+class _Kernel:
+    """The network over n rows of [scores, 1] (n, D+1): the forward pass,
+    ``run(x)``, and, given ``grad``, a vector laid out like ``params``, one
+    descent step, ``step(x, targets)``. A step writes ``scale`` times the
+    gradient of the MSE over the rows of x into ``grad`` and subtracts it
+    from ``params``. Views of the parameters and every other operand are
+    bound once, here, so both follow every in-place update; each call
+    overwrites the work arrays, and the ones rows are never written.
+    Finiteness is the caller's check."""
 
-    def __init__(self, model: FmlpModel, n: int):
-        self.first, second, self.a, self.head = model.layers(model.params)
-        self.second_t, self.w1 = second.T, second[0]  # [w1, b1] and w1 as a row
-        self.z = np.empty((n, model.n_functional))  # the functional activations
-        self.h1 = np.ones((2, n))  # [H; 1]
-        self.h = self.h1[0]
-        self.hidden1 = np.ones((HIDDEN_WIDTH + 1, n))  # [hidden activations; 1]
-        self.hidden = self.hidden1[:HIDDEN_WIDTH]
-        self.out = np.empty(n)  # the output, then its residual
+    def __init__(self, model: FmlpModel, n: int, grad: np.ndarray | None = None, scale=1.0):
+        params, dot, multiply, subtract, one = model.params, np.dot, np.multiply, np.subtract, _ONE
+        (first, second, a, head), logistic = model.layers(params), _logistic_in_place
+        self.z = z = np.empty((n, model.n_functional))  # the functional activations
+        h1 = np.ones((2, n))  # [H; 1]
+        self.h = h = h1[0]
+        hidden1 = np.ones((HIDDEN_WIDTH + 1, n))  # [hidden activations; 1]
+        hidden, second_t = hidden1[:HIDDEN_WIDTH], second.T
+        self.out = out = np.empty(n)  # the output, then its residual
 
-    def run(self, x: np.ndarray) -> None:
-        _logistic_in_place(np.dot(x, self.first, out=self.z))
-        np.dot(self.z, self.a, out=self.h)
-        _logistic_in_place(np.dot(self.second_t, self.h1, out=self.hidden))
-        np.dot(self.head, self.hidden1, out=self.out)
+        def run(x: np.ndarray) -> None:
+            logistic(dot(x, first, z))
+            dot(z, a, h)
+            logistic(dot(second_t, h1, hidden))
+            dot(head, hidden1, out)
+
+        self.run = run
+        if grad is None:
+            return
+        g_first, g_second, g_a, g_head = model.layers(grad)
+        w1, a_row, w2_col, out_row = second[0], a[None, :], head[:-1, None], out[None, :]
+        # The backward arrays hold derivatives of J up to the factor 2/n,
+        # which the gradient takes once at the end, with the step size.
+        factor = np.array(scale * 2.0 / n)
+        dz = np.empty_like(z)  # dJ/d(functional pre-activation)
+        dhidden = np.empty_like(hidden)  # dJ/d(hidden pre-activation)
+        dhidden_t, dh = dhidden.T, np.empty(n)  # dJ/dH
+        dh_col = dh[:, None]
+
+        def step(x: np.ndarray, targets: np.ndarray) -> None:
+            """The logistic derivatives s(1 - s) overwrite the activations,
+            and each rank-1 outer product is one matmul."""
+            run(x)
+            residual = subtract(out, targets, out)
+            dot(hidden1, residual, g_head)
+            dot(w2_col, out_row, dhidden)
+            multiply(dhidden, hidden, dhidden)
+            multiply(dhidden, subtract(one, hidden, hidden), dhidden)
+            dot(h1, dhidden_t, g_second)
+            dot(w1, dhidden, dh)
+            dot(dh, z, g_a)
+            dot(dh_col, a_row, dz)
+            multiply(dz, z, dz)
+            multiply(dz, subtract(one, z, z), dz)
+            dot(x.T, dz, g_first)
+            multiply(grad, factor, grad)
+            subtract(params, grad, params)
+
+        self.step = step
 
     @np.errstate(over="ignore", invalid="ignore")  # divergence is checked by callers
     def mse(self, x: np.ndarray, targets: np.ndarray) -> float:
@@ -227,43 +267,6 @@ class _ForwardPass:
         self.run(x)
         residual = np.subtract(self.out, targets, out=self.out)
         return float(np.dot(residual, residual)) / len(targets)
-
-
-class _GradientPass(_ForwardPass):
-    """The forward pass plus the batch-MSE gradient, written into ``grad``,
-    a vector laid out like ``params``."""
-
-    def __init__(self, model: FmlpModel, n: int, grad: np.ndarray):
-        super().__init__(model, n)
-        self.grad, self.grad_layers = grad, model.layers(grad)
-        self.a_row, self.w2_col = self.a[None, :], self.head[:-1, None]
-        self.out_row = self.out[None, :]
-        # The backward arrays hold derivatives of J up to the factor 2/n,
-        # which the gradient takes once at the end.
-        self.dz = np.empty_like(self.z)  # dJ/d(functional pre-activation)
-        self.dhidden = np.empty_like(self.hidden)  # dJ/d(hidden pre-activation)
-        self.dh = np.empty(n)  # dJ/dH
-        self.dh_col = self.dh[:, None]
-
-    def gradient(self, x: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> None:
-        """Write ``scale`` times the gradient of the MSE over the rows of x
-        into ``grad``. The logistic derivatives s(1 - s) overwrite the
-        activations, and each rank-1 outer product is one matmul."""
-        g_first, g_second, g_a, g_head = self.grad_layers
-        self.run(x)
-        residual = np.subtract(self.out, targets, out=self.out)
-        np.dot(self.hidden1, residual, out=g_head)
-        np.dot(self.w2_col, self.out_row, out=self.dhidden)
-        self.dhidden *= self.hidden
-        self.dhidden *= np.subtract(1.0, self.hidden, out=self.hidden)
-        np.dot(self.h1, self.dhidden.T, out=g_second)
-        np.dot(self.w1, self.dhidden, out=self.dh)
-        np.dot(self.dh, self.z, out=g_a)
-        np.dot(self.dh_col, self.a_row, out=self.dz)
-        self.dz *= self.z
-        self.dz *= np.subtract(1.0, self.z, out=self.z)
-        np.dot(x.T, self.dz, out=g_first)
-        self.grad *= scale * 2.0 / len(targets)
 
 
 def init_model(
@@ -315,9 +318,10 @@ def train(
 
     Projection scores are computed once and reused every epoch. When the
     validation fraction is positive, the returned model is the snapshot
-    with the best validation MSE and training stops after ``patience``
-    epochs without improvement. Raises TrainingError, checked once per
-    epoch, if a parameter or the loss stops being finite.
+    with the best validation MSE, and training stops once ``patience`` + 1
+    epochs in a row bring no improvement: after best epoch + patience + 1
+    epochs, unless ``epochs`` ends it first. Raises TrainingError, checked
+    once per epoch, if a parameter or the loss stops being finite.
     """
     if not instances:
         raise ValueError("no training instances")
@@ -342,27 +346,27 @@ def train(
     val_scores, val_targets = scores[val_idx], targets[val_idx]
     epoch_scores, epoch_targets = np.empty_like(train_scores), np.empty_like(train_targets)
     params, n_fit = model.params, train_idx.size
-    grad = np.empty_like(params)
+    grad, lr = np.empty_like(params), cfg.learning_rate
     size = min(cfg.batch_size, n_fit)
-    # One pass per batch size: the full batches and a shorter last one.
-    passes = {m: _GradientPass(model, m, grad) for m in {size, n_fit % size} - {0}}
+    # One step per batch size: the full batches and a shorter last one.
+    steps = {m: _Kernel(model, m, grad, lr).step for m in {size, n_fit % size} - {0}}
     batches = [
-        (epoch_scores[s : s + size], epoch_targets[s : s + size], passes[min(size, n_fit - s)])
+        (epoch_scores[s : s + size], epoch_targets[s : s + size], steps[min(size, n_fit - s)])
         for s in range(0, n_fit, size)
     ]
-    fit_pass, val_pass = _ForwardPass(model, n_fit), _ForwardPass(model, n_val)
+    fit_pass, val_pass = _Kernel(model, n_fit), _Kernel(model, n_val)
     best = None
     best_val = np.inf
     stale = 0
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
+        # order permutes range(n_fit), so "clip" clips nothing; "raise" would buffer out.
         order = rng.permutation(n_fit)
-        np.take(train_scores, order, axis=0, out=epoch_scores)
-        np.take(train_targets, order, axis=0, out=epoch_targets)
+        np.take(train_scores, order, 0, epoch_scores, "clip")
+        np.take(train_targets, order, 0, epoch_targets, "clip")
         with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
             for x, t, step in batches:
-                step.gradient(x, t, cfg.learning_rate)
-                params -= grad
+                step(x, t)
         # A non-finite gradient makes a parameter non-finite in the same step.
         if not np.isfinite(params).all():
             name = next(name for name, v in model.blocks(params) if not np.isfinite(v).all())

@@ -85,15 +85,16 @@ def _kernel_inputs(model, windows):
 def loss(model, windows):
     """Mean squared error over a labeled batch, in scaled label units, from
     the training kernel's forward pass."""
-    return fmlp._ForwardPass(model, len(windows)).mse(*_kernel_inputs(model, windows))
+    return fmlp._Kernel(model, len(windows)).mse(*_kernel_inputs(model, windows))
 
 
 def gradients(model, windows):
     """The training kernel's gradient of the batch MSE, laid out like
-    ``model.params``."""
-    grad = np.empty_like(model.params)
+    ``model.params``: the gradient of one unit step, taken on a copy."""
+    grad, step_model = np.empty_like(model.params), model.copy()
+    step = fmlp._Kernel(step_model, len(windows), grad).step
     with np.errstate(over="ignore", invalid="ignore"):  # as in fmlp.train
-        fmlp._GradientPass(model, len(windows), grad).gradient(*_kernel_inputs(model, windows))
+        step(*_kernel_inputs(model, windows))
     return grad
 
 

@@ -1,8 +1,11 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmapss_synth import write_subset
 from model_oracles import (
@@ -31,7 +34,7 @@ from fmlp_rul.fmlp import (
     save_model,
     train,
 )
-from fmlp_rul.fpca import fit_basis
+from fmlp_rul.fpca import fit_basis, project
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import fit_preprocessing, training_instances
 
@@ -161,6 +164,30 @@ def test_predict_is_pure():
     first = model.predict_many(batch)
     assert np.array_equal(model.predict_many(batch), first)
     assert np.array_equal(model.predict_many(take(batch, [2, 0])), first[[2, 0]])
+
+
+@pytest.mark.parametrize("magnitude", [800.0, 1e300])
+def test_saturated_logistic_is_exact(magnitude):
+    # pre-activations within 0.1% of +-magnitude: e^-x underflows to 0 or
+    # overflows to inf, so each activation is exactly 1 or 0, with no warning
+    model, batch = random_model_and_batch(20)
+    signs = np.resize([1.0, -1.0], model.n_functional)
+    score_sum = np.abs(project(model.basis, batch)).sum(axis=1).max()
+    model.beta *= 1e-3 * magnitude / (np.abs(model.beta).max() * score_sum)
+    model.b[:] = signs * magnitude
+    model.w1 *= 1e-3 * magnitude / (np.abs(model.w1).max() * np.abs(model.a).sum())
+    model.b1[:] = [magnitude, -magnitude]  # hidden activations exactly [1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = model.functional_layer(batch)
+        estimates = model.predict_many(batch)
+        grad = gradients(model, batch)
+    assert np.array_equal(z, np.broadcast_to(signs > 0, z.shape))
+    expected = max(0.0, (model.w2[0, 0] + model.b2[0]) * model.label_scale)
+    assert estimates == pytest.approx([expected] * len(batch), rel=1e-15, abs=0)
+    assert np.isfinite(grad).all()
+    for name in ("b", "beta", "w1", "b1"):  # the logistic derivatives are exactly 0
+        assert not dict(model.blocks(grad))[name].any(), name
 
 
 def test_model_validation():
@@ -293,21 +320,10 @@ def test_train_deterministic_trace():
 REFERENCE_RTOL = 1e-12
 
 
-@pytest.mark.parametrize(
-    "seed,options",
-    [
-        (3, {}),
-        (4, {}),
-        (5, {"val_fraction": 0.0}),
-        (6, {"patience": 2}),
-        (7, {"batch_size": 256}),  # one batch per epoch: larger than the 180 fit windows
-    ],
-)
-def test_train_matches_reference_loop(seed, options):
-    # the same draws and updates as the plain per-block loop, to rounding
-    data = take(rank_one_task(), slice(200))
+def assert_train_matches_reference(data, cfg):
+    """train and reference_train agree on every block and trace value to
+    REFERENCE_RTOL, with no absolute slack; returns the reference trace."""
     basis = fit_basis(data)
-    cfg = TrainConfig(epochs=40, seed=seed, **options)
     result = train(data, basis, cfg)
     expected, trace = reference_train(data, basis, cfg)
     actual = result.model.blocks(result.model.params)
@@ -321,9 +337,56 @@ def test_train_matches_reference_loop(seed, options):
             assert row.val_mse is None
         else:
             assert row.val_mse == pytest.approx(val_mse, rel=REFERENCE_RTOL, abs=0)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "seed,options",
+    [
+        (3, {}),
+        (4, {}),
+        (5, {"val_fraction": 0.0}),
+        (6, {"patience": 2}),
+        (7, {"batch_size": 256}),  # one batch per epoch: larger than the 180 fit windows
+    ],
+)
+def test_train_matches_reference_loop(seed, options):
+    # the same draws and updates as the plain per-block loop, to rounding
+    cfg = TrainConfig(epochs=40, seed=seed, **options)
+    trace = assert_train_matches_reference(take(rank_one_task(), slice(200)), cfg)
     if "patience" in options:
         # stopped early, so the result is an earlier epoch's snapshot
         assert len(trace) < cfg.epochs
+
+
+def fit_rows(val_fraction, n=40):
+    """The training split's size for n windows."""
+    return n - int(round(val_fraction * n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0.0, 0.1, 0.5]).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(1, fit_rows(f) + 8))
+    )
+)
+@example((0.0, 1))  # batches of one row
+@example((0.1, 35))  # 36 fit rows: a last batch of one row
+def test_train_matches_reference_for_any_batching(split):
+    # every batch size, up to one batch per epoch, and its short last batch
+    val_fraction, batch_size = split
+    cfg = TrainConfig(epochs=3, seed=8, batch_size=batch_size, val_fraction=val_fraction)
+    assert_train_matches_reference(take(rank_one_task(), slice(40)), cfg)
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3])
+def test_early_stopping_runs_patience_plus_one_stale_epochs(patience):
+    # training stops at the (patience + 1)-th epoch in a row without a better val MSE
+    data = take(rank_one_task(), slice(200))
+    cfg = TrainConfig(epochs=40, seed=6, patience=patience)
+    trace = train(data, fit_basis(data), cfg).trace
+    best_epoch = min(trace, key=lambda row: row.val_mse).epoch
+    assert len(trace) == best_epoch + patience + 1 < cfg.epochs
 
 
 def test_train_reports_divergence_epoch():
