@@ -90,7 +90,7 @@ def improvement(fmlp_metric: float, baseline_metric: float) -> float:
     return 1.0 - fmlp_metric / baseline_metric
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineRecord:
     unit_id: int
     true_rul: float
@@ -145,26 +145,23 @@ def build_report(
     subset_id: str | None = None,
     t_cap: int = DEFAULT_RUL_CAP,
 ) -> EvalReport:
-    """Assemble an EvalReport from aligned prediction/truth lists.
+    """Assemble an EvalReport from one prediction, truth and unit id (default
+    1..N) per engine, each given as a sequence or an array.
 
     Truths are capped at t_cap before metrics. A known subset attaches the
     published baseline table and the improvement percentages against it.
     """
-    predictions = [float(p) for p in predictions]
-    truths = [min(float(t), float(t_cap)) for t in truths]
-    if len(predictions) != len(truths):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(truths)} true values"
-        )
-    if unit_ids is None:
-        unit_ids = list(range(1, len(truths) + 1))
-
-    records = [
-        EngineRecord(unit_id=int(u), true_rul=t, estimated_rul=p)
-        for u, t, p in zip(unit_ids, truths, predictions)
-    ]
-    if not records:
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truths = np.minimum(np.asarray(truths, dtype=np.float64), float(t_cap))
+    if predictions.ndim != 1 or predictions.shape != truths.shape:
+        raise ValueError(f"{predictions.shape} predictions for {truths.shape} true values")
+    n = len(predictions)
+    unit_ids = range(1, n + 1) if unit_ids is None else list(map(int, unit_ids))
+    if len(unit_ids) != n:
+        raise ValueError(f"{len(unit_ids)} unit ids for {n} predictions")
+    if not n:
         raise ValueError("no errors to aggregate")
+    records = list(map(EngineRecord, unit_ids, truths.tolist(), predictions.tolist()))
     return EvalReport(subset_id=subset_id, records=records, t_cap=t_cap)
 
 

@@ -12,8 +12,8 @@ Because the weight functions are linear in beta, the functional layer can
 be evaluated either by building each weight curve and integrating it
 against the instance, or by precomputing the instance's projection scores
 onto the eigenfunctions; both orders of summation agree to rounding.
-Training uses the precomputed-score form, with a ones column appended to
-the scores so that each layer's bias rides inside its matmul (see
+Training uses the precomputed-score form, projected into an array that ends
+in a ones column so that each layer's bias rides inside its matmul (see
 ``FmlpModel.layers``).
 """
 
@@ -143,7 +143,7 @@ class FmlpModel:
         """The functional activations (N, K) and unclamped estimates (N,). Raises
         NumericError if H or an estimate is not finite (huge but finite weights)."""
         forward = _Kernel(self, len(windows))
-        forward.run(_with_ones(project(self.basis, windows)))
+        forward.run(_network_input(self.basis, windows))
         estimates = forward.out * self.label_scale
         if not (np.isfinite(forward.h).all() and np.isfinite(estimates).all()):
             raise NumericError("network output is not finite: weights too large for these windows")
@@ -183,12 +183,10 @@ def _scaled_targets(model: FmlpModel, windows: Windows) -> np.ndarray:
     return windows.labels / model.label_scale
 
 
-def _with_ones(scores: np.ndarray) -> np.ndarray:
-    """[scores, 1] (N, D+1): the ones column carries the first layer's bias."""
-    x = np.empty((len(scores), scores.shape[1] + 1))
-    x[:, :-1] = scores
-    x[:, -1] = 1.0
-    return x
+def _network_input(basis: EigenBasis, windows: Windows) -> np.ndarray:
+    """[scores, 1] (N, D+1), one array: ``project`` fills the first D
+    columns, and the ones column carries the first layer's bias."""
+    return project(basis, windows, np.ones((len(windows), basis.total_components + 1)))
 
 
 def _logistic_in_place(x: np.ndarray) -> np.ndarray:
@@ -330,7 +328,7 @@ def train(
     model = init_model(basis, rng, init_scale=cfg.init_scale, label_scale=label_scale)
     model.train_config = cfg
 
-    scores = _with_ones(project(basis, instances))
+    scores = _network_input(basis, instances)
     targets = _scaled_targets(model, instances)
     n = len(instances)
 
@@ -515,8 +513,10 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
             for name, shape in _block_shapes(len(net_doc["a"]), basis.total_components).items()
         }
         label_scale = _field(doc["label_scale"], float, "label_scale")
-        if not label_scale > 0:
-            raise ArtifactError(f"artifact field label_scale is {label_scale}, expected > 0")
+        if not (label_scale > 0 and label_scale.is_integer()):  # evaluate caps true RULs at it
+            raise ArtifactError(
+                f"artifact field label_scale is {label_scale}, expected > 0 and a whole number"
+            )
         cfg_doc = doc["train_config"]
         train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
         network = FmlpModel(

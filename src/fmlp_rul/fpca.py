@@ -164,17 +164,20 @@ def fit_basis(
     return EigenBasis(sensors=sensors, fve_cutoff=fve_cutoff, component_cap=component_cap)
 
 
-def project(basis: EigenBasis, windows: Windows) -> np.ndarray:
+def project(basis: EigenBasis, windows: Windows, out: np.ndarray | None = None) -> np.ndarray:
     """Scores <phi_{r,p}, X_{i,r}> under the discrete integral, as an
-    N x total_components matrix in sensor-major column order."""
+    N x total_components matrix in sensor-major column order; given ``out``
+    (N, >= D), they fill its first D columns in place and ``out`` is returned."""
     curves = windows.curves
     if curves.shape[1] != len(basis.sensors):
         raise ValueError(
             f"windows have {curves.shape[1]} curves, basis has {len(basis.sensors)}"
         )
-    m = curves.shape[2]
-    blocks = [
-        curves[:, r, :] @ basis.sensors[r].components.T / m
-        for r in range(len(basis.sensors))
-    ]
-    return np.concatenate(blocks, axis=1)
+    out = np.empty((len(curves), basis.total_components)) if out is None else out
+    stop = 0
+    for r, sensor in enumerate(basis.sensors):
+        start, stop = stop, stop + len(sensor.components)
+        np.matmul(curves[:, r, :], sensor.components.T, out=out[:, start:stop])
+    scores = out[:, :stop]
+    scores /= curves.shape[2]
+    return out

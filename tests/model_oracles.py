@@ -1,8 +1,8 @@
 """Shared oracles: random functional-MLP model/batch construction, the
 batch loss and gradient through the training kernel, the
 central-finite-difference gradient check, weight curves and the discrete
-integral, a plain reference training loop, and a line-by-line reference
-trajectory parser."""
+integral, a per-sensor reference projection, a plain reference training
+loop, and a line-by-line reference trajectory parser."""
 
 import io
 
@@ -76,10 +76,19 @@ def projection_residual_mse(basis, windows):
     return total / count
 
 
+def reference_project(basis, windows):
+    """Projection scores written plainly: one matmul and one division per
+    sensor, the blocks concatenated in sensor order."""
+    curves = windows.curves
+    m = curves.shape[2]
+    blocks = [curves[:, r, :] @ s.components.T / m for r, s in enumerate(basis.sensors)]
+    return np.concatenate(blocks, axis=1)
+
+
 def _kernel_inputs(model, windows):
-    """The training kernel's inputs for a labeled batch: [scores, 1] and the
-    scaled targets."""
-    return fmlp._with_ones(project(model.basis, windows)), fmlp._scaled_targets(model, windows)
+    """The training kernel's inputs for a labeled batch: [scores, 1], built
+    as fmlp builds it, and the scaled targets."""
+    return fmlp._network_input(model.basis, windows), fmlp._scaled_targets(model, windows)
 
 
 def loss(model, windows):

@@ -762,6 +762,8 @@ def _condition_width_8(doc):
         (lambda d: d["network"].pop("b1"), "malformed model artifact: 'b1'"),
         (_set("label_scale", 0), "label_scale is 0.0, expected > 0"),
         (_set("label_scale", -130), "label_scale is -130.0, expected > 0"),
+        # evaluate caps true RULs at the label scale, which once truncated 130.9 to 130
+        (_set("label_scale", 130.9), "label_scale is 130.9, expected > 0 and a whole number"),
         (_set("condition_model", None), "condition_model is null"),
         (_set("scaler", None), "scaler is null"),
         (lambda d: d.pop("scaler"), "scaler is null or missing"),

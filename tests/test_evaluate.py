@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,34 @@ def test_build_report_without_baselines():
 def test_build_report_alignment_checked():
     with pytest.raises(ValueError):
         build_report([1.0, 2.0], [1.0])
+
+
+def test_build_report_rejects_unit_ids_of_another_length():
+    # zip once truncated to the unit ids: 2 records with RMSE 2.0, no error.
+    with pytest.raises(ValueError, match="2 unit ids for 3 predictions"):
+        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2])
+    with pytest.raises(ValueError, match="4 unit ids for 3 predictions"):
+        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2, 3, 4])
+
+
+def test_build_report_rejects_predictions_that_are_not_one_per_engine():
+    with pytest.raises(ValueError, match=r"\(2, 1\) predictions for \(2,\) true values"):
+        build_report([[10.0], [20.0]], [12.0, 25.0])
+
+
+def test_build_report_from_arrays_equals_from_lists():
+    predictions = [10.25, 131.5, 0.0, 47.125]
+    truths, units = [12, 145, 3, 130], [7, 8, 9, 11]
+    from_lists = build_report(predictions, truths, unit_ids=units, subset_id="FD002")
+    from_arrays = build_report(
+        np.array(predictions), np.array(truths, dtype=np.int64),
+        unit_ids=np.array(units, dtype=np.int32), subset_id="FD002",
+    )
+    assert from_arrays.records == from_lists.records
+    assert [type(r.unit_id) for r in from_arrays.records] == [int] * 4
+    assert [type(r.true_rul) for r in from_arrays.records] == [float] * 4
+    assert report_to_csv(from_arrays) == report_to_csv(from_lists)
+    assert json.dumps(report_to_doc(from_arrays)) == json.dumps(report_to_doc(from_lists))
 
 
 def test_report_csv_layout():

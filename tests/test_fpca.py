@@ -8,10 +8,14 @@ from model_oracles import (
     discrete_integral,
     make_instances,
     projection_residual_mse,
+    reference_project,
 )
 
+from fmlp_rul import fmlp
 from fmlp_rul.errors import DegenerateSensorError
 from fmlp_rul.fpca import (
+    EigenBasis,
+    SensorBasis,
     fit_basis,
     project,
     sample_covariance,
@@ -175,6 +179,32 @@ def test_projection_residual_matches_trailing_eigenvalues():
 def test_fit_basis_requires_two_instances():
     with pytest.raises(ValueError):
         fit_basis(make_instances(np.zeros((1, 1, 4))))
+
+
+def _mixed_basis(rng, counts, m):
+    """A basis whose sensors keep the given numbers of component rows."""
+    sensors = [
+        SensorBasis(i + 1, rng.normal(size=m), np.sort(rng.uniform(0, 1, m))[::-1],
+                    rng.normal(size=(p, m)))
+        for i, p in enumerate(counts)
+    ]
+    return EigenBasis(sensors, fve_cutoff=0.8, component_cap=max(counts))
+
+
+@pytest.mark.parametrize("counts", [[1, 2, 1, 1, 2], [2, 1], [1], [2, 2, 2]])
+def test_project_matches_per_sensor_reference_bit_for_bit(counts):
+    rng = seeded_rng(11)
+    m = 31
+    basis = _mixed_basis(rng, counts, m)
+    windows = make_instances(rng.uniform(-0.2, 1.2, size=(57, len(counts), m)))
+    expected = reference_project(basis, windows)
+    assert expected.shape == (57, sum(counts))
+    assert np.array_equal(project(basis, windows), expected)
+    # Into the network's [scores, 1] buffer: the first D columns, the ones left.
+    x = np.ones((57, sum(counts) + 1))
+    assert project(basis, windows, x) is x
+    assert np.array_equal(x[:, :-1], expected) and (x[:, -1] == 1.0).all()
+    assert np.array_equal(fmlp._network_input(basis, windows), x)
 
 
 def test_project_layout_and_values():
