@@ -11,7 +11,6 @@ from .cmapss import (
     WINDOW_LENGTHS,
     DataSubset,
     EngineTrajectory,
-    format_trajectories,
     load_subset,
     parse_rul_file,
     parse_trajectory_file,
@@ -34,7 +33,6 @@ from .fmlp import (
     TrainConfig,
     TrainResult,
     load_model,
-    save_model,
     train,
 )
 from .fpca import EigenBasis, SensorBasis, fit_basis, project, select_num_components
@@ -49,7 +47,6 @@ from .preprocess import (
     last_windows,
     linear_rul,
     piecewise_rul,
-    remove_condition_effect,
     sliding_windows,
     test_instances,
     training_instances,

@@ -20,8 +20,14 @@ from . import evaluate as ev
 from . import fmlp
 from .cmapss import SUBSET_IDS, WINDOW_LENGTHS, load_subset, parse_trajectory_file, read_file
 from .errors import ArtifactError, ConfigError, FmlpRulError, IntegrityError, json_number
-from .fpca import check_basis_settings, fit_basis
-from .preprocess import fit_preprocessing, sliding_windows, training_instances, transform_rows
+from .fpca import DEFAULT_COMPONENT_CAP, DEFAULT_FVE_CUTOFF, check_basis_settings, fit_basis
+from .preprocess import (
+    DEFAULT_RUL_CAP,
+    fit_preprocessing,
+    sliding_windows,
+    training_instances,
+    transform_rows,
+)
 
 EXIT_OK = 0
 
@@ -34,15 +40,15 @@ class ExperimentConfig:
     subset: str | None = None
     seed: int = 7
     out_dir: str = "out"
-    learning_rate: float = 0.05
-    epochs: int = 300
-    batch_size: int = 64
-    init_scale: float = 0.5
-    patience: int = 25
-    val_fraction: float = 0.1
-    fve_cutoff: float = 0.8
-    component_cap: int = 2
-    t_cap: int = 130
+    learning_rate: float = fmlp.TrainConfig.learning_rate
+    epochs: int = fmlp.TrainConfig.epochs
+    batch_size: int = fmlp.TrainConfig.batch_size
+    init_scale: float = fmlp.TrainConfig.init_scale
+    patience: int = fmlp.TrainConfig.patience
+    val_fraction: float = fmlp.TrainConfig.val_fraction
+    fve_cutoff: float = DEFAULT_FVE_CUTOFF
+    component_cap: int = DEFAULT_COMPONENT_CAP
+    t_cap: int = DEFAULT_RUL_CAP
 
     def train_config(self) -> fmlp.TrainConfig:
         """The TrainConfig fields, each from the config key of the same name."""
@@ -227,6 +233,11 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
         if unit not in by_unit:
             raise IntegrityError(f"unit {unit} not found in {subset.subset_id} training set")
         traj = by_unit[unit]
+        if traj.n_cycles < subset.window_length:
+            raise IntegrityError(
+                f"unit {unit} of the {subset.subset_id} training set has {traj.n_cycles}"
+                f" cycles, fewer than the window length {subset.window_length}: it has no windows"
+            )
         scaled = transform_rows(
             traj.op_settings, traj.sensors, pipeline.condition_model, pipeline.scaler
         )

@@ -1,4 +1,4 @@
-"""Readers and writers for C-MAPSS-format turbofan data files.
+"""Readers for C-MAPSS-format turbofan data files.
 
 A trajectory file holds one observation per line: unit id, cycle, three
 operating settings, and 21 sensor readings, whitespace separated. Fields
@@ -249,18 +249,6 @@ def parse_rul_file(stream: TextIO | str | Iterable[str]) -> list[int]:
             raise ParseError(line_no, f"RUL must be non-negative, got {value}")
         values.append(value)
     return values
-
-
-def format_trajectories(trajectories: list[EngineTrajectory]) -> str:
-    """Render trajectories back to the line format (round-trips exactly)."""
-    lines = []
-    for traj in trajectories:
-        for i in range(traj.n_cycles):
-            fields = [str(traj.unit_id), str(int(traj.cycles[i]))]
-            fields += [repr(float(v)) for v in traj.op_settings[i]]
-            fields += [repr(float(v)) for v in traj.sensors[i]]
-            lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
 
 
 def read_file(path: str | Path, parse):

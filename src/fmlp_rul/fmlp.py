@@ -149,9 +149,6 @@ class FmlpModel:
             raise NumericError("network output is not finite: weights too large for these windows")
         return forward.z, estimates
 
-    def copy(self) -> "FmlpModel":
-        return dataclasses.replace(self)  # __post_init__ packs a new vector
-
 
 @dataclass
 class Pipeline:
@@ -309,7 +306,7 @@ class TrainResult:
 def train(
     instances: Windows,
     basis: EigenBasis,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> TrainResult:
     """Mini-batch gradient descent on the MSE of scaled RUL labels.
@@ -323,7 +320,6 @@ def train(
     """
     if not instances:
         raise ValueError("no training instances")
-    cfg = cfg or TrainConfig()
     rng = seeded_rng(cfg.seed)
     model = init_model(basis, rng, init_scale=cfg.init_scale, label_scale=label_scale)
     model.train_config = cfg
@@ -540,11 +536,6 @@ def _config(cls, doc: dict, name: str):
         state = "missing" if key in kinds else "unknown"
         raise ArtifactError(f"artifact field {name}.{key} is {state}")
     return cls(**{key: _field(doc[key], kind, f"{name}.{key}") for key, kind in kinds.items()})
-
-
-def save_model(pipeline: Pipeline, stream: TextIO) -> None:
-    """Write the pipeline artifact as JSON (floats round-trip exactly)."""
-    json.dump(pipeline_to_doc(pipeline), stream, indent=1)
 
 
 def load_model(stream: TextIO) -> Pipeline:

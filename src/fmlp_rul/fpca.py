@@ -23,24 +23,6 @@ DEFAULT_COMPONENT_CAP = 2
 _NEGATIVE_EIG_TOL = -1e-10
 
 
-def sample_mean(x: np.ndarray) -> np.ndarray:
-    """Columnwise mean of an N x M curve matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"expected a nonempty N x M matrix, got shape {x.shape}")
-    return x.mean(axis=0)
-
-
-def sample_covariance(x: np.ndarray) -> np.ndarray:
-    """M x M sample covariance with 1/N normalization."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("covariance needs at least two curves")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
-    return (cov + cov.T) / 2.0
-
-
 def select_num_components(
     eigenvalues: np.ndarray,
     fve_cutoff: float = DEFAULT_FVE_CUTOFF,
@@ -111,32 +93,6 @@ class EigenBasis:
         return sum(s.num_components for s in self.sensors)
 
 
-def fit_sensor_basis(
-    x: np.ndarray,
-    sensor_id: int,
-    fve_cutoff: float = DEFAULT_FVE_CUTOFF,
-    cap: int = DEFAULT_COMPONENT_CAP,
-) -> SensorBasis:
-    """Basis for one sensor from its N x M curve matrix."""
-    values, vectors = eigh(sample_covariance(x))
-    if values[-1] < _NEGATIVE_EIG_TOL:
-        raise DegenerateSensorError(
-            f"sensor {sensor_id}: eigenvalue {values[-1]} below PSD tolerance"
-        )
-    values = np.maximum(values, 0.0)
-    p = select_num_components(values, fve_cutoff, cap)
-    m = x.shape[1]
-    # sqrt(M) rescaling makes the rows orthonormal under the discrete integral
-    # mean(f * g).
-    components = np.sqrt(m) * vectors[:, :p].T
-    return SensorBasis(
-        sensor_id=sensor_id,
-        mean=sample_mean(x),
-        eigenvalues=values,
-        components=components,
-    )
-
-
 def fit_basis(
     windows: Windows,
     sensor_ids: list[int] | None = None,
@@ -150,30 +106,41 @@ def fit_basis(
     """
     if len(windows) < 2:
         raise ValueError("basis fitting needs at least two windows")
-    curves = windows.curves  # (N, R, M)
-    n_sensors = curves.shape[1]
+    curves = windows.curves
+    n, n_sensors, m = curves.shape
     if sensor_ids is None:
         sensor_ids = list(range(1, n_sensors + 1))
     if len(sensor_ids) != n_sensors:
         raise ValueError(f"{len(sensor_ids)} sensor ids for {n_sensors} curve rows")
 
-    sensors = [
-        fit_sensor_basis(curves[:, r, :], sensor_ids[r], fve_cutoff, component_cap)
-        for r in range(n_sensors)
-    ]
+    sensors = []
+    for r, sensor_id in enumerate(sensor_ids):
+        x = curves[:, r, :]
+        mean = x.mean(axis=0)
+        centered = x - mean
+        values, vectors = eigh(centered.T @ centered / n)  # eigh symmetrizes
+        if values[-1] < _NEGATIVE_EIG_TOL:
+            raise DegenerateSensorError(
+                f"sensor {sensor_id}: eigenvalue {values[-1]} below PSD tolerance"
+            )
+        values = np.maximum(values, 0.0)
+        p = select_num_components(values, fve_cutoff, component_cap)
+        # sqrt(M) rescaling makes the rows orthonormal under the discrete
+        # integral mean(f * g).
+        components = np.sqrt(m) * vectors[:, :p].T
+        sensors.append(SensorBasis(sensor_id, mean, values, components))
     return EigenBasis(sensors=sensors, fve_cutoff=fve_cutoff, component_cap=component_cap)
 
 
-def project(basis: EigenBasis, windows: Windows, out: np.ndarray | None = None) -> np.ndarray:
-    """Scores <phi_{r,p}, X_{i,r}> under the discrete integral, as an
-    N x total_components matrix in sensor-major column order; given ``out``
-    (N, >= D), they fill its first D columns in place and ``out`` is returned."""
+def project(basis: EigenBasis, windows: Windows, out: np.ndarray) -> np.ndarray:
+    """Scores <phi_{r,p}, X_{i,r}> under the discrete integral, in
+    sensor-major column order, written in place into the first
+    D = total_components columns of ``out`` (N, >= D); returns ``out``."""
     curves = windows.curves
     if curves.shape[1] != len(basis.sensors):
         raise ValueError(
             f"windows have {curves.shape[1]} curves, basis has {len(basis.sensors)}"
         )
-    out = np.empty((len(curves), basis.total_components)) if out is None else out
     stop = 0
     for r, sensor in enumerate(basis.sensors):
         start, stop = stop, stop + len(sensor.components)

@@ -112,13 +112,6 @@ def fit_condition_regressors(train: list[EngineTrajectory]) -> ConditionModel:
     return model
 
 
-def remove_condition_effect(
-    settings: np.ndarray, sensors: np.ndarray, model: ConditionModel
-) -> np.ndarray:
-    """Raw (n, S) sensor rows minus the regressor's would-be values."""
-    return sensors - model.predict(settings)
-
-
 @dataclass
 class MinMaxScaler:
     """Per-sensor global min/max over all training cycles and engines.
@@ -175,7 +168,7 @@ def transform_rows(
 
     Raises NumericError if a row does not scale to finite values."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rows = scaler.scale_retained(remove_condition_effect(settings, sensors, model))
+        rows = scaler.scale_retained(sensors - model.predict(settings))
     if not np.isfinite(rows).all():
         raise NumericError("scaled rows are not finite: settings or readings too large to scale")
     return rows
@@ -214,10 +207,6 @@ class Windows:
         n = len(self.curves)
         if self.labels is not None and self.labels.shape != (n,):
             raise ValueError(f"labels {self.labels.shape} do not match {n} windows")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(1.0, self.curves.shape[2] + 1)
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -279,7 +268,7 @@ def fit_preprocessing(
     """Fit the condition regressors, then the min-max scaler on residuals.
     Raises DegenerateSensorError if no sensor varies after removal."""
     model = fit_condition_regressors(train)
-    residuals = [remove_condition_effect(t.op_settings, t.sensors, model) for t in train]
+    residuals = [t.sensors - model.predict(t.op_settings) for t in train]
     scaler = fit_minmax(residuals)
     if not scaler.retained.size:
         largest = max(np.abs(scaler.minimum).max(), np.abs(scaler.maximum).max())

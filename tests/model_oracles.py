@@ -1,9 +1,10 @@
 """Shared oracles: random functional-MLP model/batch construction, the
 batch loss and gradient through the training kernel, the
 central-finite-difference gradient check, weight curves and the discrete
-integral, a per-sensor reference projection, a plain reference training
-loop, and a line-by-line reference trajectory parser."""
+integral, a per-sensor reference mean, eigensolve and projection, a
+plain reference training loop, and a line-by-line reference trajectory parser."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -12,8 +13,8 @@ from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
 from fmlp_rul.errors import ParseError
 from fmlp_rul import fmlp
 from fmlp_rul.fmlp import init_model
-from fmlp_rul.fpca import fit_basis, project
-from fmlp_rul.numerics import seeded_rng
+from fmlp_rul.fpca import fit_basis
+from fmlp_rul.numerics import eigh, seeded_rng
 from fmlp_rul.preprocess import Windows
 
 # Relative-error guard: at step 1e-6 the finite-difference quotient carries
@@ -76,6 +77,14 @@ def projection_residual_mse(basis, windows):
     return total / count
 
 
+def reference_mean_and_eigh(x):
+    """A sensor's N x M curves in separate steps: the columnwise sample mean,
+    then eigh of the 1/N sample covariance averaged with its transpose."""
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / len(x)
+    return (x.mean(axis=0), *eigh((cov + cov.T) / 2.0))
+
+
 def reference_project(basis, windows):
     """Projection scores written plainly: one matmul and one division per
     sensor, the blocks concatenated in sensor order."""
@@ -100,7 +109,7 @@ def loss(model, windows):
 def gradients(model, windows):
     """The training kernel's gradient of the batch MSE, laid out like
     ``model.params``: the gradient of one unit step, taken on a copy."""
-    grad, step_model = np.empty_like(model.params), model.copy()
+    grad, step_model = np.empty_like(model.params), dataclasses.replace(model)
     step = fmlp._Kernel(step_model, len(windows), grad).step
     with np.errstate(over="ignore", invalid="ignore"):  # as in fmlp.train
         step(*_kernel_inputs(model, windows))
@@ -170,7 +179,7 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     def mse(scores, targets):
         return float(np.mean((forward(scores)[3] - targets) ** 2))
 
-    scores = project(basis, instances)
+    scores = reference_project(basis, instances)
     targets = instances.labels / label_scale
     n = len(instances)
     perm = rng.permutation(n)

@@ -889,6 +889,20 @@ def test_inspect_of_unknown_unit_writes_nothing(mini_run, mini_root, tmp_path, c
     assert not (out / "inspect").exists()
 
 
+def test_inspect_of_unit_shorter_than_window_writes_nothing(mini_run, mini_root, tmp_path, capsys):
+    # Once exit 0 with a features_unit11.csv that held only its header.
+    lines = (mini_root / "train_FD001.txt").read_text().splitlines()
+    short = ["11 " + line.split(" ", 1)[1] for line in lines[:5]]  # unit 1's first 5 cycles
+    (tmp_path / "train_FD001.txt").write_text("\n".join(lines + short) + "\n")
+    out = tmp_path / "out"
+    model = str(mini_run / "artifact.json")
+    argv = ["--model", model, "--data-root", str(tmp_path), "--out", str(out), "--unit", "11"]
+    assert cli.main(["inspect", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "unit 11" in err and "5 cycles" in err and "window length 31" in err
+    assert not out.exists()
+
+
 def test_inspect_unit_without_data_root_is_usage_error(mini_run, tmp_path, capsys):
     # Once exit 0 with the sensor CSVs written and the feature file dropped.
     out = tmp_path / "out"

@@ -9,7 +9,6 @@ from fmlp_rul.cmapss import (
     WINDOW_LENGTHS,
     EngineTrajectory,
     _named_file,
-    format_trajectories,
     load_subset,
     parse_rul_file,
     parse_trajectory_file,
@@ -195,6 +194,16 @@ def test_parse_preserves_file_order():
     text = "\n".join([make_line(9, 1), make_line(9, 2), make_line(2, 1)]) + "\n"
     trajs = parse_trajectory_file(text)
     assert [t.unit_id for t in trajs] == [9, 2]
+
+
+def format_trajectories(trajectories):
+    """Render trajectories back to the line format (round-trips exactly)."""
+    lines = [
+        " ".join([str(t.unit_id), str(c), *(repr(float(v)) for v in (*s, *x))])
+        for t in trajectories
+        for c, s, x in zip(t.cycles, t.op_settings, t.sensors)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def test_round_trip(fd001_subset):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import warnings
@@ -16,6 +17,7 @@ from model_oracles import (
     make_instances,
     max_gradient_error,
     random_model_and_batch,
+    reference_project,
     reference_train,
     take,
     weight_curve,
@@ -31,10 +33,10 @@ from fmlp_rul.fmlp import (
     init_model,
     load_model,
     model_to_doc,
-    save_model,
+    pipeline_to_doc,
     train,
 )
-from fmlp_rul.fpca import fit_basis, project
+from fmlp_rul.fpca import fit_basis
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import fit_preprocessing, training_instances
 
@@ -172,7 +174,7 @@ def test_saturated_logistic_is_exact(magnitude):
     # overflows to inf, so each activation is exactly 1 or 0, with no warning
     model, batch = random_model_and_batch(20)
     signs = np.resize([1.0, -1.0], model.n_functional)
-    score_sum = np.abs(project(model.basis, batch)).sum(axis=1).max()
+    score_sum = np.abs(reference_project(model.basis, batch)).sum(axis=1).max()
     model.beta *= 1e-3 * magnitude / (np.abs(model.beta).max() * score_sum)
     model.b[:] = signs * magnitude
     model.w1 *= 1e-3 * magnitude / (np.abs(model.w1).max() * np.abs(model.a).sum())
@@ -191,8 +193,6 @@ def test_saturated_logistic_is_exact(magnitude):
 
 
 def test_model_validation():
-    from dataclasses import replace
-
     model, _ = random_model_and_batch(11)
     for name, bad in [
         ("w1", np.zeros((3, 1))),  # a hidden width other than 2
@@ -203,7 +203,7 @@ def test_model_validation():
         ("beta", model.beta[:, :-1]),
     ]:
         with pytest.raises(ValueError, match=f"block {name} has shape"):
-            replace(model, **{name: bad})
+            dataclasses.replace(model, **{name: bad})
 
 
 # --- loss --------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_full_batch_descent_is_monotone():
     for _ in range(50):
         grads = gradients(model, data)
         while True:
-            trial = model.copy()
+            trial = dataclasses.replace(model)
             trial.params -= lr * grads
             candidate = loss(trial, data)
             if candidate <= losses[-1] or lr < 1e-12:
@@ -429,10 +429,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     basis = fit_basis(data, sensor_ids=scaler.sensor_ids)
     model = train(data, basis, TrainConfig(epochs=10, seed=4)).model
     pipeline = Pipeline(condition_model, scaler, model, "FD002")
-    buffer = io.StringIO()
-    save_model(pipeline, buffer)
-    buffer.seek(0)
-    reloaded = load_model(buffer)
+    reloaded = load_model(io.StringIO(json.dumps(pipeline_to_doc(pipeline), indent=1)))
     loaded = reloaded.network
     assert np.array_equal(loaded.params, model.params)
     assert np.array_equal(loaded.a, model.a)

@@ -3,26 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmapss_synth import write_subset
 from model_oracles import (
     component_slices,
     discrete_integral,
     make_instances,
     projection_residual_mse,
+    reference_mean_and_eigh,
     reference_project,
 )
 
 from fmlp_rul import fmlp
+from fmlp_rul.cmapss import load_subset
 from fmlp_rul.errors import DegenerateSensorError
-from fmlp_rul.fpca import (
-    EigenBasis,
-    SensorBasis,
-    fit_basis,
-    project,
-    sample_covariance,
-    sample_mean,
-    select_num_components,
-)
+from fmlp_rul.fpca import EigenBasis, SensorBasis, fit_basis, project, select_num_components
 from fmlp_rul.numerics import seeded_rng
+from fmlp_rul.preprocess import fit_preprocessing, training_instances
 
 
 def instances_from_matrix(x):
@@ -31,52 +27,62 @@ def instances_from_matrix(x):
     return make_instances(x[:, None, :])
 
 
+# The sample mean and the 1/N sample covariance that fit_basis decomposes.
+
+
 def test_sample_mean_columnwise():
-    assert np.array_equal(sample_mean([[0.0, 2.0], [2.0, 0.0]]), [1.0, 1.0])
-
-
-def test_sample_mean_single_row():
-    row = [[3.0, 1.0, 4.0]]
-    assert np.array_equal(sample_mean(row), row[0])
+    sensor = fit_basis(instances_from_matrix([[0.0, 2.0], [2.0, 0.0]])).sensors[0]
+    assert np.array_equal(sensor.mean, [1.0, 1.0])
 
 
 def test_sample_mean_monte_carlo():
     draws = seeded_rng(314).normal(size=(1000, 12))
-    assert np.max(np.abs(sample_mean(draws))) < 0.15
+    assert np.max(np.abs(fit_basis(instances_from_matrix(draws)).sensors[0].mean)) < 0.15
 
 
 def test_sample_covariance_hand_computed():
-    # rows (1,1) and (-1,-1): mean 0, cov = (1/2) * sum xx^T = [[1,1],[1,1]]
-    cov = sample_covariance([[1.0, 1.0], [-1.0, -1.0]])
-    assert np.array_equal(cov, np.ones((2, 2)))
+    # rows (1,1) and (-1,-1): mean 0, cov = (1/2) * sum xx^T = [[1,1],[1,1]],
+    # whose eigenvalues are 2 and 0 with eigenvector (1,1)/sqrt(2)
+    sensor = fit_basis(instances_from_matrix([[1.0, 1.0], [-1.0, -1.0]])).sensors[0]
+    assert np.array_equal(sensor.mean, [0.0, 0.0])
+    assert sensor.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-15)
+    assert sensor.components == pytest.approx(np.ones((1, 2)), abs=1e-15)
 
 
 def test_sample_covariance_identical_rows():
-    cov = sample_covariance([[2.0, 5.0, 1.0]] * 4)
-    assert np.array_equal(cov, np.zeros((3, 3)))
+    with pytest.raises(DegenerateSensorError):
+        fit_basis(instances_from_matrix([[2.0, 5.0, 1.0]] * 4))
 
 
 def test_sample_covariance_uses_1_over_n():
-    rng = seeded_rng(1)
-    x = rng.normal(size=(7, 3))
+    x = seeded_rng(1).normal(size=(7, 3))
     centered = x - x.mean(axis=0)
-    expected = centered.T @ centered / 7.0
-    assert np.allclose(sample_covariance(x), expected, atol=1e-15)
+    expected = np.linalg.eigvalsh(centered.T @ centered / 7.0)[::-1]
+    got = fit_basis(instances_from_matrix(x)).sensors[0].eigenvalues
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_sample_covariance_psd_and_symmetric():
-    from fmlp_rul.numerics import eigh
-
+    # A PSD spectrum and orthonormal eigenvectors, as a symmetric solver gives.
     x = seeded_rng(8).normal(size=(20, 6))
-    cov = sample_covariance(x)
-    assert np.array_equal(cov, cov.T)
-    values, _ = eigh(cov)
-    assert values[-1] > -1e-10
+    sensor = fit_basis(instances_from_matrix(x), fve_cutoff=1.0, component_cap=6).sensors[0]
+    assert (sensor.eigenvalues >= 0.0).all() and sensor.num_components == 6
+    q = sensor.components / np.sqrt(6)
+    assert np.allclose(q @ q.T, np.eye(6), rtol=0.0, atol=1e-12)
 
 
-def test_sample_covariance_needs_two_rows():
-    with pytest.raises(ValueError):
-        sample_covariance([[1.0, 2.0]])
+@pytest.mark.parametrize("subset_id", ["FD001", "FD002"])
+def test_fit_basis_matches_reference_bit_for_bit(subset_id, tmp_path):
+    write_subset(tmp_path, subset_id, n_train=12, n_test=1)
+    subset = load_subset(tmp_path, subset_id, splits=("train",))
+    model, scaler = fit_preprocessing(subset.train)
+    windows = training_instances(subset, model, scaler)
+    for r, sensor in enumerate(fit_basis(windows, scaler.sensor_ids).sensors):
+        mean, values, vectors = reference_mean_and_eigh(windows.curves[:, r, :])
+        assert np.array_equal(sensor.mean, mean)
+        assert np.array_equal(sensor.eigenvalues, np.maximum(values, 0.0))
+        p, m = sensor.num_components, len(mean)
+        assert np.array_equal(sensor.components, np.sqrt(m) * vectors[:, :p].T)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +183,8 @@ def test_projection_residual_matches_trailing_eigenvalues():
 
 
 def test_fit_basis_requires_two_instances():
-    with pytest.raises(ValueError):
-        fit_basis(make_instances(np.zeros((1, 1, 4))))
+    with pytest.raises(ValueError, match="at least two windows"):
+        fit_basis(instances_from_matrix([[1.0, 2.0, 3.0, 4.0]]))
 
 
 def _mixed_basis(rng, counts, m):
@@ -199,7 +205,6 @@ def test_project_matches_per_sensor_reference_bit_for_bit(counts):
     windows = make_instances(rng.uniform(-0.2, 1.2, size=(57, len(counts), m)))
     expected = reference_project(basis, windows)
     assert expected.shape == (57, sum(counts))
-    assert np.array_equal(project(basis, windows), expected)
     # Into the network's [scores, 1] buffer: the first D columns, the ones left.
     x = np.ones((57, sum(counts) + 1))
     assert project(basis, windows, x) is x
@@ -212,8 +217,7 @@ def test_project_layout_and_values():
     curves = rng.uniform(0, 1, size=(10, 2, 6))
     insts = make_instances(curves)
     basis = fit_basis(insts)
-    scores = project(basis, insts)
-    assert scores.shape == (10, basis.total_components)
+    scores = project(basis, insts, np.empty((10, basis.total_components)))
     slices = component_slices(basis)
     for r, sensor in enumerate(basis.sensors):
         for p in range(sensor.num_components):

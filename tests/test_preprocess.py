@@ -17,7 +17,6 @@ from fmlp_rul.preprocess import (
     last_windows,
     linear_rul,
     piecewise_rul,
-    remove_condition_effect,
     sliding_windows,
     transform_rows,
 )
@@ -88,7 +87,7 @@ def test_regressor_constant_settings_predicts_mean():
     mean = sensors.mean(axis=0)
     std = sensors.std(axis=0)
     assert np.max(np.abs(pred - mean) / std) < 0.1
-    residual = remove_condition_effect(settings, sensors, model)
+    residual = sensors - model.predict(settings)
     centered = sensors - mean
     assert np.max(np.abs(residual - centered) / std) < 0.1
 
@@ -171,7 +170,7 @@ def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
     assert np.sqrt(np.mean((linear_residual - centred) ** 2, axis=0)).min() > noise
 
     model = fit_condition_regressors(train)
-    gap = remove_condition_effect(settings, sensors, model) - centred
+    gap = sensors - model.predict(settings) - centred
     assert np.sqrt(np.mean(gap**2, axis=0)).max() < noise
 
 
@@ -227,7 +226,7 @@ def test_regressor_rejects_empty_input():
 def test_removal_zero_model_is_identity():
     rng = np.random.Generator(np.random.PCG64(3))
     traj = make_traj(4, rng.uniform(0, 1, (30, 3)), rng.uniform(0, 1, (30, 21)))
-    out = remove_condition_effect(traj.op_settings, traj.sensors, constant_predictor(0.0))
+    out = traj.sensors - constant_predictor(0.0).predict(traj.op_settings)
     assert np.array_equal(out, traj.sensors)
 
 
@@ -235,7 +234,7 @@ def test_removal_exact_fit_gives_zero_residual():
     values = np.arange(21, dtype=float)
     sensors = np.tile(values, (25, 1))
     traj = make_traj(2, np.zeros((25, 3)), sensors)
-    out = remove_condition_effect(traj.op_settings, sensors, constant_predictor(values))
+    out = sensors - constant_predictor(values).predict(traj.op_settings)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -243,7 +242,7 @@ def test_removal_exposes_trend_on_multicondition_data(fd002_pipeline, fd002_subs
     # after removal, the degradation trend dominates the condition switching
     model = fd002_pipeline.condition_model
     traj = fd002_subset.train[0]
-    residual = remove_condition_effect(traj.op_settings, traj.sensors, model)
+    residual = traj.sensors - model.predict(traj.op_settings)
     tail = residual[-120:, 1]  # sensor 2, near end of life
     corr = np.corrcoef(tail, np.arange(tail.size))[0, 1]
     assert corr > 0.5
@@ -253,7 +252,7 @@ def test_removal_neutral_under_single_condition(fd001_pipeline, fd001_subset):
     model = fd001_pipeline.condition_model
     scaler = fd001_pipeline.scaler
     traj = fd001_subset.train[3]
-    removed = remove_condition_effect(traj.op_settings, traj.sensors, model)
+    removed = traj.sensors - model.predict(traj.op_settings)
     for s in scaler.retained:
         corr = np.corrcoef(traj.sensors[:, s], removed[:, s])[0, 1]
         assert corr > 0.999
@@ -370,7 +369,6 @@ def test_slide_windows_counting_example():
     assert windows.labels[-1] == 0.0
     assert np.array_equal(windows.curves[0], traj.sensors[:31].T)  # window 1 starts at cycle 1
     assert np.array_equal(windows.curves[2], traj.sensors[2:33].T)
-    assert np.array_equal(windows.grid, np.arange(1.0, 32.0))
 
 
 def test_slide_windows_single_window():
@@ -448,7 +446,6 @@ def test_test_instances_match_whole_trajectory_path(fd002_subset):
     got = preprocess.test_instances(subset, model, scaler)
     assert got.curves.shape == (41, len(scaler.retained), 21)
     assert got.labels is None
-    assert np.array_equal(got.grid, np.arange(1.0, 22.0))
     for i, t in enumerate(subset.test):
         # transform the whole trajectory, then take its last 21 rows,
         # left-padded with the first row when it is shorter

@@ -43,6 +43,8 @@ def test_readme_library_snippet_runs(tmp_path, capsys):
 def test_readme_config_defaults_are_the_code_defaults():
     (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert json.loads(block) == dataclasses.asdict(ExperimentConfig())
+    # The training defaults have one source; only the seed is the config's own.
+    assert ExperimentConfig().train_config() == TrainConfig(seed=7)
 
 
 def test_readme_names_the_artifact_schema():
