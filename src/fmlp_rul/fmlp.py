@@ -58,15 +58,26 @@ def _block_shapes(k: int, d: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.05
+    """Mini-batch training settings.
+
+    The step size follows the linear scaling rule: whoever changes
+    ``batch_size`` should scale ``learning_rate`` in proportion (0.2 at 256
+    rows). Batches above 512 rows are untested.
+    """
+
+    learning_rate: float = 0.2
     epochs: int = 300
-    batch_size: int = 64
+    batch_size: int = 256
     seed: int = 0
     init_scale: float = 0.5
     patience: int = 25
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

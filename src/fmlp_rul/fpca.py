@@ -95,21 +95,18 @@ class EigenBasis:
 
 def fit_basis(
     windows: Windows,
-    sensor_ids: list[int] | None = None,
+    sensor_ids: list[int],
     fve_cutoff: float = DEFAULT_FVE_CUTOFF,
     component_cap: int = DEFAULT_COMPONENT_CAP,
 ) -> EigenBasis:
     """Fit per-sensor bases from training windows.
 
-    ``sensor_ids`` supplies the 1-based id for each curve row; defaults to
-    1..R in row order.
+    ``sensor_ids`` supplies the 1-based id for each curve row.
     """
     if len(windows) < 2:
         raise ValueError("basis fitting needs at least two windows")
     curves = windows.curves
     n, n_sensors, m = curves.shape
-    if sensor_ids is None:
-        sensor_ids = list(range(1, n_sensors + 1))
     if len(sensor_ids) != n_sensors:
         raise ValueError(f"{len(sensor_ids)} sensor ids for {n_sensors} curve rows")
 

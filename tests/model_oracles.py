@@ -1,7 +1,7 @@
-"""Shared oracles: random functional-MLP model/batch construction, the
-batch loss and gradient through the training kernel, the
-central-finite-difference gradient check, weight curves and the discrete
-integral, a per-sensor reference mean, eigensolve and projection, a
+"""Shared oracles: a basis fitted with sensor ids 1..R, random functional-MLP
+model/batch construction, the batch loss and gradient through the training
+kernel, the central-finite-difference gradient check, weight curves and the
+discrete integral, a per-sensor reference mean, eigensolve and projection, a
 plain reference training loop, and a line-by-line reference trajectory parser."""
 
 import dataclasses
@@ -31,6 +31,11 @@ def make_instances(curves, labels=None):
         np.asarray(curves, dtype=float),
         labels=None if labels is None else np.asarray(labels, dtype=float),
     )
+
+
+def fit_row_basis(windows, **options):
+    """fit_basis with sensor ids 1..R, one per curve row in order."""
+    return fit_basis(windows, list(range(1, windows.curves.shape[1] + 1)), **options)
 
 
 def take(windows, index):
@@ -120,7 +125,7 @@ def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):
     """A random basis (fit from random curves), model, and labeled batch."""
     rng = seeded_rng(seed)
     basis_curves = rng.normal(0.5, 0.2, size=(30, n_sensors, m))
-    basis = fit_basis(make_instances(basis_curves))
+    basis = fit_row_basis(make_instances(basis_curves))
     model = init_model(basis, rng, n_functional=k)
     model.b[:] = rng.uniform(-0.5, 0.5, k)
     for bias in (model.b1, model.b2):

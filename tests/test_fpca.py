@@ -7,6 +7,7 @@ from cmapss_synth import write_subset
 from model_oracles import (
     component_slices,
     discrete_integral,
+    fit_row_basis,
     make_instances,
     projection_residual_mse,
     reference_mean_and_eigh,
@@ -31,19 +32,19 @@ def instances_from_matrix(x):
 
 
 def test_sample_mean_columnwise():
-    sensor = fit_basis(instances_from_matrix([[0.0, 2.0], [2.0, 0.0]])).sensors[0]
+    sensor = fit_row_basis(instances_from_matrix([[0.0, 2.0], [2.0, 0.0]])).sensors[0]
     assert np.array_equal(sensor.mean, [1.0, 1.0])
 
 
 def test_sample_mean_monte_carlo():
     draws = seeded_rng(314).normal(size=(1000, 12))
-    assert np.max(np.abs(fit_basis(instances_from_matrix(draws)).sensors[0].mean)) < 0.15
+    assert np.max(np.abs(fit_row_basis(instances_from_matrix(draws)).sensors[0].mean)) < 0.15
 
 
 def test_sample_covariance_hand_computed():
     # rows (1,1) and (-1,-1): mean 0, cov = (1/2) * sum xx^T = [[1,1],[1,1]],
     # whose eigenvalues are 2 and 0 with eigenvector (1,1)/sqrt(2)
-    sensor = fit_basis(instances_from_matrix([[1.0, 1.0], [-1.0, -1.0]])).sensors[0]
+    sensor = fit_row_basis(instances_from_matrix([[1.0, 1.0], [-1.0, -1.0]])).sensors[0]
     assert np.array_equal(sensor.mean, [0.0, 0.0])
     assert sensor.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-15)
     assert sensor.components == pytest.approx(np.ones((1, 2)), abs=1e-15)
@@ -51,21 +52,21 @@ def test_sample_covariance_hand_computed():
 
 def test_sample_covariance_identical_rows():
     with pytest.raises(DegenerateSensorError):
-        fit_basis(instances_from_matrix([[2.0, 5.0, 1.0]] * 4))
+        fit_row_basis(instances_from_matrix([[2.0, 5.0, 1.0]] * 4))
 
 
 def test_sample_covariance_uses_1_over_n():
     x = seeded_rng(1).normal(size=(7, 3))
     centered = x - x.mean(axis=0)
     expected = np.linalg.eigvalsh(centered.T @ centered / 7.0)[::-1]
-    got = fit_basis(instances_from_matrix(x)).sensors[0].eigenvalues
+    got = fit_row_basis(instances_from_matrix(x)).sensors[0].eigenvalues
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_sample_covariance_psd_and_symmetric():
     # A PSD spectrum and orthonormal eigenvectors, as a symmetric solver gives.
     x = seeded_rng(8).normal(size=(20, 6))
-    sensor = fit_basis(instances_from_matrix(x), fve_cutoff=1.0, component_cap=6).sensors[0]
+    sensor = fit_row_basis(instances_from_matrix(x), fve_cutoff=1.0, component_cap=6).sensors[0]
     assert (sensor.eigenvalues >= 0.0).all() and sensor.num_components == 6
     q = sensor.components / np.sqrt(6)
     assert np.allclose(q @ q.T, np.eye(6), rtol=0.0, atol=1e-12)
@@ -126,7 +127,7 @@ def test_fit_basis_karhunen_loeve_oracle():
     scores1 = rng.normal(0.0, 2.0, n)
     scores2 = rng.normal(0.0, 1.0, n)
     curves = np.outer(scores1, mode1) + np.outer(scores2, mode2)
-    basis = fit_basis(instances_from_matrix(curves))
+    basis = fit_row_basis(instances_from_matrix(curves))
     sensor = basis.sensors[0]
     recovered = sensor.components[0]
     deviation = min(
@@ -142,7 +143,7 @@ def test_fit_basis_rank_one_constant_mode():
     fixed = np.linspace(0.0, 1.0, m)
     offsets = np.array([0.0, 0.4, 1.1, -0.7, 2.0])
     curves = fixed + offsets[:, None]
-    basis = fit_basis(instances_from_matrix(curves))
+    basis = fit_row_basis(instances_from_matrix(curves))
     sensor = basis.sensors[0]
     assert sensor.num_components == 1
     assert np.max(np.abs(np.abs(sensor.components[0]) - 1.0)) < 1e-8
@@ -150,7 +151,7 @@ def test_fit_basis_rank_one_constant_mode():
 
 def test_fit_basis_rank_bound_two_instances():
     curves = seeded_rng(3).normal(size=(2, 3))
-    basis = fit_basis(instances_from_matrix(curves))
+    basis = fit_row_basis(instances_from_matrix(curves))
     eigenvalues = basis.sensors[0].eigenvalues
     assert np.sum(eigenvalues > 1e-12) <= 2
 
@@ -158,7 +159,7 @@ def test_fit_basis_rank_bound_two_instances():
 def test_fit_basis_orthonormal_under_discrete_integral():
     rng = seeded_rng(12)
     curves = rng.uniform(0, 1, size=(40, 3, 12))
-    basis = fit_basis(make_instances(curves))
+    basis = fit_row_basis(make_instances(curves))
     for sensor in basis.sensors:
         p = sensor.num_components
         for i in range(p):
@@ -171,7 +172,7 @@ def test_projection_residual_matches_trailing_eigenvalues():
     rng = seeded_rng(21)
     curves = rng.normal(size=(30, 2, 8))
     insts = make_instances(curves)
-    basis = fit_basis(insts)
+    basis = fit_row_basis(insts)
     expected = 0.0
     count = 0
     for sensor in basis.sensors:
@@ -184,7 +185,7 @@ def test_projection_residual_matches_trailing_eigenvalues():
 
 def test_fit_basis_requires_two_instances():
     with pytest.raises(ValueError, match="at least two windows"):
-        fit_basis(instances_from_matrix([[1.0, 2.0, 3.0, 4.0]]))
+        fit_row_basis(instances_from_matrix([[1.0, 2.0, 3.0, 4.0]]))
 
 
 def _mixed_basis(rng, counts, m):
@@ -216,7 +217,7 @@ def test_project_layout_and_values():
     rng = seeded_rng(4)
     curves = rng.uniform(0, 1, size=(10, 2, 6))
     insts = make_instances(curves)
-    basis = fit_basis(insts)
+    basis = fit_row_basis(insts)
     scores = project(basis, insts, np.empty((10, basis.total_components)))
     slices = component_slices(basis)
     for r, sensor in enumerate(basis.sensors):
