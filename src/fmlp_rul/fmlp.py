@@ -78,6 +78,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "init_scale", "val_fraction"):  # what an artifact reads back
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -211,8 +215,9 @@ class _Kernel:
     """The network over n rows of [scores, 1] (n, D+1): the forward pass,
     ``run(x)``, and, given ``grad``, a vector laid out like ``params``, one
     descent step, ``step(x, targets)``. A step writes ``scale`` times the
-    gradient of the MSE over the rows of x into ``grad`` and subtracts it
-    from ``params``. Views of the parameters and every other operand are
+    gradient of the MSE over the rows of x into ``grad``, subtracts it from
+    ``params``, and returns the rows' sum of squared residuals before the
+    update. Views of the parameters and every other operand are
     bound once, here, so both follow every in-place update; each call
     overwrites the work arrays, and the ones rows are never written.
     Finiteness is the caller's check."""
@@ -246,7 +251,7 @@ class _Kernel:
         dhidden_t, dh = dhidden.T, np.empty(n)  # dJ/dH
         dh_col = dh[:, None]
 
-        def step(x: np.ndarray, targets: np.ndarray) -> None:
+        def step(x: np.ndarray, targets: np.ndarray) -> np.float64:
             """The logistic derivatives s(1 - s) overwrite the activations,
             and each rank-1 outer product is one matmul."""
             run(x)
@@ -264,6 +269,7 @@ class _Kernel:
             dot(x.T, dz, g_first)
             multiply(grad, factor, grad)
             subtract(params, grad, params)
+            return dot(residual, residual)
 
         self.step = step
 
@@ -303,6 +309,12 @@ def init_model(
 
 @dataclass
 class TraceRow:
+    """One epoch of training, in scaled label units. ``train_mse`` is the mean
+    over the training split of each row's squared error, taken in its batch's
+    forward pass before that batch's update: the batch losses' mean weighted
+    by batch size. ``val_mse`` is the validation split's MSE at the end of the
+    epoch, the value early stopping reads; None without a validation split."""
+
     epoch: int
     train_mse: float
     val_mse: float | None
@@ -324,10 +336,13 @@ def train(
 
     Projection scores are computed once and reused every epoch. When the
     validation fraction is positive, the returned model is the snapshot
-    with the best validation MSE, and training stops once ``patience`` + 1
-    epochs in a row bring no improvement: after best epoch + patience + 1
-    epochs, unless ``epochs`` ends it first. Raises TrainingError, checked
-    once per epoch, if a parameter or the loss stops being finite.
+    with the best end-of-epoch validation MSE, and training stops once
+    ``patience`` + 1 epochs in a row bring no improvement: after best
+    epoch + patience + 1 epochs, unless ``epochs`` ends it first. Each
+    epoch's trace row takes ``train_mse`` from the residuals its descent
+    steps already computed, with no pass of its own (see ``TraceRow``).
+    Raises TrainingError, checked once per epoch, if a parameter or the
+    loss stops being finite.
     """
     if not instances:
         raise ValueError("no training instances")
@@ -359,7 +374,7 @@ def train(
         (epoch_scores[s : s + size], epoch_targets[s : s + size], steps[min(size, n_fit - s)])
         for s in range(0, n_fit, size)
     ]
-    fit_pass, val_pass = _Kernel(model, n_fit), _Kernel(model, n_val)
+    val_pass = _Kernel(model, n_val)
     best = None
     best_val = np.inf
     stale = 0
@@ -369,9 +384,10 @@ def train(
         order = rng.permutation(n_fit)
         np.take(train_scores, order, 0, epoch_scores, "clip")
         np.take(train_targets, order, 0, epoch_targets, "clip")
+        sse = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # checked once per epoch
             for x, t, step in batches:
-                step(x, t)
+                sse += step(x, t)
         # A non-finite gradient makes a parameter non-finite in the same step.
         if not np.isfinite(params).all():
             name = next(name for name, v in model.blocks(params) if not np.isfinite(v).all())
@@ -379,7 +395,7 @@ def train(
                 f"training diverged at epoch {epoch}: non-finite parameter block {name}"
             )
 
-        train_mse = fit_pass.mse(train_scores, train_targets)
+        train_mse = float(sse) / n_fit
         if not np.isfinite(train_mse):
             raise TrainingError(f"training loss diverged at epoch {epoch}")
         val_mse = None

@@ -110,11 +110,9 @@ def fit_basis(
     if len(sensor_ids) != n_sensors:
         raise ValueError(f"{len(sensor_ids)} sensor ids for {n_sensors} curve rows")
 
-    sensors = []
-    for r, sensor_id in enumerate(sensor_ids):
-        x = curves[:, r, :]
-        mean = x.mean(axis=0)
-        centered = x - mean
+    sensors, means = [], curves.mean(axis=0)  # (R, M): one reduction, not R strided ones
+    for r, (sensor_id, mean) in enumerate(zip(sensor_ids, means)):
+        centered = curves[:, r, :] - mean
         values, vectors = eigh(centered.T @ centered / n)  # eigh symmetrizes
         if values[-1] < _NEGATIVE_EIG_TOL:
             raise DegenerateSensorError(

@@ -163,8 +163,10 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     """fmlp.train written plainly: one array per parameter block, the same
     random draws in the same order, and a per-block update ``p -= lr * g``
     each step; the best-validation snapshot is a copy of every block.
-    Returns the final (name, block) pairs and the trace as (epoch,
-    train_mse, val_mse) tuples. Divergence is not checked."""
+    An epoch's train_mse sums each batch's squared residuals before its
+    update and divides by the training split's size. Returns the final
+    (name, block) pairs and the trace as (epoch, train_mse, val_mse)
+    tuples. Divergence is not checked."""
     rng = seeded_rng(cfg.seed)
     s, d = cfg.init_scale, basis.total_components
     a = rng.uniform(-s, s, size=n_functional)
@@ -192,11 +194,12 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     best, best_val, stale, trace = None, np.inf, 0, []
     for epoch in range(1, cfg.epochs + 1):
-        order = train_idx[rng.permutation(train_idx.size)]
+        order, sse = train_idx[rng.permutation(train_idx.size)], 0.0
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x, t = scores[idx], targets[idx]
             z, h, hidden, yhat = forward(x)
+            sse += float(np.sum((yhat - t) ** 2))
             dy = ((2.0 / len(idx)) * (yhat - t))[:, None]
             g_w2, g_b2 = dy.T @ hidden, dy.sum(axis=0)
             dhidden = dy @ w2
@@ -208,7 +211,7 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
             g_beta, g_b = dpre.T @ x, dpre.sum(axis=0)
             for block, g in zip(blocks, [g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2]):
                 block -= cfg.learning_rate * g
-        train_mse = mse(scores[train_idx], targets[train_idx])
+        train_mse = sse / train_idx.size
         val_mse = mse(scores[val_idx], targets[val_idx]) if n_val else None
         trace.append((epoch, train_mse, val_mse))
         if n_val:

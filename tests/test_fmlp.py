@@ -387,6 +387,18 @@ def test_train_matches_reference_for_any_batching(split):
     assert_train_matches_reference(take(rank_one_task(), slice(40)), cfg)
 
 
+def test_one_batch_train_mse_is_previous_epochs_full_split_mse():
+    # with one batch per epoch, that batch's residuals are the whole split's,
+    # taken with the parameters that the previous epoch ended on
+    data = take(rank_one_task(), slice(120))
+    basis = fit_row_basis(data)
+    cfg = TrainConfig(epochs=6, seed=9, batch_size=256, val_fraction=0.0)
+    trace = train(data, basis, cfg).trace
+    for epoch in range(1, cfg.epochs):
+        ended = train(data, basis, dataclasses.replace(cfg, epochs=epoch)).model
+        assert trace[epoch].train_mse == pytest.approx(loss(ended, data), rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("patience", [1, 2, 3])
 def test_early_stopping_runs_patience_plus_one_stale_epochs(patience):
     # training stops at the (patience + 1)-th epoch in a row without a better val MSE
@@ -434,6 +446,15 @@ def test_train_config_counts_must_be_integers(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "init_scale", "val_fraction"])
+@pytest.mark.parametrize("value", [True, False, "0.2", None, [0.1]])
+def test_train_config_rates_must_be_real_numbers(field, value):
+    # learning_rate=True once trained at step size 1.0 and wrote an artifact
+    # that load_model rejects; learning_rate="0.2" ended in a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        TrainConfig(**{field: value})
+
+
 # --- serialization ----------------------------------------------------------
 
 
@@ -475,6 +496,22 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert np.array_equal(pipeline.predict(subset.test), expected)
     assert np.array_equal(reloaded.predict(subset.test), expected)
     assert reloaded.predict([]).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [int, np.float64])
+def test_library_train_config_round_trips(kind, tmp_path):
+    # int and numpy-float rates pass TrainConfig and come back from the artifact
+    write_subset(tmp_path, "FD001", n_train=4, n_test=2)
+    subset = load_subset(tmp_path, "FD001")
+    condition_model, scaler = fit_preprocessing(subset.train)
+    data = training_instances(subset, condition_model, scaler)
+    basis = fit_basis(data, sensor_ids=scaler.sensor_ids)
+    rates = {"learning_rate": kind(1), "init_scale": kind(1), "val_fraction": kind(0)}
+    cfg = TrainConfig(epochs=2, seed=4, **rates)
+    pipeline = Pipeline(condition_model, scaler, train(data, basis, cfg).model, "FD001")
+    reloaded = load_model(io.StringIO(json.dumps(pipeline_to_doc(pipeline))))
+    assert reloaded.network.train_config == cfg
+    assert np.array_equal(reloaded.network.params, pipeline.network.params)
 
 
 def test_load_rejects_truncated_artifact():
