@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all fmlp_rul modules, and the rules for
-reading JSON values that configs and artifacts share."""
+reading JSON values that configs, artifacts and the model types share."""
 
 import sys
 
@@ -51,7 +51,7 @@ class ConfigError(FmlpRulError):
     exit_code = 2
 
 
-def json_number(value, kind: type, name: str, error: type[FmlpRulError]):
+def json_number(value, kind: type, name: str, error: type[Exception]):
     """``value`` as ``kind``, int or float: an int must be a JSON integer and
     a float a finite JSON number; true, false, strings and null are neither.
     Otherwise raises ``error`` naming ``name``."""

@@ -39,6 +39,8 @@ from .preprocess import (
 )
 
 ARTIFACT_SCHEMA = "fmlp-artifact/5"
+ARTIFACT_KEYS = ("schema", "subset_id", "window_length", "condition_model", "scaler",
+                 "label_scale", "train_config", "basis", "network")
 
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
@@ -74,14 +76,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "init_scale", "val_fraction"):  # what an artifact reads back
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for f in dataclasses.fields(self):  # each read as an artifact reads it back
+            value = json_number(getattr(self, f.name), type(f.default), f.name, ValueError)
+            setattr(self, f.name, value)
         for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -114,6 +111,9 @@ class FmlpModel:
     params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        self.label_scale = json_number(self.label_scale, float, "label_scale", ValueError)
+        if not (self.label_scale > 0 and self.label_scale.is_integer()):  # evaluate caps RULs at it
+            raise ValueError(f"label_scale is {self.label_scale}, expected > 0 and a whole number")
         shapes = _block_shapes(self.n_functional, self.basis.total_components)
         for name, shape in shapes.items():
             if np.shape(getattr(self, name)) != shape:
@@ -174,6 +174,13 @@ class Pipeline:
     scaler: MinMaxScaler
     network: FmlpModel
     subset_id: str
+
+    def __post_init__(self):
+        if self.subset_id not in SUBSET_IDS:
+            raise ValueError(f"subset_id is {self.subset_id!r}, expected one of {SUBSET_IDS}")
+        ids, kept = [s.sensor_id for s in self.network.basis.sensors], self.scaler.sensor_ids
+        if ids != kept:
+            raise ValueError(f"basis covers sensors {ids}, but the scaler retains {kept}")
 
     @property
     def window_length(self) -> int:
@@ -479,8 +486,9 @@ def pipeline_to_doc(pipeline: Pipeline) -> dict:
 
 
 def pipeline_from_doc(doc: dict) -> Pipeline:
-    """Rebuild a pipeline from its artifact document, checking each value
-    where it is read. An artifact without preprocessing state is rejected."""
+    """Rebuild a pipeline from its artifact document: the loader checks the schema,
+    each object's keys and the arrays' shapes, the constructors every other rule.
+    An artifact without preprocessing state is rejected."""
     try:
         if doc.get("schema") != ARTIFACT_SCHEMA:
             raise ArtifactError(
@@ -492,77 +500,59 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
                 raise ArtifactError(
                     f"artifact block {key} is null or missing: no preprocessing state"
                 )
-        if doc["subset_id"] not in SUBSET_IDS:
-            raise ArtifactError(
-                f"artifact field subset_id is {doc['subset_id']!r}, expected one of {SUBSET_IDS}"
-            )
-        m = _field(doc["window_length"], int, "window_length")
+        _read(doc, {}, "", raw=ARTIFACT_KEYS)
+        m = json_number(doc["window_length"], int, "artifact field window_length", ArtifactError)
         if not m > 0:
             raise ArtifactError(f"artifact field window_length is {m}, expected > 0")
-        cm_doc, scaler_doc = doc["condition_model"], doc["scaler"]
-        stale = cm_doc.keys() - _condition_shapes().keys()
-        if stale:  # such as a hidden layer's w1 left from an older schema
-            raise ArtifactError(f"artifact field condition_model.{min(stale)} is unknown")
-        condition_model = ConditionModel(**{
-            key: json_block(cm_doc[key], shape, f"condition_model.{key}")
-            for key, shape in _condition_shapes().items()
-        })
-        scaler = MinMaxScaler(*(
-            json_block(scaler_doc[k], (N_SENSORS,), f"scaler.{k}") for k in ("minimum", "maximum")
-        ))
-        basis_doc, sensors, m_from = doc["basis"], [], f" for window_length {m}"
-        for i, s in enumerate(basis_doc["sensors"]):
-            name, p = f"basis.sensors[{i}]", len(s["components"])
-            curves = {
-                key: json_block(s[key], shape, f"{name}.{key}", m_from)
-                for key, shape in (("mean", (m,)), ("eigenvalues", (m,)), ("components", (p, m)))
-            }
-            sensors.append(SensorBasis(_field(s["sensor_id"], int, f"{name}.sensor_id"), **curves))
-        if not sensors:  # nothing would bound M
-            raise ArtifactError("artifact basis covers no sensors")
-        ids = [sb.sensor_id for sb in sensors]
-        if ids != scaler.sensor_ids:
-            raise ArtifactError(
-                f"artifact basis covers sensors {ids}, but the scaler retains {scaler.sensor_ids}"
-            )
-        basis = EigenBasis(
-            sensors=sensors,
-            fve_cutoff=_field(basis_doc["fve_cutoff"], float, "basis.fve_cutoff"),
-            component_cap=_field(basis_doc["component_cap"], int, "basis.component_cap"),
+        cm_doc = doc["condition_model"]
+        condition_model = ConditionModel(**_read(cm_doc, _condition_shapes(), "condition_model."))
+        scaler_shapes = dict.fromkeys(("minimum", "maximum"), (N_SENSORS,))
+        scaler = _built(MinMaxScaler, "scaler.", **_read(doc["scaler"], scaler_shapes, "scaler."))
+        basis_doc = _read(doc["basis"], {}, "basis.", raw=EigenBasis.__dataclass_fields__)
+        sensors, m_from = [], f" for window_length {m}"
+        for i, s in enumerate(basis_doc.pop("sensors")):
+            name, p = f"basis.sensors[{i}].", len(s.get("components", ()))
+            shapes = {"mean": (m,), "eigenvalues": (m,), "components": (p, m)}
+            fields = _read(s, shapes, name, m_from, raw=("sensor_id",))
+            sensors.append(_built(SensorBasis, name, **fields))
+        basis = _built(EigenBasis, "basis.", sensors, **basis_doc)
+        net_doc, cfg_doc = doc["network"], doc["train_config"]
+        shapes = _block_shapes(len(net_doc.get("a", ())), basis.total_components)
+        train_config = None
+        if cfg_doc is not None:  # none of its fields is a default
+            fields = _read(cfg_doc, {}, "train_config.", raw=TrainConfig.__dataclass_fields__)
+            train_config = _built(TrainConfig, "train_config.", **fields)
+        network = _built(
+            FmlpModel, "", **_read(net_doc, shapes, "network."), basis=basis,
+            label_scale=doc["label_scale"], train_config=train_config,
         )
-        net_doc = doc["network"]
-        params = {
-            name: json_block(net_doc[name], shape, f"network.{name}")
-            for name, shape in _block_shapes(len(net_doc["a"]), basis.total_components).items()
-        }
-        label_scale = _field(doc["label_scale"], float, "label_scale")
-        if not (label_scale > 0 and label_scale.is_integer()):  # evaluate caps true RULs at it
-            raise ArtifactError(
-                f"artifact field label_scale is {label_scale}, expected > 0 and a whole number"
-            )
-        cfg_doc = doc["train_config"]
-        train_config = None if cfg_doc is None else _config(TrainConfig, cfg_doc, "train_config")
-        network = FmlpModel(
-            **params, basis=basis, label_scale=label_scale, train_config=train_config
-        )
-        return Pipeline(condition_model, scaler, network, doc["subset_id"])
+        return _built(Pipeline, "", condition_model, scaler, network, doc["subset_id"])
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model artifact: {exc}") from exc
 
 
-def _field(value, kind: type, name: str):
-    return json_number(value, kind, f"artifact field {name}", ArtifactError)
+def _read(doc: dict, shapes: dict, name: str, shape_from: str = "", raw=()) -> dict:
+    """The fields of an artifact object that holds exactly the keys of
+    ``shapes`` and ``raw``: each numeric block by ``json_block``, each raw
+    value as it is. A missing or unknown key is an ArtifactError naming it."""
+    keys = [*shapes, *raw]
+    if doc.keys() != set(keys):
+        key = min(doc.keys() ^ set(keys))
+        state = "missing" if key in keys else "unknown"
+        raise ArtifactError(f"artifact field {name}{key} is {state}")
+    return {
+        k: json_block(doc[k], shapes[k], name + k, shape_from) if k in shapes else doc[k]
+        for k in keys
+    }
 
 
-def _config(cls, doc: dict, name: str):
-    """A stage config from its artifact block: exactly the dataclass's
-    fields, each with its default's type."""
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    if doc.keys() != kinds.keys():
-        key = min(doc.keys() ^ kinds.keys())
-        state = "missing" if key in kinds else "unknown"
-        raise ArtifactError(f"artifact field {name}.{key} is {state}")
-    return cls(**{key: _field(doc[key], kind, f"{name}.{key}") for key, kind in kinds.items()})
+def _built(cls, name: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``. Each constructor's ValueError starts with the
+    field's name, so it becomes an ArtifactError naming the field under ``name``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ArtifactError(f"artifact field {name}{exc}") from exc
 
 
 def load_model(stream: TextIO) -> Pipeline:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSensorError
+from .errors import DegenerateSensorError, json_number
 from .numerics import eigh
 from .preprocess import Windows
 
@@ -49,7 +49,7 @@ def check_basis_settings(fve_cutoff: float, component_cap: int, rows: Sequence[i
     if not component_cap > 0:
         raise ValueError(f"component_cap must be > 0, got {component_cap}")
     if not all(1 <= p <= component_cap for p in rows):
-        raise ValueError(f"component rows {rows} must each be in 1..component_cap {component_cap}")
+        raise ValueError(f"sensors have component rows {rows}, expected each in 1..{component_cap}")
 
 
 @dataclass
@@ -60,6 +60,9 @@ class SensorBasis:
     mean: np.ndarray  # (M,)
     eigenvalues: np.ndarray  # (M,) non-increasing, full spectrum
     components: np.ndarray  # (P, M) rows are the selected eigenfunctions
+
+    def __post_init__(self):
+        self.sensor_id = json_number(self.sensor_id, int, "sensor_id", ValueError)
 
     @property
     def num_components(self) -> int:
@@ -80,6 +83,10 @@ class EigenBasis:
     component_cap: int
 
     def __post_init__(self):
+        if not self.sensors:  # the first sensor bounds the grid
+            raise ValueError("sensors is empty, expected at least one sensor")
+        self.fve_cutoff = json_number(self.fve_cutoff, float, "fve_cutoff", ValueError)
+        self.component_cap = json_number(self.component_cap, int, "component_cap", ValueError)
         rows = [s.num_components for s in self.sensors]
         check_basis_settings(self.fve_cutoff, self.component_cap, rows)
 

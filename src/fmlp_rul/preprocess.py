@@ -124,8 +124,9 @@ class MinMaxScaler:
     maximum: np.ndarray  # (S,)
 
     def __post_init__(self):
-        if np.any(self.maximum < self.minimum):
-            raise ValueError("per-sensor max must be >= min")
+        below = np.flatnonzero(self.maximum < self.minimum) + 1
+        if below.size:
+            raise ValueError(f"maximum is below minimum for sensors {below.tolist()}")
 
     @property
     def constant_mask(self) -> np.ndarray:

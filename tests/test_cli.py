@@ -751,7 +751,9 @@ def _condition_width_8(doc):
         (lambda d: (_drop_last(["scaler", "minimum"])(d), _drop_last(["scaler", "maximum"])(d)),
          "scaler.minimum"),
         (_make_constant, "scaler retains"),
-        (lambda d: d["basis"].__setitem__("sensors", []), "basis covers no sensors"),
+        (_set_path(["scaler", "maximum", 1], -1e9),
+         "artifact field scaler.maximum is below minimum for sensors [2]"),
+        (lambda d: d["basis"].__setitem__("sensors", []), "basis.sensors is empty"),
         # window_length is the one record of M: every curve block is checked against it
         (_set_path(["window_length"], 30), "mean has shape (31,), expected (30,)"),
         (_set("window_length", 30), "window_length 30"),
@@ -764,7 +766,7 @@ def _condition_width_8(doc):
         (lambda d: d["network"].__setitem__("w2", 1.0),
          "network.w2 has shape (), expected (1, 2)"),
         (_hidden_width_3, "network.w1 has shape (3, 1), expected (2, 1)"),
-        (lambda d: d["network"].pop("b1"), "malformed model artifact: 'b1'"),
+        (lambda d: d["network"].pop("b1"), "artifact field network.b1 is missing"),
         (_set("label_scale", 0), "label_scale is 0.0, expected > 0"),
         (_set("label_scale", -130), "label_scale is -130.0, expected > 0"),
         # evaluate caps true RULs at the label scale, which once truncated 130.9 to 130
@@ -802,9 +804,17 @@ def _condition_width_8(doc):
         (_set_path(["basis", "fve_cutoff"], -1), "fve_cutoff must be in (0, 1], got -1.0"),
         (_set_path(["basis", "component_cap"], 0), "component_cap must be > 0, got 0"),
         (_components_above_cap, "component rows [3, 1, 1, 2,"),
-        # A stage config holds exactly its dataclass's fields.
+        # Every object holds exactly its keys: a missing one is not a default,
+        # and an unknown one is not ignored.
         (lambda d: d["train_config"].pop("learning_rate"), "train_config.learning_rate is missing"),
         (_set_path(["train_config", "momentum"], 0.9), "train_config.momentum is unknown"),
+        (lambda d: d["basis"]["sensors"][1].pop("mean"), "field basis.sensors[1].mean is missing"),
+        (lambda d: d.pop("label_scale"), "artifact field label_scale is missing"),
+        (_set_path(["scaler", "std"], [1.0] * 21), "artifact field scaler.std is unknown"),
+        (_set_path(["network", "w3"], [[0.5]]), "artifact field network.w3 is unknown"),
+        (_set_path(["basis", "grid"], list(range(1, 32))), "artifact field basis.grid is unknown"),
+        (_set_sensor(0, "fve", [0.9]), "artifact field basis.sensors[0].fve is unknown"),
+        (_set("label_cap", 130), "artifact field label_cap is unknown"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):

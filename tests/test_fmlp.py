@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +26,7 @@ from model_oracles import (
     weight_curve,
 )
 
-from fmlp_rul.cmapss import DataSubset, load_subset
+from fmlp_rul.cmapss import N_SENSORS, SUBSET_IDS, DataSubset, load_subset
 from fmlp_rul.errors import ArtifactError, TrainingError
 from fmlp_rul.fmlp import (
     BLOCKS,
@@ -37,7 +39,7 @@ from fmlp_rul.fmlp import (
     pipeline_to_doc,
     train,
 )
-from fmlp_rul.fpca import fit_basis
+from fmlp_rul.fpca import EigenBasis, fit_basis
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import fit_preprocessing, training_instances
 
@@ -442,16 +444,19 @@ def test_train_config_validation():
 def test_train_config_counts_must_be_integers(field, value):
     # patience=0.5 once acted as patience 0; batch_size or epochs 2.5 ended in
     # a bare TypeError inside train; batch_size=True passed the > 0 check.
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+    # The wording is the JSON value rule's, the one a config and an artifact meet.
+    with pytest.raises(ValueError, match=re.escape(f"{field} is {value!r}, expected an integer")):
         TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["learning_rate", "init_scale", "val_fraction"])
-@pytest.mark.parametrize("value", [True, False, "0.2", None, [0.1]])
+@pytest.mark.parametrize("value", [True, False, "0.2", None, [0.1], math.inf, -math.inf, math.nan])
 def test_train_config_rates_must_be_real_numbers(field, value):
     # learning_rate=True once trained at step size 1.0 and wrote an artifact
-    # that load_model rejects; learning_rate="0.2" ended in a bare TypeError.
-    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+    # that load_model rejects; learning_rate="0.2" ended in a bare TypeError;
+    # learning_rate=inf failed only inside train and wrote an unloadable artifact.
+    expected = "a finite number" if isinstance(value, float) else "a number"
+    with pytest.raises(ValueError, match=re.escape(f"{field} is {value!r}, expected {expected}")):
         TrainConfig(**{field: value})
 
 
@@ -498,20 +503,118 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert reloaded.predict([]).shape == (0,)
 
 
-@pytest.mark.parametrize("kind", [int, np.float64])
-def test_library_train_config_round_trips(kind, tmp_path):
-    # int and numpy-float rates pass TrainConfig and come back from the artifact
-    write_subset(tmp_path, "FD001", n_train=4, n_test=2)
-    subset = load_subset(tmp_path, "FD001")
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 2-epoch pipeline on a 4-engine FD001 corpus, and its training windows."""
+    root = tmp_path_factory.mktemp("small_fd001")
+    write_subset(root, "FD001", n_train=4, n_test=2)
+    subset = load_subset(root, "FD001")
     condition_model, scaler = fit_preprocessing(subset.train)
     data = training_instances(subset, condition_model, scaler)
     basis = fit_basis(data, sensor_ids=scaler.sensor_ids)
+    model = train(data, basis, TrainConfig(epochs=2, seed=4)).model
+    return Pipeline(condition_model, scaler, model, "FD001"), data
+
+
+def _columns(basis, keep):
+    """The beta columns of the basis sensors at indices ``keep``."""
+    slices = component_slices(basis)
+    return [c for i in keep for c in range(slices[i].start, slices[i].stop)]
+
+
+def _with_sensors(network, keep):
+    """The network over the basis sensors at indices ``keep``, with their beta columns."""
+    basis = network.basis
+    sensors = EigenBasis([basis.sensors[i] for i in keep], basis.fve_cutoff, basis.component_cap)
+    return dataclasses.replace(network, beta=network.beta[:, _columns(basis, keep)], basis=sensors)
+
+
+@pytest.mark.parametrize("kind", [int, np.float64])
+def test_library_train_config_round_trips(kind, small_pipeline):
+    # int and numpy-float rates pass TrainConfig and come back from the artifact
+    pipeline, data = small_pipeline
     rates = {"learning_rate": kind(1), "init_scale": kind(1), "val_fraction": kind(0)}
     cfg = TrainConfig(epochs=2, seed=4, **rates)
-    pipeline = Pipeline(condition_model, scaler, train(data, basis, cfg).model, "FD001")
+    model = train(data, pipeline.network.basis, cfg).model
+    pipeline = dataclasses.replace(pipeline, network=model)
     reloaded = load_model(io.StringIO(json.dumps(pipeline_to_doc(pipeline))))
     assert reloaded.network.train_config == cfg
     assert np.array_equal(reloaded.network.params, pipeline.network.params)
+
+
+# Each of these built a pipeline whose artifact load_model rejects; now the
+# constructor raises, naming the field.
+@pytest.mark.parametrize("label_scale", [130.9, -5.0])
+def test_train_rejects_label_scale_an_artifact_cannot_hold(small_pipeline, label_scale):
+    pipeline, data = small_pipeline
+    with pytest.raises(ValueError, match=f"^label_scale is {label_scale}, expected > 0 and a"):
+        train(data, pipeline.network.basis, TrainConfig(epochs=1), label_scale=label_scale)
+
+
+def test_pipeline_rejects_unknown_subset_id(small_pipeline):
+    pipeline, _ = small_pipeline
+    with pytest.raises(ValueError, match="^subset_id is 'FD009', expected one of"):
+        dataclasses.replace(pipeline, subset_id="FD009")
+
+
+def test_pipeline_rejects_basis_over_other_sensors_than_the_scaler(small_pipeline):
+    # Pipeline.predict once raised a bare "windows have 15 curves, basis has 3".
+    pipeline, _ = small_pipeline
+    assert len(pipeline.scaler.sensor_ids) == 15 and pipeline.scaler.sensor_ids[:3] == [2, 3, 4]
+    network = _with_sensors(pipeline.network, [0, 1, 2])
+    with pytest.raises(ValueError, match=re.escape("basis covers sensors [2, 3, 4], but the")):
+        dataclasses.replace(pipeline, network=network)
+    with pytest.raises(ValueError, match="^sensors is empty, expected at least one sensor$"):
+        _with_sensors(pipeline.network, [])
+
+
+def _mostly(valid, other=st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), st.integers(-3, 2**65),
+    st.floats(allow_nan=True, allow_infinity=True),
+)):
+    """A value from ``valid`` nine times in ten, else from ``other``: about a
+    third of the examples then have every field valid."""
+    return st.integers(0, 9).flatmap(lambda i: other if i == 0 else valid)
+
+
+# Some basis sensors dropped, or all of them.
+_DROPS = st.sets(st.integers(0, N_SENSORS - 1), min_size=1) | st.just(set(range(N_SENSORS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label_scale=_mostly(st.sampled_from([130.0, 1.0, 1e300, 2**53])),
+    subset_id=_mostly(st.sampled_from(SUBSET_IDS), st.sampled_from(["FD009", "fd001", "", None])),
+    dropped=_mostly(st.just(set()), _DROPS),
+    config=_mostly(st.fixed_dictionaries({
+        f.name: _mostly(st.just(f.default)) for f in dataclasses.fields(TrainConfig)
+    }), st.none()),
+)
+def test_construction_fails_exactly_when_its_artifact_would_not_load(
+    small_pipeline, label_scale, subset_id, dropped, config
+):
+    pipeline, _ = small_pipeline
+    basis = pipeline.network.basis
+    keep = [i for i in range(len(basis.sensors)) if i not in dropped]
+    doc = pipeline_to_doc(pipeline)
+    doc.update(label_scale=label_scale, subset_id=subset_id, train_config=config)
+    doc["basis"]["sensors"] = [doc["basis"]["sensors"][i] for i in keep]
+    doc["network"]["beta"] = pipeline.network.beta[:, _columns(basis, keep)].tolist()
+    try:  # the same values, given to the constructors
+        network = dataclasses.replace(
+            _with_sensors(pipeline.network, keep), label_scale=label_scale,
+            train_config=None if config is None else TrainConfig(**config),
+        )
+        built = Pipeline(pipeline.condition_model, pipeline.scaler, network, subset_id)
+    except ValueError:
+        with pytest.raises(ArtifactError):
+            load_model(io.StringIO(json.dumps(doc)))
+        return
+    written = json.dumps(pipeline_to_doc(built))
+    for text in (written, json.dumps(doc)):
+        loaded = load_model(io.StringIO(text))
+        assert json.dumps(pipeline_to_doc(loaded)) == written
+        assert np.array_equal(loaded.network.params, built.network.params)
 
 
 def test_load_rejects_truncated_artifact():
