@@ -42,7 +42,6 @@ from .preprocess import (
     MinMaxScaler,
     Windows,
     fit_condition_regressors,
-    fit_minmax,
     fit_preprocessing,
     last_windows,
     linear_rul,

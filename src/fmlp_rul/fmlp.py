@@ -509,14 +509,17 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
         scaler_shapes = dict.fromkeys(("minimum", "maximum"), (N_SENSORS,))
         scaler = _built(MinMaxScaler, "scaler.", **_read(doc["scaler"], scaler_shapes, "scaler."))
         basis_doc = _read(doc["basis"], {}, "basis.", raw=EigenBasis.__dataclass_fields__)
-        sensors, m_from = [], f" for window_length {m}"
-        for i, s in enumerate(basis_doc.pop("sensors")):
-            name, p = f"basis.sensors[{i}].", len(s.get("components", ()))
+        sensors, m_from, docs = [], f" for window_length {m}", basis_doc.pop("sensors")
+        if not isinstance(docs, list):
+            raise ArtifactError(f"artifact field basis.sensors is {docs!r}, expected a list")
+        for i, s in enumerate(docs):
+            name = f"basis.sensors[{i}]."
+            p = len(_object(s, name).get("components", ()))
             shapes = {"mean": (m,), "eigenvalues": (m,), "components": (p, m)}
             fields = _read(s, shapes, name, m_from, raw=("sensor_id",))
             sensors.append(_built(SensorBasis, name, **fields))
         basis = _built(EigenBasis, "basis.", sensors, **basis_doc)
-        net_doc, cfg_doc = doc["network"], doc["train_config"]
+        net_doc, cfg_doc = _object(doc["network"], "network."), doc["train_config"]
         shapes = _block_shapes(len(net_doc.get("a", ())), basis.total_components)
         train_config = None
         if cfg_doc is not None:  # none of its fields is a default
@@ -534,9 +537,10 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
 def _read(doc: dict, shapes: dict, name: str, shape_from: str = "", raw=()) -> dict:
     """The fields of an artifact object that holds exactly the keys of
     ``shapes`` and ``raw``: each numeric block by ``json_block``, each raw
-    value as it is. A missing or unknown key is an ArtifactError naming it."""
+    value as it is. A value that is not an object, or a missing or unknown
+    key, is an ArtifactError naming it."""
     keys = [*shapes, *raw]
-    if doc.keys() != set(keys):
+    if _object(doc, name).keys() != set(keys):
         key = min(doc.keys() ^ set(keys))
         state = "missing" if key in keys else "unknown"
         raise ArtifactError(f"artifact field {name}{key} is {state}")
@@ -544,6 +548,14 @@ def _read(doc: dict, shapes: dict, name: str, shape_from: str = "", raw=()) -> d
         k: json_block(doc[k], shapes[k], name + k, shape_from) if k in shapes else doc[k]
         for k in keys
     }
+
+
+def _object(doc, name: str) -> dict:
+    """``doc`` if it is a JSON object; otherwise an ArtifactError naming the
+    object ``name``, which ends in a dot."""
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"artifact field {name[:-1]} is {doc!r}, expected an object")
+    return doc
 
 
 def _built(cls, name: str, *args, **kwargs):

@@ -59,46 +59,36 @@ class ConditionModel:
         return out * self.target_scale + self.target_mean
 
 
-def fit_condition_regressors(train: list[EngineTrajectory]) -> ConditionModel:
-    """Fit one settings->sensor regressor per sensor: the ridge least-squares
-    weights on the fixed features from one (F+1, F+1) solve with the S
-    sensors as right-hand sides, on the distinct setting rows, each weighted
-    by its share of the rows. A sensor whose fit the Bayesian information
-    criterion does not prefer to its mean keeps weights = bias = 0: the mean.
-    So does a constant sensor (standard deviation below CONSTANT_SENSOR_EPS),
-    whose fit would be one of rounding noise.
+def fit_condition_regressors(settings: np.ndarray, sensors: np.ndarray) -> ConditionModel:
+    """Fit one settings->sensor regressor per sensor on (n, 3) settings and
+    (n, S) readings: the ridge least-squares weights on the fixed features
+    from one (F+1, F+1) solve with the S sensors as right-hand sides, every
+    row weighted 1/n. A sensor whose fit the Bayesian information criterion
+    does not prefer to its mean keeps weights = bias = 0: the mean. So does a
+    constant sensor (standard deviation below CONSTANT_SENSOR_EPS), whose fit
+    would be one of rounding noise.
 
     Deterministic. Raises TrainingError if the solution is not finite.
     """
-    if not train:
-        raise ValueError("need at least one training trajectory")
-
-    x_raw = np.concatenate([t.op_settings for t in train], axis=0)
-    y_raw = np.concatenate([t.sensors for t in train], axis=0)
-    n, n_sensors = y_raw.shape
+    n, n_sensors = sensors.shape
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        target_mean, target_std = y_raw.mean(axis=0), y_raw.std(axis=0)
+        target_mean, target_std = sensors.mean(axis=0), sensors.std(axis=0)
     if not (np.isfinite(target_mean).all() and np.isfinite(target_std).all()):
         raise TrainingError(CONDITION_FIT_NOT_FINITE)
     f = CONDITION_FEATURES
     model = ConditionModel(
-        setting_min=x_raw.min(axis=0),
-        setting_max=x_raw.max(axis=0),
+        setting_min=settings.min(axis=0),
+        setting_max=settings.max(axis=0),
         target_mean=target_mean,
         target_scale=np.maximum(target_std, CONSTANT_SENSOR_EPS),
         weights=np.zeros((n_sensors, f)),
         bias=np.zeros(n_sensors),
     )
 
-    distinct, group, counts = np.unique(x_raw, axis=0, return_inverse=True, return_counts=True)
-    target_sum = np.zeros((len(distinct), n_sensors))
-    np.add.at(target_sum, group.reshape(-1), y_raw)
-    root_w = np.sqrt(counts / n)[:, None]
-    # Each distinct row's standardized mean target, times its root weight.
-    u = (target_sum / counts[:, None] - model.target_mean) / model.target_scale * root_w
+    u = (sensors - model.target_mean) / model.target_scale  # standardized targets
     with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows: checked below
-        design = np.column_stack([model.features(distinct), np.ones(len(distinct))]) * root_w
-    normal, rhs = design.T @ design + CONDITION_RIDGE * np.eye(f + 1), design.T @ u
+        design = np.column_stack([model.features(settings), np.ones(n)])
+    normal, rhs = design.T @ design / n + CONDITION_RIDGE * np.eye(f + 1), design.T @ u / n
     theta = np.linalg.solve(normal, rhs)  # (F+1, S): one column per sensor
     if not np.isfinite(theta).all():
         raise TrainingError(CONDITION_FIT_NOT_FINITE)
@@ -148,14 +138,6 @@ class MinMaxScaler:
         keep = self.retained
         span = self.maximum[keep] - self.minimum[keep]
         return (sensors[:, keep] - self.minimum[keep]) / span
-
-
-def fit_minmax(residuals: list[np.ndarray]) -> MinMaxScaler:
-    """Compute per-sensor min/max over every row of (n, S) residual blocks."""
-    if not residuals:
-        raise ValueError("need at least one trajectory")
-    stacked = np.concatenate(residuals, axis=0)
-    return MinMaxScaler(minimum=stacked.min(axis=0), maximum=stacked.max(axis=0))
 
 
 def transform_rows(
@@ -266,11 +248,16 @@ def fit_preprocessing(
     train: list[EngineTrajectory],
     _unused=None,  # perfbench/child.py's sweep set-up still passes cfg.condition_config()
 ) -> tuple[ConditionModel, MinMaxScaler]:
-    """Fit the condition regressors, then the min-max scaler on residuals.
+    """Fit the condition regressors, then the min-max scaler on their
+    residuals, both on every training row at once.
     Raises DegenerateSensorError if no sensor varies after removal."""
-    model = fit_condition_regressors(train)
-    residuals = [t.sensors - model.predict(t.op_settings) for t in train]
-    scaler = fit_minmax(residuals)
+    if not train:
+        raise ValueError("need at least one training trajectory")
+    settings = np.concatenate([t.op_settings for t in train])
+    sensors = np.concatenate([t.sensors for t in train])
+    model = fit_condition_regressors(settings, sensors)
+    residuals = sensors - model.predict(settings)
+    scaler = MinMaxScaler(minimum=residuals.min(axis=0), maximum=residuals.max(axis=0))
     if not scaler.retained.size:
         largest = max(np.abs(scaler.minimum).max(), np.abs(scaler.maximum).max())
         raise DegenerateSensorError(

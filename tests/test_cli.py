@@ -815,6 +815,16 @@ def _condition_width_8(doc):
         (_set_path(["basis", "grid"], list(range(1, 32))), "artifact field basis.grid is unknown"),
         (_set_sensor(0, "fve", [0.9]), "artifact field basis.sensors[0].fve is unknown"),
         (_set("label_cap", 130), "artifact field label_cap is unknown"),
+        # Every object is a JSON object, and basis.sensors a list, named by its path.
+        (_set_path(["basis", "sensors", 0], 5),
+         "artifact field basis.sensors[0] is 5, expected an object"),
+        (_set_path(["basis", "sensors"], 5), "artifact field basis.sensors is 5, expected a list"),
+        (_set("network", []), "artifact field network is [], expected an object"),
+        (_set("scaler", "x"), "artifact field scaler is 'x', expected an object"),
+        (_set("train_config", 3), "artifact field train_config is 3, expected an object"),
+        (_set("basis", []), "artifact field basis is [], expected an object"),
+        (_set("condition_model", [1.0]),
+         "artifact field condition_model is [1.0], expected an object"),
     ],
 )
 def test_artifact_blocks_are_validated(mini_run, mutate, block):

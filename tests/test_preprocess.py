@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from fmlp_rul.preprocess import (
     MinMaxScaler,
     Windows,
     fit_condition_regressors,
-    fit_minmax,
+    fit_preprocessing,
     last_windows,
     linear_rul,
     piecewise_rul,
@@ -67,8 +69,7 @@ def test_regressor_learns_exact_linear_map():
     )
     target = 2.0 * settings[:, 0] + 1.0
     sensors = np.tile(target[:, None], (1, 21))
-    traj = make_traj(1, settings, sensors)
-    model = fit_condition_regressors([traj])
+    model = fit_condition_regressors(settings, sensors)
     residual = model.predict(settings) - target[:, None]
     worst_rmse = np.sqrt((residual**2).mean(axis=0)).max()
     assert worst_rmse < 1e-2
@@ -81,8 +82,7 @@ def test_regressor_constant_settings_predicts_mean():
         0, 1e-3, (n, 3)
     ) * np.array([1.0, 1.0, 0.0])
     sensors = 50.0 + np.arange(21) * 3.0 + rng.normal(0, 1.5, size=(n, 21))
-    traj = make_traj(1, settings, sensors)
-    model = fit_condition_regressors([traj])
+    model = fit_condition_regressors(settings, sensors)
     pred = model.predict(settings)
     mean = sensors.mean(axis=0)
     std = sensors.std(axis=0)
@@ -96,32 +96,27 @@ def test_regressor_deterministic():
     rng = np.random.Generator(np.random.PCG64(2))
     settings = rng.uniform(0, 1, (120, 3))
     sensors = rng.uniform(0, 1, (120, 21))
-    traj = make_traj(1, settings, sensors)
-    m1 = fit_condition_regressors([traj])
-    m2 = fit_condition_regressors([traj])
+    m1 = fit_condition_regressors(settings, sensors)
+    m2 = fit_condition_regressors(settings, sensors)
     for field in ("weights", "bias", "target_mean", "target_scale"):
         assert np.array_equal(getattr(m1, field), getattr(m2, field))
 
 
 @pytest.mark.parametrize("seed", [2, 8])
 def test_regressor_solve_matches_lstsq(seed):
-    # Oracle: the grouped, root-weighted normal solve against lstsq on every
-    # row, each weighted 1/n, stacked over ridge rows, on a design built
-    # here. Repeated setting rows exercise the grouping; the last sensor is
-    # noise that BIC leaves at its mean. Both solves agree to 1e-10 of the
-    # largest coefficient, on two data draws.
+    # Oracle: the normal solve against lstsq on every row, each weighted 1/n,
+    # stacked over ridge rows, on a design built here. Setting rows repeat, as
+    # in the six-regime corpora, and each copy counts as a row of its own; the
+    # last sensor is noise that BIC leaves at its mean. Both solves agree to
+    # 1e-10 of the largest coefficient, on two data draws.
     rng = np.random.Generator(np.random.PCG64(seed))
     distinct = rng.uniform(0, 1, (300, 3)) * [42.0, 0.84, 100.0]
     settings = distinct[rng.integers(0, len(distinct), 900)]
     sensors = np.sin(settings @ rng.normal(0, 0.1, (3, 21))) + rng.normal(0, 0.1, (900, 21))
     sensors[:, 20] = rng.normal(0, 1, 900)
-    train = [
-        make_traj(u + 1, settings[rows], sensors[rows])
-        for u, rows in enumerate(np.array_split(np.arange(900), 3))
-    ]
     assert len(np.unique(settings, axis=0)) < len(settings)
 
-    model = fit_condition_regressors(train)
+    model = fit_condition_regressors(settings, sensors)
     n, f = len(settings), 9
     x = (settings - settings.min(axis=0)) / np.ptp(settings, axis=0)
     y = (sensors - sensors.mean(axis=0)) / sensors.std(axis=0)
@@ -159,17 +154,13 @@ def test_removal_matches_regime_means_on_nonlinear_regime_map(seed):
     settings = SIX_REGIMES[regime] + np.round(rng.normal(0, [2e-3, 5e-4, 0.0], (3000, 3)), 4)
     noise = 0.5
     sensors = shifts[regime] + rng.normal(0, noise, (3000, 21))
-    train = [
-        make_traj(u + 1, settings[rows], sensors[rows])
-        for u, rows in enumerate(np.array_split(np.arange(3000), 10))
-    ]
     means = np.array([sensors[regime == k].mean(axis=0) for k in range(6)])
     centred = sensors - means[regime]
     linear = np.column_stack([settings, np.ones(3000)])
     linear_residual = sensors - linear @ np.linalg.lstsq(linear, sensors, rcond=None)[0]
     assert np.sqrt(np.mean((linear_residual - centred) ** 2, axis=0)).min() > noise
 
-    model = fit_condition_regressors(train)
+    model = fit_condition_regressors(settings, sensors)
     gap = sensors - model.predict(settings) - centred
     assert np.sqrt(np.mean(gap**2, axis=0)).max() < noise
 
@@ -179,10 +170,11 @@ def test_regressor_leaves_constant_sensors_at_their_mean(corpus, request):
     # Rounding leaves a constant sensor's standard deviation just above 0,
     # and the BIC would keep a fit of that noise; no fit is kept there.
     train = request.getfixturevalue(corpus).train
-    std = np.concatenate([t.sensors for t in train]).std(axis=0)
+    sensors = np.concatenate([t.sensors for t in train])
+    std = sensors.std(axis=0)
     constant = std < preprocess.CONSTANT_SENSOR_EPS
     assert (std[constant] > 0).any()  # the case that rounding makes
-    model = fit_condition_regressors(train)
+    model = fit_condition_regressors(np.concatenate([t.op_settings for t in train]), sensors)
     assert not model.weights[constant].any()
     assert not model.bias[constant].any()
 
@@ -191,9 +183,8 @@ def test_regressor_rejects_non_finite_solution():
     rng = np.random.Generator(np.random.PCG64(4))
     settings = rng.uniform(0, 1, (50, 3))
     settings[:2, 0] = [1e308, -1e308]  # the settings span overflows
-    traj = make_traj(1, settings, rng.uniform(0, 1, (50, 21)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
-        fit_condition_regressors([traj])
+        fit_condition_regressors(settings, rng.uniform(0, 1, (50, 21)))
 
 
 def test_condition_predict_matches_per_sensor_loop():
@@ -216,8 +207,43 @@ def test_condition_predict_matches_per_sensor_loop():
 
 
 def test_regressor_rejects_empty_input():
-    with pytest.raises(ValueError):
-        fit_condition_regressors([])
+    with pytest.raises(ValueError, match="need at least one training trajectory"):
+        fit_preprocessing([])
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_fit_is_the_same_for_one_unit_or_ten(seed):
+    # The fit reads the training rows as one array, so where the units are cut
+    # moves no bit of the condition model or the scaler. The readings move with
+    # the six regimes and with a trend.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    regime = rng.integers(0, 6, 2000)
+    settings = SIX_REGIMES[regime] + np.round(rng.normal(0, [2e-3, 5e-4, 0.0], (2000, 3)), 4)
+    trend = np.linspace(0, 1, 2000)[:, None] * rng.normal(0, 2, 21)
+    sensors = 100.0 + rng.normal(0, 10, (6, 21))[regime] + trend + rng.normal(0, 0.5, (2000, 21))
+    one, ten = (
+        fit_preprocessing([
+            make_traj(u + 1, settings[rows], sensors[rows])
+            for u, rows in enumerate(np.array_split(np.arange(2000), n_units))
+        ])
+        for n_units in (1, 10)
+    )
+    for a, b in zip(one, ten):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+@pytest.mark.parametrize("corpus", ["fd001_subset", "fd002_subset"])
+def test_scaler_spans_the_residuals_of_each_unit(corpus, request):
+    # The one all-rows residual pass against residuals taken unit by unit.
+    train = request.getfixturevalue(corpus).train
+    model, scaler = fit_preprocessing(train)
+    residuals = [t.sensors - model.predict(t.op_settings) for t in train]
+    for got, want in [
+        (scaler.minimum, np.min([r.min(axis=0) for r in residuals], axis=0)),
+        (scaler.maximum, np.max([r.max(axis=0) for r in residuals], axis=0)),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # --- condition removal ----------------------------------------------------
@@ -262,18 +288,17 @@ def test_removal_neutral_under_single_condition(fd001_pipeline, fd001_subset):
 
 
 def test_fit_minmax_simple_values():
+    # One setting row, so the condition model predicts each sensor's mean, 4.
     sensors = np.tile([[2.0], [4.0], [6.0]], (1, 21))
-    traj = make_traj(1, np.zeros((3, 3)), sensors)
-    scaler = fit_minmax([traj.sensors])
-    assert scaler.minimum[0] == 2.0
-    assert scaler.maximum[0] == 6.0
+    _, scaler = fit_preprocessing([make_traj(1, np.zeros((3, 3)), sensors)])
+    assert scaler.minimum[0] == -2.0
+    assert scaler.maximum[0] == 2.0
 
 
 def test_fit_minmax_flags_constant_sensor():
     sensors = np.ones((4, 21))
     sensors[:, 5] = [1.0, 2.0, 3.0, 4.0]
-    traj = make_traj(1, np.zeros((4, 3)), sensors)
-    scaler = fit_minmax([traj.sensors])
+    _, scaler = fit_preprocessing([make_traj(1, np.zeros((4, 3)), sensors)])
     assert scaler.constant_mask[0]
     assert not scaler.constant_mask[5]
     assert list(scaler.retained) == [5]
@@ -288,18 +313,15 @@ def test_fd001_constant_sensor_fixture(fd001_pipeline):
 
 def test_apply_minmax_endpoints_and_midpoint():
     sensors = np.tile([[2.0], [4.0], [6.0]], (1, 21))
-    traj = make_traj(1, np.zeros((3, 3)), sensors)
-    scaler = fit_minmax([traj.sensors])
-    out = scaler.scale_retained(traj.sensors)
+    scaler = MinMaxScaler(minimum=sensors.min(axis=0), maximum=sensors.max(axis=0))
+    out = scaler.scale_retained(sensors)
     assert out.shape == (3, 21)
     assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_apply_minmax_no_clamp_outside_range():
-    train = make_traj(1, np.zeros((2, 3)), np.tile([[2.0], [6.0]], (1, 21)))
-    scaler = fit_minmax([train.sensors])
-    test = make_traj(2, np.zeros((1, 3)), np.full((1, 21), 1.0))
-    out = scaler.scale_retained(test.sensors)
+    scaler = MinMaxScaler(minimum=np.full(21, 2.0), maximum=np.full(21, 6.0))
+    out = scaler.scale_retained(np.full((1, 21), 1.0))
     assert out[0, 0] == pytest.approx(-0.25)
 
 
