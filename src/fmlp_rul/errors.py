@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all fmlp_rul modules, and the rules for
-reading JSON values that configs, artifacts and the model types share."""
+reading JSON values and arrays that configs, artifacts and the model types
+share."""
 
 import sys
 
@@ -73,3 +74,11 @@ def json_block(value, shape: tuple[int, ...], name: str, shape_from: str = "") -
         )
     leaf = f"a leaf of artifact block {name}"
     return np.array([json_number(v, float, leaf, ArtifactError) for v in cells.flat]).reshape(shape)
+
+
+def check_finite(blocks) -> None:
+    """Raise ValueError naming the first of the (name, array) ``blocks`` that
+    holds a non-finite entry."""
+    for name, value in blocks:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")

@@ -26,7 +26,14 @@ from typing import TextIO
 import numpy as np
 
 from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
-from .errors import ArtifactError, NumericError, TrainingError, json_block, json_number
+from .errors import (
+    ArtifactError,
+    NumericError,
+    TrainingError,
+    check_finite,
+    json_block,
+    json_number,
+)
 from .fpca import EigenBasis, SensorBasis, project
 from .numerics import seeded_rng
 from .preprocess import (
@@ -63,13 +70,13 @@ class TrainConfig:
     """Mini-batch training settings.
 
     The step size follows the linear scaling rule: whoever changes
-    ``batch_size`` should scale ``learning_rate`` in proportion (0.2 at 256
+    ``batch_size`` should scale ``learning_rate`` in proportion (0.4 at 512
     rows). Batches above 512 rows are untested.
     """
 
-    learning_rate: float = 0.2
+    learning_rate: float = 0.4
     epochs: int = 300
-    batch_size: int = 256
+    batch_size: int = 512
     seed: int = 0
     init_scale: float = 0.5
     patience: int = 25
@@ -124,6 +131,7 @@ class FmlpModel:
         for name, view in self.blocks(self.params):
             view[...] = getattr(self, name)
             setattr(self, name, view)
+        check_finite(self.blocks(self.params))
 
     def layers(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
         """The views of a vector laid out like ``params``, one per layer and
@@ -514,13 +522,13 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
             raise ArtifactError(f"artifact field basis.sensors is {docs!r}, expected a list")
         for i, s in enumerate(docs):
             name = f"basis.sensors[{i}]."
-            p = len(_object(s, name).get("components", ()))
+            p = _length(_object(s, name), "components", name)
             shapes = {"mean": (m,), "eigenvalues": (m,), "components": (p, m)}
             fields = _read(s, shapes, name, m_from, raw=("sensor_id",))
             sensors.append(_built(SensorBasis, name, **fields))
         basis = _built(EigenBasis, "basis.", sensors, **basis_doc)
         net_doc, cfg_doc = _object(doc["network"], "network."), doc["train_config"]
-        shapes = _block_shapes(len(net_doc.get("a", ())), basis.total_components)
+        shapes = _block_shapes(_length(net_doc, "a", "network."), basis.total_components)
         train_config = None
         if cfg_doc is not None:  # none of its fields is a default
             fields = _read(cfg_doc, {}, "train_config.", raw=TrainConfig.__dataclass_fields__)
@@ -556,6 +564,16 @@ def _object(doc, name: str) -> dict:
     if not isinstance(doc, dict):
         raise ArtifactError(f"artifact field {name[:-1]} is {doc!r}, expected an object")
     return doc
+
+
+def _length(doc: dict, key: str, name: str) -> int:
+    """The length of the array that another block's shape is sized from; 0 if
+    it is missing, which ``_read`` then reports. Anything else but a JSON
+    array is an ArtifactError naming it."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ArtifactError(f"artifact field {name}{key} is {value!r}, expected an array")
+    return len(value)
 
 
 def _built(cls, name: str, *args, **kwargs):

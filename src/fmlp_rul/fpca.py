@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSensorError, json_number
+from .errors import DegenerateSensorError, check_finite, json_number
 from .numerics import eigh
 from .preprocess import Windows
 
@@ -63,6 +63,7 @@ class SensorBasis:
 
     def __post_init__(self):
         self.sensor_id = json_number(self.sensor_id, int, "sensor_id", ValueError)
+        check_finite((name, getattr(self, name)) for name in ("mean", "eigenvalues", "components"))
 
     @property
     def num_components(self) -> int:

@@ -5,12 +5,12 @@ The pipeline order is: condition removal -> min-max -> windowing. Min-max
 statistics are computed on full post-removal trajectories, not on windows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
-from .errors import DegenerateSensorError, NumericError, TrainingError
+from .errors import DegenerateSensorError, NumericError, TrainingError, check_finite
 
 # Sensors whose post-removal range falls below this are flagged constant
 # and excluded from the retained set.
@@ -45,6 +45,9 @@ class ConditionModel:
     target_scale: np.ndarray  # (S,)
     weights: np.ndarray  # (S, CONDITION_FEATURES)
     bias: np.ndarray  # (S,)
+
+    def __post_init__(self):
+        check_finite((f.name, getattr(self, f.name)) for f in fields(self))
 
     def features(self, settings: np.ndarray) -> np.ndarray:
         """x and x_i * x_j (i <= j) of an (n, 3) block of scaled settings:
@@ -114,6 +117,7 @@ class MinMaxScaler:
     maximum: np.ndarray  # (S,)
 
     def __post_init__(self):
+        check_finite((("minimum", self.minimum), ("maximum", self.maximum)))
         below = np.flatnonzero(self.maximum < self.minimum) + 1
         if below.size:
             raise ValueError(f"maximum is below minimum for sensors {below.tolist()}")

@@ -819,6 +819,10 @@ def _condition_width_8(doc):
         (_set_path(["basis", "sensors", 0], 5),
          "artifact field basis.sensors[0] is 5, expected an object"),
         (_set_path(["basis", "sensors"], 5), "artifact field basis.sensors is 5, expected a list"),
+        # Blocks that size other blocks are named too when they are not arrays.
+        (_set_sensor(0, "components", 5),
+         "artifact field basis.sensors[0].components is 5, expected an array"),
+        (_set_path(["network", "a"], 5), "artifact field network.a is 5, expected an array"),
         (_set("network", []), "artifact field network is [], expected an object"),
         (_set("scaler", "x"), "artifact field scaler is 'x', expected an object"),
         (_set("train_config", 3), "artifact field train_config is 3, expected an object"),
@@ -848,6 +852,23 @@ def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "network.a" in captured.err
+
+
+@pytest.mark.parametrize("corpus_seed", [7, 1904])
+def test_default_training_beats_a_constant_guess_on_a_small_corpus(corpus_seed, tmp_path):
+    # The benchmark trains at the CLI defaults with patience 300 on 20-engine
+    # corpora, and fails a model whose RMSE does not beat the constant guess,
+    # the capped truths' std. Trained models read about 0.4 of it; a model
+    # left on the initial loss plateau reads about 1.
+    write_subset(tmp_path, "FD001", seed=corpus_seed, n_train=20, n_test=400)
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"patience": 300}))
+    common = ["--config", str(cfg_path), "--data-root", str(tmp_path), "--subset", "FD001",
+              "--out", str(out)]
+    assert cli.main(["train", *common]) == 0
+    assert cli.main(["evaluate", "--model", str(out / "artifact.json"), *common]) == 0
+    truths = np.minimum(np.loadtxt(tmp_path / "RUL_FD001.txt"), 130.0)
+    assert json.loads((out / "report.json").read_text())["rmse"] < 0.6 * truths.std()
 
 
 @pytest.mark.parametrize("subset_id,window_length", [("FD003", 38), ("FD004", 19)])

@@ -290,7 +290,7 @@ def test_full_batch_descent_is_monotone():
 
 # Batches of 64 at the step size that goes with them. On these tests'
 # 90-200 windows they give several batches per epoch and a short last one,
-# where the 256-row default gives one batch per epoch.
+# where the 512-row default gives one batch per epoch.
 BATCHES_OF_64 = {"batch_size": 64, "learning_rate": 0.05}
 
 
@@ -355,7 +355,7 @@ def assert_train_matches_reference(data, cfg):
         (4, BATCHES_OF_64),
         (5, {"val_fraction": 0.0, **BATCHES_OF_64}),
         (6, {"patience": 2, **BATCHES_OF_64}),
-        (7, {}),  # the defaults: one batch per epoch, larger than the 180 fit windows
+        (7, {}),  # the defaults: 512 rows exceed the 180 fit windows, one batch per epoch
     ],
 )
 def test_train_matches_reference_loop(seed, options):
@@ -365,6 +365,14 @@ def test_train_matches_reference_loop(seed, options):
     if "patience" in options:
         # stopped early, so the result is an earlier epoch's snapshot
         assert len(trace) < cfg.epochs
+
+
+def test_train_matches_reference_loop_at_the_default_batches():
+    # all 600 windows leave 540 fit rows at the defaults: one 512-row batch
+    # and a 28-row last batch, so both of the default shape's kernels run
+    data, cfg = rank_one_task(), TrainConfig(epochs=40, seed=8)
+    assert fit_rows(cfg.val_fraction, len(data)) - cfg.batch_size == 28
+    assert_train_matches_reference(data, cfg)
 
 
 def fit_rows(val_fraction, n=40):
@@ -581,6 +589,16 @@ def _mostly(valid, other=st.one_of(
 _DROPS = st.sets(st.integers(0, N_SENSORS - 1), min_size=1) | st.just(set(range(N_SENSORS)))
 
 
+# Every array of a pipeline, by artifact object and field; a "basis" field is
+# one sensor's.
+_ARRAYS = [
+    *(("condition_model", name) for name in _condition_shapes()),
+    ("scaler", "minimum"), ("scaler", "maximum"),
+    *(("basis", name) for name in ("mean", "eigenvalues", "components")),
+    *(("network", name) for name in BLOCKS),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     label_scale=_mostly(st.sampled_from([130.0, 1.0, 1e300, 2**53])),
@@ -589,9 +607,19 @@ _DROPS = st.sets(st.integers(0, N_SENSORS - 1), min_size=1) | st.just(set(range(
     config=_mostly(st.fixed_dictionaries({
         f.name: _mostly(st.just(f.default)) for f in dataclasses.fields(TrainConfig)
     }), st.none()),
+    # One leaf of one array set to a non-finite value: (array, leaf index, value).
+    leaf=st.none() | st.tuples(
+        st.sampled_from(_ARRAYS), st.integers(0, 2**16),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
 )
+# One non-finite leaf with every other field valid, for each constructor.
+@example(130.0, "FD001", set(), None, (("condition_model", "target_scale"), 3, math.inf))
+@example(130.0, "FD001", set(), None, (("scaler", "maximum"), 3, math.inf))
+@example(130.0, "FD001", set(), None, (("basis", "components"), 5, -math.inf))
+@example(130.0, "FD001", set(), None, (("network", "b2"), 0, math.nan))
 def test_construction_fails_exactly_when_its_artifact_would_not_load(
-    small_pipeline, label_scale, subset_id, dropped, config
+    small_pipeline, label_scale, subset_id, dropped, config, leaf
 ):
     pipeline, _ = small_pipeline
     basis = pipeline.network.basis
@@ -600,12 +628,36 @@ def test_construction_fails_exactly_when_its_artifact_would_not_load(
     doc.update(label_scale=label_scale, subset_id=subset_id, train_config=config)
     doc["basis"]["sensors"] = [doc["basis"]["sensors"][i] for i in keep]
     doc["network"]["beta"] = pipeline.network.beta[:, _columns(basis, keep)].tolist()
+    group, block = None, {}
+    if leaf is not None:
+        (group, name), i, value = leaf
+        owner, sensors = doc[group], doc["basis"]["sensors"]
+        if group == "basis":  # sensor i, if any is kept
+            owner = sensors[i % len(sensors)] if sensors else {name: []}
+        cells = np.array(owner[name], dtype=float)
+        if cells.size:
+            cells.flat[i % cells.size] = value
+        owner[name] = cells.tolist()
+        block = {name: cells}
     try:  # the same values, given to the constructors
-        network = dataclasses.replace(
-            _with_sensors(pipeline.network, keep), label_scale=label_scale,
-            train_config=None if config is None else TrainConfig(**config),
+        condition_model = dataclasses.replace(
+            pipeline.condition_model, **(block if group == "condition_model" else {})
         )
-        built = Pipeline(pipeline.condition_model, pipeline.scaler, network, subset_id)
+        scaler = dataclasses.replace(pipeline.scaler, **(block if group == "scaler" else {}))
+        network = _with_sensors(pipeline.network, keep)
+        if group == "basis":
+            sensors = list(network.basis.sensors)
+            j = i % len(sensors)
+            sensors[j] = dataclasses.replace(sensors[j], **block)
+            network = dataclasses.replace(
+                network, basis=dataclasses.replace(network.basis, sensors=sensors)
+            )
+        network = dataclasses.replace(
+            network, label_scale=label_scale,
+            train_config=None if config is None else TrainConfig(**config),
+            **(block if group == "network" else {}),
+        )
+        built = Pipeline(condition_model, scaler, network, subset_id)
     except ValueError:
         with pytest.raises(ArtifactError):
             load_model(io.StringIO(json.dumps(doc)))
