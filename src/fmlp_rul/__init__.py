@@ -10,7 +10,7 @@ from .cmapss import (
     SUBSET_IDS,
     WINDOW_LENGTHS,
     DataSubset,
-    EngineTrajectory,
+    Trajectories,
     load_subset,
     parse_rul_file,
     parse_trajectory_file,

@@ -126,7 +126,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         raise IntegrityError(
             f"{cfg.subset} training units yield {len(instances)} windows of length"
             f" {subset.window_length} (the longest unit has"
-            f" {max(len(t.cycles) for t in subset.train)} cycles); at least 2 are needed"
+            f" {subset.train.lengths.max()} cycles); at least 2 are needed"
         )
     basis = fit_basis(
         instances,
@@ -179,7 +179,7 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
     report = ev.build_report(
         pipeline.predict(subset.test),
         subset.test_rul,
-        unit_ids=[t.unit_id for t in subset.test],
+        unit_ids=subset.test.unit_ids,
         subset_id=subset.subset_id,
         t_cap=int(pipeline.network.label_scale),
     )
@@ -193,11 +193,11 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path: str | None) -> int:
 
 def cmd_predict(model_path: str | None, trajectory_file: str) -> int:
     pipeline = _load_pipeline(model_path)
-    trajectories = read_file(trajectory_file, parse_trajectory_file)
-    estimates = pipeline.predict(trajectories)
+    split = read_file(trajectory_file, parse_trajectory_file)
+    estimates = pipeline.predict(split)
     print("unit_id,estimated_rul")
-    for traj, estimate in zip(trajectories, estimates):
-        print(f"{traj.unit_id},{float(estimate)!r}")
+    for unit, estimate in zip(split.unit_ids.tolist(), estimates.tolist()):
+        print(f"{unit},{estimate!r}")
     return EXIT_OK
 
 
@@ -227,21 +227,21 @@ def cmd_inspect(cfg: ExperimentConfig, model_path: str | None, unit: int | None)
 
     if cfg.data_root is not None:
         subset = _load_scored_subset(cfg, pipeline, "train")
-        by_unit = {t.unit_id: t for t in subset.train}
-        if unit is None:
-            unit = subset.train[0].unit_id
-        if unit not in by_unit:
+        ids = subset.train.unit_ids.tolist()
+        unit = ids[0] if unit is None else unit
+        if unit not in ids:
             raise IntegrityError(f"unit {unit} not found in {subset.subset_id} training set")
-        traj = by_unit[unit]
-        if traj.n_cycles < subset.window_length:
+        traj = subset.train[ids.index(unit)]
+        n = len(traj.cycles)
+        if n < subset.window_length:
             raise IntegrityError(
-                f"unit {unit} of the {subset.subset_id} training set has {traj.n_cycles}"
+                f"unit {unit} of the {subset.subset_id} training set has {n}"
                 f" cycles, fewer than the window length {subset.window_length}: it has no windows"
             )
         scaled = transform_rows(
             traj.op_settings, traj.sensors, pipeline.condition_model, pipeline.scaler
         )
-        windows = sliding_windows([scaled], subset.window_length, network.label_scale)
+        windows = sliding_windows(scaled, [0, n], subset.window_length, network.label_scale)
         z = network.functional_layer(windows)
         # A unit's c-th sliding window starts at its cycle c.
         header = ["window", "start_cycle", "label"]

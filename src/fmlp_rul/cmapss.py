@@ -4,9 +4,10 @@ A trajectory file holds one observation per line: unit id, cycle, three
 operating settings, and 21 sensor readings, whitespace separated. Fields
 past column 26 (trailing blanks in some distributions) are ignored. Unit
 ids and cycles are whole numbers below 2**63 in magnitude, every reading
-is finite, and each unit's rows form one contiguous block. A RUL file
-holds one non-negative integer per line in ASCII digits, aligned to
-test-unit order.
+is finite, and each unit's rows form one contiguous block. A parsed file
+is one Trajectories split: an array per field, and each unit's offset.
+A RUL file holds one non-negative integer per line in ASCII digits,
+aligned to test-unit order.
 """
 
 import io
@@ -15,7 +16,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -31,54 +32,86 @@ SUBSET_IDS = ("FD001", "FD002", "FD003", "FD004")
 WINDOW_LENGTHS = {"FD001": 31, "FD002": 21, "FD003": 38, "FD004": 19}
 
 
-@dataclass
-class EngineTrajectory:
-    """One engine's cycle-indexed record of settings and sensor readings.
-
-    Settings and readings must be finite.
-    """
+class Trajectory(NamedTuple):
+    """One unit's rows of a split, as views into the split's read-only arrays."""
 
     unit_id: int
     cycles: np.ndarray
     op_settings: np.ndarray
     sensors: np.ndarray
 
-    def __post_init__(self):
-        self.cycles = np.asarray(self.cycles, dtype=np.int64)
-        self.op_settings = np.asarray(self.op_settings, dtype=np.float64)
-        self.sensors = np.asarray(self.sensors, dtype=np.float64)
-        n = len(self.cycles)
-        if self.unit_id <= 0:
-            raise IntegrityError(f"unit id must be positive, got {self.unit_id}")
-        if n == 0:
-            raise IntegrityError(f"unit {self.unit_id}: empty trajectory")
-        if self.cycles[0] != 1 or (n > 1 and np.any(np.diff(self.cycles) != 1)):
+
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()  # the caller's array stays writeable
+    view.flags.writeable = False
+    return view
+
+
+class Trajectories:
+    """One split of a subset, built from per-row unit ids, cycles, settings
+    and readings: unit_ids (U,) in file order, offsets (U + 1,), and the
+    read-only cycles (n,), op_settings (n, 3) and sensors (n, 21), of which
+    unit i owns rows offsets[i] to offsets[i + 1]. Indexing, and so
+    iterating, gives a unit's Trajectory.
+
+    A unit's rows must form one contiguous block, its id must be positive,
+    its cycles must run 1, 2, 3, ... and its readings must be finite. The
+    IntegrityError names the first unit that breaks a rule, and its first
+    rule in that order."""
+
+    def __init__(self, units, cycles, op_settings, sensors):
+        units = np.asarray(units, dtype=np.int64)
+        n = len(units)
+        self.cycles = _read_only(cycles, np.int64)
+        self.op_settings = _read_only(op_settings, np.float64)
+        self.sensors = _read_only(sensors, np.float64)
+        shapes = [a.shape for a in (units, self.cycles, self.op_settings, self.sensors)]
+        if shapes != [(n,), (n,), (n, N_SETTINGS), (n, N_SENSORS)]:
             raise IntegrityError(
-                f"unit {self.unit_id}: cycles must start at 1 and increase by 1"
+                f"expected unit ids, cycles, settings and sensors of shapes ({n},), ({n},),"
+                f" ({n}, {N_SETTINGS}) and ({n}, {N_SENSORS}), got {shapes}"
             )
-        if self.op_settings.shape != (n, N_SETTINGS):
-            raise IntegrityError(
-                f"unit {self.unit_id}: expected {n}x{N_SETTINGS} settings,"
-                f" got {self.op_settings.shape}"
-            )
-        if self.sensors.shape != (n, N_SENSORS):
-            raise IntegrityError(
-                f"unit {self.unit_id}: expected {n}x{N_SENSORS} sensors,"
-                f" got {self.sensors.shape}"
-            )
-        finite = np.isfinite(self.op_settings).all(axis=1) & np.isfinite(
-            self.sensors
-        ).all(axis=1)
-        if not finite.all():
-            cycle = self.cycles[np.argmin(finite)]
-            raise IntegrityError(
-                f"unit {self.unit_id}: non-finite setting or sensor reading"
-                f" at cycle {cycle}"
-            )
+        first = np.ones(n, dtype=bool)
+        first[1:] = units[1:] != units[:-1]
+        self.offsets = _read_only(np.append(np.flatnonzero(first), n), np.int64)
+        self.unit_ids = _read_only(units[self.offsets[:-1]], np.int64)
+
+        repeated = np.ones(len(self), dtype=bool)
+        repeated[np.unique(self.unit_ids, return_index=True)[1]] = False
+        run = np.arange(n) - np.repeat(self.offsets[:-1] - 1, self.lengths)  # 1, 2, ... per unit
+        bad_cycle, bad_reading = np.flatnonzero(self.cycles != run)[:1], np.zeros(0, np.int64)
+        if not (np.isfinite(self.op_settings).all() and np.isfinite(self.sensors).all()):
+            finite = np.isfinite(self.op_settings).all(1) & np.isfinite(self.sensors).all(1)
+            bad_reading = np.flatnonzero(~finite)[:1]
+        rules = [  # each rule's first offending unit, and its message
+            (np.flatnonzero(repeated)[:1],
+             "unit {unit}: rows must form one contiguous block, found a second block"),
+            (np.flatnonzero(self.unit_ids <= 0)[:1], "unit id must be positive, got {unit}"),
+            (np.searchsorted(self.offsets, bad_cycle, "right") - 1,
+             "unit {unit}: cycles must start at 1 and increase by 1"),
+            (np.searchsorted(self.offsets, bad_reading, "right") - 1,
+             "unit {unit}: non-finite setting or sensor reading at cycle {cycle}"),
+        ]
+        broken = [(at[0], k) for k, (at, _) in enumerate(rules) if at.size]
+        if broken:
+            i, k = min(broken)  # the earliest unit; within it, the earliest rule
+            cycle = self.cycles[bad_reading[0]] if bad_reading.size else None
+            raise IntegrityError(rules[k][1].format(unit=self.unit_ids[i], cycle=cycle))
 
     @property
-    def n_cycles(self) -> int:
-        return len(self.cycles)
+    def lengths(self) -> np.ndarray:
+        """(U,) row counts, one per unit."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.unit_ids)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        i = range(len(self))[i]  # IndexError past the end, which also ends iteration
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return Trajectory(
+            int(self.unit_ids[i]), self.cycles[rows], self.op_settings[rows], self.sensors[rows]
+        )
 
 
 @dataclass
@@ -87,8 +120,8 @@ class DataSubset:
     and the true test RULs."""
 
     subset_id: str
-    train: list[EngineTrajectory]
-    test: list[EngineTrajectory]
+    train: Trajectories
+    test: Trajectories
     test_rul: list[int]
 
     def __post_init__(self):
@@ -178,8 +211,8 @@ def _first_bad_line(lines: list[str]) -> ParseError:
     return ParseError(len(lines), "unreadable trajectory file")
 
 
-def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTrajectory]:
-    """Parse a train/test trajectory file into one trajectory per unit.
+def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> Trajectories:
+    """Parse a train/test trajectory file into one split.
 
     Units appear in file order, each as one contiguous block of rows.
     Raises ParseError for a malformed line (too few fields, a non-numeric
@@ -201,31 +234,8 @@ def parse_trajectory_file(stream: TextIO | str | Iterable[str]) -> list[EngineTr
         raise  # read_file names the line
     except ValueError:
         raise _first_bad_line(list(stream) if path else lines) from None
-    if not len(data):
-        return []
-
-    units = data[:, 0].astype(np.int64)
-    cycles = data[:, 1].astype(np.int64)
-    starts = np.flatnonzero(np.diff(units)) + 1
-    trajectories = []
-    seen = set()
-    for lo, hi in zip([0, *starts], [*starts, len(units)]):
-        unit = int(units[lo])
-        if unit in seen:
-            raise IntegrityError(
-                f"unit {unit}: rows must form one contiguous block,"
-                " found a second block"
-            )
-        seen.add(unit)
-        trajectories.append(
-            EngineTrajectory(
-                unit_id=unit,
-                cycles=cycles[lo:hi],
-                op_settings=data[lo:hi, 2 : 2 + N_SETTINGS],
-                sensors=data[lo:hi, 2 + N_SETTINGS :],
-            )
-        )
-    return trajectories
+    units, cycles = data[:, :2].astype(np.int64).T
+    return Trajectories(units, cycles, data[:, 2 : 2 + N_SETTINGS], data[:, 2 + N_SETTINGS :])
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -292,7 +302,7 @@ def load_subset(
 
     def read(name, parse):
         if name not in paths:
-            return []
+            return parse("")
         values = read_file(paths[name], parse)
         if not values:
             raise IntegrityError(f"data file {paths[name]} holds no data")

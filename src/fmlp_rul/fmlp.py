@@ -25,7 +25,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, EngineTrajectory
+from .cmapss import N_SENSORS, N_SETTINGS, SUBSET_IDS, Trajectories
 from .errors import (
     ArtifactError,
     NumericError,
@@ -194,13 +194,9 @@ class Pipeline:
     def window_length(self) -> int:
         return len(self.network.basis.grid)
 
-    def predict(self, trajectories: list[EngineTrajectory]) -> np.ndarray:
-        """Clamped RUL estimates in cycles, one per trajectory, in order."""
-        if not trajectories:
-            return np.zeros(0)
-        windows = last_windows(
-            trajectories, self.window_length, self.condition_model, self.scaler
-        )
+    def predict(self, split: Trajectories) -> np.ndarray:
+        """Clamped RUL estimates in cycles, one per unit of the split, in order."""
+        windows = last_windows(split, self.window_length, self.condition_model, self.scaler)
         return self.network.predict_many(windows)
 
 

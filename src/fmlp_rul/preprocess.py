@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cmapss import N_SETTINGS, DataSubset, EngineTrajectory
+from .cmapss import N_SETTINGS, DataSubset, Trajectories
 from .errors import DegenerateSensorError, NumericError, TrainingError, check_finite
 
 # Sensors whose post-removal range falls below this are flagged constant
@@ -200,65 +200,59 @@ class Windows:
 
 
 def sliding_windows(
-    units: list[np.ndarray], window_length: int, t_cap: float = DEFAULT_RUL_CAP
+    rows: np.ndarray, offsets, window_length: int, t_cap: float = DEFAULT_RUL_CAP
 ) -> Windows:
-    """Every length-M_d window of each unit's (n, R) rows, units in order.
+    """Every length-M_d window of each unit's rows of the (n, R) ``rows``,
+    units in order; unit i owns rows offsets[i] to offsets[i + 1].
 
-    The c-th of a unit's n windows is labeled with the piece-wise RUL
-    min(t_cap, n - c). A unit shorter than the window gives no windows.
+    The c-th of a unit's k windows is labeled with the piece-wise RUL
+    min(t_cap, k - c). A unit shorter than the window gives no windows.
     """
     m = int(window_length)
-    counts = np.array([max(len(rows) - m + 1, 0) for rows in units])
-    ends = np.cumsum(counts)
-    curves = np.empty((ends[-1], units[0].shape[1], m))
-    for rows, end, n in zip(units, ends, counts):
-        if n:
-            curves[end - n : end] = np.lib.stride_tricks.sliding_window_view(rows, m, axis=0)
-    c = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + 1  # 1..n per unit
-    return Windows(curves, piecewise_rul(c, np.repeat(counts, counts), t_cap).astype(np.float64))
+    counts = np.maximum(np.diff(offsets) - m + 1, 0)
+    c = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # 0..k-1 per unit
+    starts = np.repeat(np.asarray(offsets)[:-1], counts) + c
+    columns = np.ascontiguousarray(rows.T)  # a window reads m adjacent cells of each sensor
+    if len(starts):
+        view = np.lib.stride_tricks.sliding_window_view(columns, m, axis=1)  # (R, n - m + 1, m)
+        curves = view.transpose(1, 0, 2)[starts]
+    else:  # the view needs at least m rows
+        curves = np.empty((0, len(columns), m))
+    labels = piecewise_rul(c + 1, np.repeat(counts, counts), t_cap).astype(np.float64)
+    return Windows(curves, labels)
 
 
 def last_windows(
-    trajectories: list[EngineTrajectory],
+    split: Trajectories,
     window_length: int,
     model: ConditionModel,
     scaler: MinMaxScaler,
 ) -> Windows:
-    """The final M_d cycles of each raw trajectory as one unlabeled window,
-    in order, on the retained sensors after condition removal and min-max
-    scaling.
-
-    Both transforms act row by row, so only each trajectory's last
-    min(n, M_d) rows are transformed, in one batch. A trajectory shorter
-    than the window is left-padded by repeating its earliest observation,
-    keeping the true readings at the latest grid positions.
-    """
+    """The final M_d cycles of each unit of a raw split as one unlabeled
+    window, in order, on the retained sensors after condition removal and
+    min-max scaling, which act row by row: only the windows' rows are
+    transformed, in one batch. A unit shorter than the window is left-padded
+    by repeating its earliest observation, keeping the true readings at the
+    latest grid positions."""
     m = int(window_length)
-    rows = transform_rows(
-        np.concatenate([t.op_settings[-m:] for t in trajectories]),
-        np.concatenate([t.sensors[-m:] for t in trajectories]),
-        model,
-        scaler,
-    )
-    tail = np.minimum([t.n_cycles for t in trajectories], m)
-    ends = np.cumsum(tail)
-    # Grid point j of window i reads row ends[i] - m + j, clamped to the
-    # first row of that trajectory's tail.
-    index = np.maximum(ends[:, None] - m + np.arange(m), (ends - tail)[:, None])
-    return Windows(np.ascontiguousarray(rows[index].transpose(0, 2, 1)), labels=None)
+    # Grid point j of unit i's window reads row offsets[i + 1] - m + j,
+    # clamped to the unit's first row.
+    index = np.maximum(split.offsets[1:, None] - m + np.arange(m), split.offsets[:-1, None]).ravel()
+    rows = transform_rows(split.op_settings[index], split.sensors[index], model, scaler)
+    curves = rows.reshape(len(split), m, rows.shape[1]).transpose(0, 2, 1)
+    return Windows(np.ascontiguousarray(curves), labels=None)
 
 
 def fit_preprocessing(
-    train: list[EngineTrajectory],
+    train: Trajectories,
     _unused=None,  # perfbench/child.py's sweep set-up still passes cfg.condition_config()
 ) -> tuple[ConditionModel, MinMaxScaler]:
     """Fit the condition regressors, then the min-max scaler on their
     residuals, both on every training row at once.
     Raises DegenerateSensorError if no sensor varies after removal."""
-    if not train:
+    if not len(train):
         raise ValueError("need at least one training trajectory")
-    settings = np.concatenate([t.op_settings for t in train])
-    sensors = np.concatenate([t.sensors for t in train])
+    settings, sensors = np.ascontiguousarray(train.op_settings), np.ascontiguousarray(train.sensors)
     model = fit_condition_regressors(settings, sensors)
     residuals = sensors - model.predict(settings)
     scaler = MinMaxScaler(minimum=residuals.min(axis=0), maximum=residuals.max(axis=0))
@@ -278,10 +272,9 @@ def training_instances(
     scaler: MinMaxScaler,
     t_cap: int = DEFAULT_RUL_CAP,
 ) -> Windows:
-    """All labeled sliding windows from the subset's training units, each
-    unit transformed on its own."""
-    units = [transform_rows(t.op_settings, t.sensors, model, scaler) for t in subset.train]
-    return sliding_windows(units, subset.window_length, t_cap)
+    """All labeled sliding windows from the subset's training units."""
+    rows = transform_rows(subset.train.op_settings, subset.train.sensors, model, scaler)
+    return sliding_windows(rows, subset.train.offsets, subset.window_length, t_cap)
 
 
 def test_instances(

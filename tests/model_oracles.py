@@ -2,15 +2,18 @@
 model/batch construction, the batch loss and gradient through the training
 kernel, the central-finite-difference gradient check, weight curves and the
 discrete integral, a per-sensor reference mean, eigensolve and projection, a
-plain reference training loop, and a line-by-line reference trajectory parser."""
+plain reference training loop, a split built from per-unit records, and a
+line-by-line reference trajectory parser that checks one unit at a time."""
 
 import dataclasses
 import io
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from fmlp_rul.cmapss import N_COLUMNS, N_SETTINGS, EngineTrajectory
-from fmlp_rul.errors import ParseError
+from fmlp_rul.cmapss import N_COLUMNS, N_SENSORS, N_SETTINGS, Trajectories
+from fmlp_rul.errors import IntegrityError, ParseError
 from fmlp_rul import fmlp
 from fmlp_rul.fmlp import init_model
 from fmlp_rul.fpca import fit_basis
@@ -224,10 +227,39 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     return list(zip(names, best if best is not None else blocks)), trace
 
 
-def reference_parse_trajectory_file(text: str) -> list[EngineTrajectory]:
+def split_of(units) -> Trajectories:
+    """A split from per-unit records with unit_id, cycles, op_settings and
+    sensors, in order; the split constructor checks the rules."""
+    units = list(units)
+    if not units:
+        return Trajectories([], [], np.zeros((0, N_SETTINGS)), np.zeros((0, N_SENSORS)))
+    return Trajectories(
+        np.concatenate([np.full(len(u.cycles), u.unit_id) for u in units]),
+        np.concatenate([u.cycles for u in units]),
+        np.concatenate([u.op_settings for u in units]),
+        np.concatenate([u.sensors for u in units]),
+    )
+
+
+def unit_record(unit_id, settings, sensors, cycles=None) -> SimpleNamespace:
+    """One unit's rows, with cycles 1..n unless given, for split_of."""
+    n = len(sensors)
+    return SimpleNamespace(
+        unit_id=unit_id,
+        cycles=np.arange(1, n + 1) if cycles is None else np.asarray(cycles),
+        op_settings=np.asarray(settings, dtype=float),
+        sensors=np.asarray(sensors, dtype=float),
+    )
+
+
+def reference_parse_trajectory_file(text: str) -> list[SimpleNamespace]:
     """The trajectory parser written plainly: one line at a time, Python
-    int/float conversion, rows grouped by unit in first-appearance order."""
-    rows_by_unit: dict[int, list[list[float]]] = {}
+    int/float conversion, consecutive rows of one id grouped into a unit.
+    Then the rules, one unit at a time in file order, each unit checked for
+    a repeated block, then a unit id that is not positive, then cycles that
+    do not run 1, 2, 3, ..., then a non-finite reading, named at its first
+    cycle. Returns one unit_record per unit."""
+    blocks: list[tuple[int, list[int], list[list[float]]]] = []
     for line_no, line in enumerate(io.StringIO(text), start=1):
         parts = line.split()
         if not parts:
@@ -242,17 +274,30 @@ def reference_parse_trajectory_file(text: str) -> list[EngineTrajectory]:
             values = [float(x) for x in parts[2:N_COLUMNS]]
         except ValueError as exc:
             raise ParseError(line_no, f"malformed numeric field ({exc})") from None
-        rows_by_unit.setdefault(unit, []).append([float(cycle)] + values)
+        if not blocks or blocks[-1][0] != unit:
+            blocks.append((unit, [], []))
+        blocks[-1][1].append(cycle)
+        blocks[-1][2].append(values)
 
-    trajectories = []
-    for unit, rows in rows_by_unit.items():
-        data = np.array(rows, dtype=np.float64)
-        trajectories.append(
-            EngineTrajectory(
-                unit_id=unit,
-                cycles=data[:, 0].astype(np.int64),
-                op_settings=data[:, 1 : 1 + N_SETTINGS],
-                sensors=data[:, 1 + N_SETTINGS :],
+    seen: set[int] = set()
+    units = []
+    for unit, cycles, rows in blocks:
+        if unit in seen:
+            raise IntegrityError(
+                f"unit {unit}: rows must form one contiguous block, found a second block"
             )
+        seen.add(unit)
+        if unit <= 0:
+            raise IntegrityError(f"unit id must be positive, got {unit}")
+        if cycles != list(range(1, len(cycles) + 1)):
+            raise IntegrityError(f"unit {unit}: cycles must start at 1 and increase by 1")
+        for cycle, values in zip(cycles, rows):
+            if not all(math.isfinite(v) for v in values):
+                raise IntegrityError(
+                    f"unit {unit}: non-finite setting or sensor reading at cycle {cycle}"
+                )
+        data = np.array(rows, dtype=np.float64)
+        units.append(
+            unit_record(unit, data[:, :N_SETTINGS], data[:, N_SETTINGS:], np.array(cycles))
         )
-    return trajectories
+    return units

@@ -102,12 +102,13 @@ def test_criterion_4_pipeline_counting(fd001_root):
     started = time.monotonic()
     subset = load_subset(fd001_root, "FD001")
     unit1 = subset.train[0]
-    windows = sliding_windows([unit1.sensors], subset.window_length)
+    n_cycles = len(unit1.cycles)
+    windows = sliding_windows(unit1.sensors, [0, n_cycles], subset.window_length)
     labels = list(windows.labels)
     elapsed = time.monotonic() - started
     ok = (
         unit1.unit_id == 1
-        and unit1.n_cycles == 144
+        and n_cycles == 144
         and len(windows) == 114
         and labels[0] == 113.0
         and labels[-1] == 0.0
@@ -117,7 +118,7 @@ def test_criterion_4_pipeline_counting(fd001_root):
         4,
         "pipeline counting",
         ok,
-        f"{unit1.n_cycles} cycles -> {len(windows)} windows, labels "
+        f"{n_cycles} cycles -> {len(windows)} windows, labels "
         f"{labels[0]:.0f}..{labels[-1]:.0f}, {elapsed:.1f}s",
     )
 

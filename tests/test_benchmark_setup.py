@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 from cmapss_synth import write_subset
 
-from fmlp_rul import cli, evaluate, fmlp
+from fmlp_rul import cli, cmapss, evaluate, fmlp
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
@@ -38,6 +38,18 @@ def test_traced_spans_find_their_functions():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert set(json.loads(child.stdout)) <= STALE_TARGETS
+
+
+def test_row_counter_reads_every_row_of_a_parse(tmp_path, monkeypatch):
+    # The traced run's cmapss.rows_parsed counts the rows of each parse result.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    write_subset(tmp_path, "FD002", n_train=1, n_test=4)
+    path = tmp_path / "test_FD002.txt"
+    result = cmapss.read_file(path, cmapss.parse_trajectory_file)
+    counts = {}
+    tracing._count_rows(counts, result, cmapss.parse_trajectory_file, (), {})
+    assert counts == {"cmapss.rows_parsed": len(path.read_text().splitlines())}
 
 
 def test_sweep_workload_setup_runs(tmp_path, monkeypatch):

@@ -2,12 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmapss_synth import generate_subset
 
 from model_oracles import reference_parse_trajectory_file
 
 from fmlp_rul.cmapss import (
     WINDOW_LENGTHS,
-    EngineTrajectory,
+    Trajectories,
     _named_file,
     load_subset,
     parse_rul_file,
@@ -30,11 +34,11 @@ def test_parse_counts_fd001(fd001_subset):
 
 def test_fd001_unit1_has_144_cycles(fd001_subset):
     assert fd001_subset.train[0].unit_id == 1
-    assert fd001_subset.train[0].n_cycles == 144
+    assert len(fd001_subset.train[0].cycles) == 144
 
 
 def test_parse_empty_stream():
-    assert parse_trajectory_file(io.StringIO("")) == []
+    assert len(parse_trajectory_file(io.StringIO(""))) == 0
 
 
 def test_parse_rul_counts_fd002(fd002_root):
@@ -165,7 +169,7 @@ def test_load_subset_reads_only_requested_splits(fd001_root, tmp_path):
     (tmp_path / "train_FD001.txt").write_text((fd001_root / "train_FD001.txt").read_text())
     subset = load_subset(tmp_path, "FD001", splits=("train",))
     assert len(subset.train) == 100
-    assert subset.test == [] and subset.test_rul == []
+    assert len(subset.test) == 0 and subset.test_rul == []
     with pytest.raises(FileNotFoundError) as err:
         load_subset(tmp_path, "FD001", splits=("test",))
     assert "test_FD001.txt" in str(err.value)
@@ -207,7 +211,7 @@ def format_trajectories(trajectories):
 
 
 def test_round_trip(fd001_subset):
-    sample = fd001_subset.train[:4]
+    sample = list(fd001_subset.train)[:4]
     reparsed = parse_trajectory_file(format_trajectories(sample))
     assert len(reparsed) == 4
     for before, after in zip(sample, reparsed):
@@ -219,18 +223,109 @@ def test_round_trip(fd001_subset):
 
 def test_window_count_identity(fd001_subset):
     m = fd001_subset.window_length
-    for traj in fd001_subset.train[:25]:
-        expected = max(0, traj.n_cycles - m + 1)
-        assert len(sliding_windows([traj.sensors], m)) == expected
+    for traj in list(fd001_subset.train)[:25]:
+        expected = max(0, len(traj.cycles) - m + 1)
+        assert len(sliding_windows(traj.sensors, [0, len(traj.cycles)], m)) == expected
 
 
 def test_trajectory_invariants_enforced():
     n = 5
     settings = np.zeros((n, 3))
     sensors = np.zeros((n, 21))
+    ones = np.ones(n, dtype=int)
     with pytest.raises(IntegrityError):
-        EngineTrajectory(1, np.arange(2, n + 2), settings, sensors)  # starts at 2
+        Trajectories(ones, np.arange(2, n + 2), settings, sensors)  # starts at 2
     with pytest.raises(IntegrityError):
-        EngineTrajectory(1, np.arange(1, n + 1), settings, sensors[:, :20])
+        Trajectories(ones, np.arange(1, n + 1), settings, sensors[:, :20])
     with pytest.raises(IntegrityError):
-        EngineTrajectory(0, np.arange(1, n + 1), settings, sensors)
+        Trajectories(0 * ones, np.arange(1, n + 1), settings, sensors)
+
+
+def test_split_units_are_read_only_views_of_its_rows():
+    lines = [make_line(7, c, c) for c in (1, 2, 3)] + [make_line(2, 1, 9.0)]
+    split = parse_trajectory_file("\n".join(lines) + "\n")
+    assert split.unit_ids.tolist() == [7, 2]
+    assert split.offsets.tolist() == [0, 3, 4]
+    assert split.lengths.tolist() == [3, 1]
+    last = split[-1]
+    assert last.unit_id == 2 and last.cycles.tolist() == [1]
+    assert np.array_equal(last.sensors, split.sensors[3:])
+    assert [t.unit_id for t in split] == [7, 2]
+    assert sum(len(t.cycles) for t in split) == 4
+    with pytest.raises(IndexError):
+        split[2]
+    for values in (split.sensors, split.op_settings, split.cycles, split[0].sensors):
+        with pytest.raises(ValueError):
+            values[0] = 0
+
+
+# Clean FD001 and FD002 test files of six engines each, as tokens per line.
+_CLEAN = {
+    subset_id: [line.split() for line in text.splitlines()]
+    for subset_id in ("FD001", "FD002")
+    for text in [generate_subset(subset_id, n_train=1, n_test=6)["test"]]
+}
+
+
+def _damage(clean, rows, kind, unit, at, token):
+    """Apply one defect to the rows of unit ``unit`` (0-based) of the clean
+    file, whose units are 1, 2, ... in order."""
+    starts = [0, *(i for i in range(1, len(clean)) if clean[i][0] != clean[i - 1][0]), len(clean)]
+    lo, hi = starts[unit], starts[unit + 1]
+    row = lo + at % (hi - lo)
+    if kind == "repeat":  # the unit's last rows take the id of the unit two on
+        for r in rows[row:hi]:
+            r[0] = str(unit + 3)
+    elif kind == "id":
+        for r in rows[lo:hi]:
+            r[0] = token
+    elif kind == "cycle":
+        rows[row][1] = str(int(rows[row][1]) + int(token))
+    else:  # a non-finite setting or reading
+        rows[row][2 + at % 24] = token
+
+
+_DEFECTS = st.one_of(
+    st.tuples(st.just("repeat"), st.just("")),
+    st.tuples(st.just("id"), st.sampled_from(["0", "-3"])),
+    st.tuples(st.just("cycle"), st.sampled_from(["-1", "1", "5"])),
+    st.tuples(st.just("reading"), st.sampled_from(["nan", "inf", "-inf"])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    subset_id=st.sampled_from(sorted(_CLEAN)),
+    defects=st.lists(
+        st.tuples(_DEFECTS, st.integers(0, 5), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda d: d[1],
+    ),
+)
+def test_first_error_matches_per_unit_reference(subset_id, defects, tmp_path_factory):
+    # Several defects in different units: the split's whole-array checks must
+    # name the same first error as checking one unit at a time in file order.
+    clean = _CLEAN[subset_id]
+    rows = [list(r) for r in clean]
+    for (kind, token), unit, at in defects:
+        _damage(clean, rows, kind, unit, at, token)
+    text = "\n".join(" ".join(r) for r in rows) + "\n"
+    try:
+        reference_parse_trajectory_file(text)
+    except IntegrityError as exc:
+        want = str(exc)
+    else:
+        want = None
+    path = tmp_path_factory.getbasetemp() / f"test_{subset_id}.txt"
+    path.write_text(text)
+    for parse in (
+        lambda: parse_trajectory_file(text),  # the lines route
+        lambda: read_file(path, parse_trajectory_file),  # the by-name route
+    ):
+        if want is None:
+            parse()
+        else:
+            with pytest.raises(IntegrityError) as err:
+                parse()
+            assert str(err.value) == want

@@ -22,7 +22,9 @@ from model_oracles import (
     random_model_and_batch,
     reference_project,
     reference_train,
+    split_of,
     take,
+    unit_record,
     weight_curve,
 )
 
@@ -41,7 +43,13 @@ from fmlp_rul.fmlp import (
 )
 from fmlp_rul.fpca import EigenBasis, fit_basis
 from fmlp_rul.numerics import seeded_rng
-from fmlp_rul.preprocess import fit_preprocessing, training_instances
+from fmlp_rul.preprocess import (
+    Windows,
+    fit_preprocessing,
+    last_windows,
+    training_instances,
+    transform_rows,
+)
 
 
 def constant_basis(m=8, n=6):
@@ -508,7 +516,32 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert len(expected) == 5
     assert np.array_equal(pipeline.predict(subset.test), expected)
     assert np.array_equal(reloaded.predict(subset.test), expected)
-    assert reloaded.predict([]).shape == (0,)
+    assert reloaded.predict(split_of([])).shape == (0,)
+
+
+def test_pipeline_predict_equals_each_units_own_last_window(fd002_pipeline, fd002_subset):
+    # One gather over the split against each unit's last M raw rows, left-padded
+    # with its first row when it is shorter, transformed on their own.
+    pipeline, m = fd002_pipeline, fd002_pipeline.window_length
+    units = list(fd002_subset.test)
+    split = split_of([
+        unit_record(1, units[0].op_settings[:60], units[0].sensors[:60]),  # longer than M
+        unit_record(2, units[1].op_settings[:1], units[1].sensors[:1]),  # one row
+        unit_record(3, units[2].op_settings[:m], units[2].sensors[:m]),  # exactly M
+        unit_record(4, units[3].op_settings[:9], units[3].sensors[:9]),  # shorter than M
+        units[4],
+    ])
+    curves = []
+    for unit in split:
+        rows = np.maximum(np.arange(len(unit.cycles) - m, len(unit.cycles)), 0)
+        window = transform_rows(
+            unit.op_settings[rows], unit.sensors[rows], pipeline.condition_model, pipeline.scaler
+        )
+        curves.append(window.T)
+    expected = Windows(np.stack(curves), labels=None)
+    got = last_windows(split, m, pipeline.condition_model, pipeline.scaler)
+    assert got.curves.tobytes() == expected.curves.tobytes()
+    assert pipeline.predict(split).tobytes() == pipeline.network.predict_many(expected).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -690,7 +723,8 @@ def test_load_rejects_unknown_schema():
 
 
 def test_trained_model_near_failure_estimate(fd001_pipeline, fd001_subset):
-    subset = DataSubset("FD001", train=fd001_subset.train[:1], test=[], test_rul=[])
+    train = split_of([fd001_subset.train[0]])
+    subset = DataSubset("FD001", train=train, test=split_of([]), test_rul=[])
     windows = training_instances(
         subset, fd001_pipeline.condition_model, fd001_pipeline.scaler
     )

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_oracles import split_of, unit_record
+
 from fmlp_rul import preprocess
-from fmlp_rul.cmapss import DataSubset, EngineTrajectory
+from fmlp_rul.cmapss import DataSubset
 from fmlp_rul.errors import TrainingError
 from fmlp_rul.preprocess import (
     CONDITION_FEATURES,
@@ -25,13 +27,8 @@ from fmlp_rul.preprocess import (
 
 
 def make_traj(unit_id, settings, sensors):
-    n = len(sensors)
-    return EngineTrajectory(
-        unit_id=unit_id,
-        cycles=np.arange(1, n + 1),
-        op_settings=np.asarray(settings, dtype=float),
-        sensors=np.asarray(sensors, dtype=float),
-    )
+    """A one-unit split with cycles 1..n."""
+    return split_of([unit_record(unit_id, settings, sensors)])
 
 
 def constant_predictor(values, n_sensors=21):
@@ -208,7 +205,7 @@ def test_condition_predict_matches_per_sensor_loop():
 
 def test_regressor_rejects_empty_input():
     with pytest.raises(ValueError, match="need at least one training trajectory"):
-        fit_preprocessing([])
+        fit_preprocessing(split_of([]))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -222,10 +219,10 @@ def test_fit_is_the_same_for_one_unit_or_ten(seed):
     trend = np.linspace(0, 1, 2000)[:, None] * rng.normal(0, 2, 21)
     sensors = 100.0 + rng.normal(0, 10, (6, 21))[regime] + trend + rng.normal(0, 0.5, (2000, 21))
     one, ten = (
-        fit_preprocessing([
-            make_traj(u + 1, settings[rows], sensors[rows])
+        fit_preprocessing(split_of(
+            unit_record(u + 1, settings[rows], sensors[rows])
             for u, rows in enumerate(np.array_split(np.arange(2000), n_units))
-        ])
+        ))
         for n_units in (1, 10)
     )
     for a, b in zip(one, ten):
@@ -290,7 +287,7 @@ def test_removal_neutral_under_single_condition(fd001_pipeline, fd001_subset):
 def test_fit_minmax_simple_values():
     # One setting row, so the condition model predicts each sensor's mean, 4.
     sensors = np.tile([[2.0], [4.0], [6.0]], (1, 21))
-    _, scaler = fit_preprocessing([make_traj(1, np.zeros((3, 3)), sensors)])
+    _, scaler = fit_preprocessing(make_traj(1, np.zeros((3, 3)), sensors))
     assert scaler.minimum[0] == -2.0
     assert scaler.maximum[0] == 2.0
 
@@ -298,7 +295,7 @@ def test_fit_minmax_simple_values():
 def test_fit_minmax_flags_constant_sensor():
     sensors = np.ones((4, 21))
     sensors[:, 5] = [1.0, 2.0, 3.0, 4.0]
-    _, scaler = fit_preprocessing([make_traj(1, np.zeros((4, 3)), sensors)])
+    _, scaler = fit_preprocessing(make_traj(1, np.zeros((4, 3)), sensors))
     assert scaler.constant_mask[0]
     assert not scaler.constant_mask[5]
     assert list(scaler.retained) == [5]
@@ -384,7 +381,7 @@ def degradation_traj(n, unit_id=1):
 
 def test_slide_windows_counting_example():
     traj = degradation_traj(144)
-    windows = sliding_windows([traj.sensors], 31)
+    windows = sliding_windows(traj.sensors, [0, 144], 31)
     assert len(windows) == 114
     assert windows.curves.shape == (114, 21, 31)
     assert windows.labels[0] == 113.0
@@ -394,13 +391,13 @@ def test_slide_windows_counting_example():
 
 
 def test_slide_windows_single_window():
-    windows = sliding_windows([degradation_traj(31).sensors], 31)
+    windows = sliding_windows(degradation_traj(31).sensors, [0, 31], 31)
     assert len(windows) == 1
     assert windows.labels[0] == 0.0
 
 
 def test_slide_windows_too_short():
-    windows = sliding_windows([degradation_traj(30).sensors], 31)
+    windows = sliding_windows(degradation_traj(30).sensors, [0, 30], 31)
     assert len(windows) == 0
     assert windows.curves.shape == (0, 21, 31)
 
@@ -413,7 +410,7 @@ def test_slide_windows_sensor_selection():
     rows = transform_rows(
         traj.op_settings, traj.sensors, constant_predictor(0.0), MinMaxScaler(minimum, maximum)
     )
-    windows = sliding_windows([rows], 31)
+    windows = sliding_windows(rows, [0, 40], 31)
     assert windows.curves[0].shape == (3, 31)
     assert np.array_equal(windows.curves[0], traj.sensors[:31, keep].T)
 
@@ -421,7 +418,7 @@ def test_slide_windows_sensor_selection():
 def test_sliding_windows_concatenate_units():
     units = [degradation_traj(33, 3).sensors, degradation_traj(20, 5).sensors,
              degradation_traj(180, 9).sensors]
-    windows = sliding_windows(units, 31, t_cap=100)
+    windows = sliding_windows(np.concatenate(units), [0, 33, 53, 233], 31, t_cap=100)
     assert len(windows) == 3 + 150  # the 20-cycle unit is too short
     assert windows.curves.flags.c_contiguous
     assert list(windows.labels[:3]) == [2.0, 1.0, 0.0]
@@ -436,14 +433,14 @@ def test_sliding_windows_concatenate_units():
 
 def test_last_window_tail():
     traj = degradation_traj(200)
-    windows = last_windows([traj], 21, constant_predictor(0.0), unit_scaler())
+    windows = last_windows(traj, 21, constant_predictor(0.0), unit_scaler())
     assert windows.labels is None
     assert np.array_equal(windows.curves[0], traj.sensors[179:].T)  # cycles 180..200
 
 
 def test_last_window_pads_short_trajectory():
     traj = degradation_traj(15)
-    curves = last_windows([traj], 19, constant_predictor(0.0), unit_scaler()).curves[0]
+    curves = last_windows(traj, 19, constant_predictor(0.0), unit_scaler()).curves[0]
     assert curves.shape == (21, 19)
     for j in range(4):
         assert np.array_equal(curves[:, j], traj.sensors[0])
@@ -452,18 +449,19 @@ def test_last_window_pads_short_trajectory():
 
 def test_last_window_whole_trajectory():
     traj = degradation_traj(31)
-    windows = last_windows([traj], 31, constant_predictor(0.0), unit_scaler())
+    windows = last_windows(traj, 31, constant_predictor(0.0), unit_scaler())
     assert np.array_equal(windows.curves[0], traj.sensors.T)
 
 
 def test_test_instances_match_whole_trajectory_path(fd002_subset):
-    model, scaler = preprocess.fit_preprocessing(fd002_subset.train[:6])
+    model, scaler = preprocess.fit_preprocessing(split_of(list(fd002_subset.train)[:6]))
     full = fd002_subset.test[0]
-    short = EngineTrajectory(
-        full.unit_id, full.cycles[:9], full.op_settings[:9], full.sensors[:9]
-    )
+    short = unit_record(full.unit_id, full.op_settings[:9], full.sensors[:9])
     subset = DataSubset(
-        "FD002", train=[], test=[short, *fd002_subset.test[:40]], test_rul=[1] * 41
+        "FD002",
+        train=split_of([]),
+        test=split_of([short, *list(fd002_subset.test)[1:41]]),
+        test_rul=[1] * 41,
     )
     got = preprocess.test_instances(subset, model, scaler)
     assert got.curves.shape == (41, len(scaler.retained), 21)
@@ -472,17 +470,18 @@ def test_test_instances_match_whole_trajectory_path(fd002_subset):
         # transform the whole trajectory, then take its last 21 rows,
         # left-padded with the first row when it is shorter
         rows = transform_rows(t.op_settings, t.sensors, model, scaler)
-        pad = np.repeat(rows[:1], max(0, 21 - t.n_cycles), axis=0)
+        pad = np.repeat(rows[:1], max(0, 21 - len(t.cycles)), axis=0)
         want = np.concatenate([pad, rows])[-21:].T
         np.testing.assert_allclose(got.curves[i], want, rtol=0, atol=1e-12)
 
 
 def test_training_curves_stay_in_unit_interval(fd001_pipeline, fd001_subset):
-    subset = DataSubset("FD001", train=fd001_subset.train[10:12], test=[], test_rul=[])
+    train = split_of(list(fd001_subset.train)[10:12])
+    subset = DataSubset("FD001", train=train, test=split_of([]), test_rul=[])
     windows = preprocess.training_instances(
         subset, fd001_pipeline.condition_model, fd001_pipeline.scaler
     )
-    assert len(windows) == sum(t.n_cycles - 30 for t in subset.train)
+    assert len(windows) == sum(len(t.cycles) - 30 for t in subset.train)
     assert windows.curves.min() >= -1e-12
     assert windows.curves.max() <= 1.0 + 1e-12
 
