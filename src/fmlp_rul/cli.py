@@ -43,7 +43,6 @@ class ExperimentConfig:
     learning_rate: float = fmlp.TrainConfig.learning_rate
     epochs: int = fmlp.TrainConfig.epochs
     batch_size: int = fmlp.TrainConfig.batch_size
-    init_scale: float = fmlp.TrainConfig.init_scale
     patience: int = fmlp.TrainConfig.patience
     val_fraction: float = fmlp.TrainConfig.val_fraction
     fve_cutoff: float = DEFAULT_FVE_CUTOFF

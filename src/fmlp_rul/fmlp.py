@@ -45,7 +45,7 @@ from .preprocess import (
     last_windows,
 )
 
-ARTIFACT_SCHEMA = "fmlp-artifact/5"
+ARTIFACT_SCHEMA = "fmlp-artifact/6"
 ARTIFACT_KEYS = ("schema", "subset_id", "window_length", "condition_model", "scaler",
                  "label_scale", "train_config", "basis", "network")
 
@@ -78,7 +78,6 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 512
     seed: int = 0
-    init_scale: float = 0.5
     patience: int = 25
     val_fraction: float = 0.1
 
@@ -86,11 +85,9 @@ class TrainConfig:
         for f in dataclasses.fields(self):  # each read as an artifact reads it back
             value = json_number(getattr(self, f.name), type(f.default), f.name, ValueError)
             setattr(self, f.name, value)
-        for name in ("learning_rate", "epochs", "batch_size", "init_scale", "patience"):
+        for name in ("learning_rate", "epochs", "batch_size", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not math.isfinite(2 * self.init_scale):  # uniform(-s, s) needs a finite span
-            raise ValueError(f"init_scale must leave 2 * init_scale finite, got {self.init_scale}")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ValueError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
         if not 0 <= self.seed < 2**64:
@@ -296,15 +293,19 @@ def init_model(
     basis: EigenBasis,
     rng: np.random.Generator,
     n_functional: int = DEFAULT_FUNCTIONAL_NEURONS,
-    init_scale: float = 0.5,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> FmlpModel:
-    """Seeded uniform(-init_scale, init_scale) weights, zero biases."""
-    d = basis.total_components
-    a = rng.uniform(-init_scale, init_scale, size=n_functional)
-    beta = rng.uniform(-init_scale, init_scale, size=(n_functional, d))
-    w1 = rng.uniform(-init_scale, init_scale, size=(HIDDEN_WIDTH, 1))
-    w2 = rng.uniform(-init_scale, init_scale, size=(1, HIDDEN_WIDTH))
+    """Seeded weights and zero biases. Each weight block is drawn from U(-l, l)
+    with l = sqrt(6 / (fan-in + fan-out)) (Glorot & Bengio 2010): a functional
+    neuron reads D scores into 1 output, the sum H reads K activations."""
+    d, h = basis.total_components, HIDDEN_WIDTH
+
+    def glorot(fan_in: int, fan_out: int, shape) -> np.ndarray:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+
+    a, beta = glorot(n_functional, 1, n_functional), glorot(d, 1, (n_functional, d))
+    w1, w2 = glorot(1, h, (h, 1)), glorot(h, 1, (1, h))
     return FmlpModel(
         a=a,
         b=np.zeros(n_functional),
@@ -358,7 +359,7 @@ def train(
     if not instances:
         raise ValueError("no training instances")
     rng = seeded_rng(cfg.seed)
-    model = init_model(basis, rng, init_scale=cfg.init_scale, label_scale=label_scale)
+    model = init_model(basis, rng, label_scale=label_scale)
     model.train_config = cfg
 
     scores = _network_input(basis, instances)
@@ -432,7 +433,7 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization ("fmlp-artifact/5"): one JSON document holding the
+# Artifact serialization ("fmlp-artifact/6"): one JSON document holding the
 # network, the eigenbasis and the preprocessing state, each value once.
 
 

@@ -171,11 +171,16 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     (name, block) pairs and the trace as (epoch, train_mse, val_mse)
     tuples. Divergence is not checked."""
     rng = seeded_rng(cfg.seed)
-    s, d = cfg.init_scale, basis.total_components
-    a = rng.uniform(-s, s, size=n_functional)
-    beta = rng.uniform(-s, s, size=(n_functional, d))
-    w1 = rng.uniform(-s, s, size=(hidden_width, 1))
-    w2 = rng.uniform(-s, s, size=(1, hidden_width))
+    d = basis.total_components
+    # Glorot-uniform limits sqrt(6 / (fan-in + fan-out)): a is K -> 1, each
+    # beta row D -> 1, w1 1 -> hidden_width and w2 hidden_width -> 1.
+    a_limit = np.sqrt(6 / (n_functional + 1))
+    a = rng.uniform(-a_limit, a_limit, size=n_functional)
+    beta_limit = np.sqrt(6 / (d + 1))
+    beta = rng.uniform(-beta_limit, beta_limit, size=(n_functional, d))
+    hidden_limit = np.sqrt(6 / (1 + hidden_width))
+    w1 = rng.uniform(-hidden_limit, hidden_limit, size=(hidden_width, 1))
+    w2 = rng.uniform(-hidden_limit, hidden_limit, size=(1, hidden_width))
     b, b1, b2 = np.zeros(n_functional), np.zeros(hidden_width), np.zeros(1)
     blocks = [a, b, beta, w1, b1, w2, b2]
     names = ["a", "b", "beta", "w1", "b1", "w2", "b2"]

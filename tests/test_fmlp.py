@@ -41,7 +41,7 @@ from fmlp_rul.fmlp import (
     pipeline_to_doc,
     train,
 )
-from fmlp_rul.fpca import EigenBasis, fit_basis
+from fmlp_rul.fpca import EigenBasis, SensorBasis, fit_basis
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import (
     Windows,
@@ -100,6 +100,36 @@ def test_weight_curve_parseval():
     model.beta[0, :] = [1.0, 1.0]
     curve = weight_curve(model, 0, 0)
     assert discrete_integral(curve, curve) == pytest.approx(2.0, abs=1e-8)
+
+
+# --- initialisation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_sensors,n_components,beta_fans", [(1, 1, 2), (14, 2, 29)])
+def test_init_model_draws_each_block_within_its_glorot_limit(n_sensors, n_components, beta_fans):
+    # The limits sqrt(6 / (fan-in + fan-out)) written out by hand, so that a
+    # wrong formula copied into model_oracles.reference_train still fails
+    # here: beta sqrt(3) = 1.7321 at D = 1 and sqrt(6/29) = 0.4549 at D = 28,
+    # a sqrt(6/5) = 1.0954 at K = 4, and w1 and w2 sqrt(2). The blocks are
+    # drawn as a, beta, w1, w2, in that order.
+    m = 8
+    sensors = [SensorBasis(i + 1, np.zeros(m), np.ones(m), np.eye(n_components, m))
+               for i in range(n_sensors)]
+    basis = EigenBasis(sensors, fve_cutoff=0.8, component_cap=2)
+    d = basis.total_components
+    assert d == beta_fans - 1
+    model = init_model(basis, seeded_rng(9))
+    limits = {"a": math.sqrt(6 / 5), "beta": math.sqrt(6 / beta_fans), "w1": math.sqrt(2),
+              "w2": math.sqrt(2)}
+    rng = seeded_rng(9)
+    for name, shape in (("a", (4,)), ("beta", (4, d)), ("w1", (2, 1)), ("w2", (1, 2))):
+        block, limit = getattr(model, name), limits[name]
+        assert np.abs(block).max() <= limit, name
+        assert np.array_equal(block, rng.uniform(-limit, limit, size=shape)), name
+    for name in ("b", "b1", "b2"):
+        assert not getattr(model, name).any(), name
+    again = init_model(basis, seeded_rng(9))
+    assert np.array_equal(again.params, model.params)
 
 
 # --- functional layer -------------------------------------------------
@@ -465,7 +495,7 @@ def test_train_config_counts_must_be_integers(field, value):
         TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "init_scale", "val_fraction"])
+@pytest.mark.parametrize("field", ["learning_rate", "val_fraction"])
 @pytest.mark.parametrize("value", [True, False, "0.2", None, [0.1], math.inf, -math.inf, math.nan])
 def test_train_config_rates_must_be_real_numbers(field, value):
     # learning_rate=True once trained at step size 1.0 and wrote an artifact
@@ -574,7 +604,7 @@ def _with_sensors(network, keep):
 def test_library_train_config_round_trips(kind, small_pipeline):
     # int and numpy-float rates pass TrainConfig and come back from the artifact
     pipeline, data = small_pipeline
-    rates = {"learning_rate": kind(1), "init_scale": kind(1), "val_fraction": kind(0)}
+    rates = {"learning_rate": kind(1), "val_fraction": kind(0)}
     cfg = TrainConfig(epochs=2, seed=4, **rates)
     model = train(data, pipeline.network.basis, cfg).model
     pipeline = dataclasses.replace(pipeline, network=model)
