@@ -28,7 +28,7 @@ from model_oracles import (
 from fmlp_rul import cli
 from fmlp_rul.cmapss import load_subset
 from fmlp_rul.evaluate import improvement, rmse, score
-from fmlp_rul.fmlp import load_model, pipeline_to_doc
+from fmlp_rul.fmlp import TrainConfig, load_model, pipeline_to_doc
 from fmlp_rul.fpca import select_num_components
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import piecewise_rul, sliding_windows
@@ -133,7 +133,7 @@ def test_criterion_5_fd001_headline(fd001_run):
         and report["rmse"] <= 18.5
         and report["score"] <= 1.3e3
         and fd001_run.seconds < 900.0
-        and len(trace_rows) <= 301  # header + at most the 300-epoch budget
+        and len(trace_rows) <= TrainConfig().epochs + 1  # header + at most the epoch budget
         and len(engine_rows) == 101  # header + one row per test engine
     )
     stretch = "stretch RMSE<=16.14 met" if report["rmse"] <= 16.14 else (

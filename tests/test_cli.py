@@ -868,6 +868,9 @@ def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, c
         (40, 4001, 300),
         (53, 5300, 300),
         (11, 1100, 25),
+        # The sweep model of corpus seeds 1-60 closest to the constant guess at
+        # the 200-epoch budget and patience 300: 0.426 of it (15.41 cycles).
+        (10, 1001, 300),
     ],
 )
 def test_default_training_beats_a_constant_guess_on_a_small_corpus(

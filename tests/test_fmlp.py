@@ -587,6 +587,24 @@ def small_pipeline(tmp_path_factory):
     return Pipeline(condition_model, scaler, model, "FD001"), data
 
 
+@pytest.mark.parametrize("seed", [4, 5])
+def test_epoch_budget_only_truncates_the_run(small_pipeline, seed):
+    # The budget sets nothing but the last epoch: no step size, batch order or
+    # schedule reads it, so a run of E epochs is the first E epochs of a run of
+    # 2E, bit for bit, while patience cannot end either one. The default epoch
+    # count was chosen from runs of several budgets that rely on this.
+    pipeline, data = small_pipeline
+    basis = pipeline.network.basis
+    short = TrainConfig(epochs=10, patience=20, seed=seed)
+    assert fit_rows(short.val_fraction, len(data)) > short.batch_size  # a short last batch too
+    rows = [
+        [(r.epoch, r.train_mse, r.val_mse) for r in train(data, basis, cfg).trace]
+        for cfg in (short, dataclasses.replace(short, epochs=2 * short.epochs))
+    ]
+    assert len(rows[1]) == 2 * short.epochs
+    assert rows[0] == rows[1][: short.epochs]
+
+
 def _columns(basis, keep):
     """The beta columns of the basis sensors at indices ``keep``."""
     slices = component_slices(basis)
