@@ -119,9 +119,9 @@ def fit_basis(
         raise ValueError(f"{len(sensor_ids)} sensor ids for {n_sensors} curve rows")
 
     sensors, means = [], curves.mean(axis=0)  # (R, M): one reduction, not R strided ones
-    for r, (sensor_id, mean) in enumerate(zip(sensor_ids, means)):
-        centered = curves[:, r, :] - mean
-        values, vectors = eigh(centered.T @ centered / n)  # eigh symmetrizes
+    centered = (curves[:, r, :] - mean for r, mean in enumerate(means))
+    spectra = eigh(np.stack([c.T @ c / n for c in centered]))  # one solve for all R
+    for sensor_id, mean, values, vectors in zip(sensor_ids, means, *spectra):
         if values[-1] < _NEGATIVE_EIG_TOL:
             raise DegenerateSensorError(
                 f"sensor {sensor_id}: eigenvalue {values[-1]} below PSD tolerance"

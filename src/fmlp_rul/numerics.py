@@ -1,16 +1,14 @@
 """Deterministic numerical kernels: the package RNG and the eigensolver.
 
 Everything here is 64-bit float. The eigensolver is LAPACK's symmetric
-solver (``np.linalg.eigh``), reordered to descending eigenvalues; the sign
-convention below makes its eigenvectors a deterministic function of the
-input matrix.
+solver (``np.linalg.eigh``), applied to one matrix or to a stack of them in
+a single call and reordered to descending eigenvalues; the sign convention
+below makes its eigenvectors a deterministic function of the input matrix.
 """
 
 import numpy as np
 
 from .errors import NumericError
-
-ASYMMETRY_TOL = 1e-10
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -23,47 +21,31 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2 after checking A is square and nearly symmetric."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T), initial=0.0) > ASYMMETRY_TOL * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so each coordinate sum is >= 0.
-
-    On an exactly-zero sum the first nonzero coordinate is made positive,
-    which makes the decomposition a deterministic function of its input.
-    """
-    for j in range(vectors.shape[1]):
-        s = vectors[:, j].sum()
-        if s < 0.0:
-            vectors[:, j] = -vectors[:, j]
-        elif s == 0.0:
-            nonzero = np.nonzero(vectors[:, j])[0]
-            if nonzero.size and vectors[nonzero[0], j] < 0.0:
-                vectors[:, j] = -vectors[:, j]
-    return vectors
-
-
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric (M, M) matrix or of a (..., M, M)
+    stack of them, read from the lower triangle, in one solver call.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
-    descending order and eigenvectors as orthonormal columns, sign-fixed
-    per ``_fix_signs``.
-
-    Raises NumericError if the solver does not converge.
+    Returns eigenvalues (..., M) in descending order (ties keep LAPACK's
+    order) and orthonormal eigenvector columns (..., M, M). Each column is
+    flipped so its coordinate sum, taken over a contiguous copy, is > 0 or,
+    on an exactly-zero sum, so its first nonzero coordinate is > 0; a stack
+    gives the bytes of one call per matrix. Raises ValueError on a
+    non-finite entry and NumericError if the solver does not converge.
     """
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     try:
-        values, vectors = np.linalg.eigh(symmetrize(a))
+        values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
-    return values[order], _fix_signs(vectors[:, order])
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    # Eigenvector j is the contiguous row rows[..., j, :], so each matrix's
+    # result is Fortran-ordered: that layout picks the BLAS kernel that
+    # projects onto the eigenvectors, and so the last bits of every score.
+    rows = np.take_along_axis(np.swapaxes(vectors, -1, -2), order[..., None], axis=-2)
+    sums = rows.sum(axis=-1)
+    first = np.take_along_axis(rows, (rows != 0.0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    flip = (sums < 0.0) | ((sums == 0.0) & (first < 0.0))
+    return values, np.swapaxes(np.where(flip[..., None], -rows, rows), -1, -2)

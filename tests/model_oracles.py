@@ -1,8 +1,9 @@
 """Shared oracles: a basis fitted with sensor ids 1..R, random functional-MLP
 model/batch construction, the batch loss and gradient through the training
 kernel, the central-finite-difference gradient check, weight curves and the
-discrete integral, a per-sensor reference mean, eigensolve and projection, a
-plain reference training loop, a split built from per-unit records, and a
+discrete integral, a per-matrix reference eigensolve with its column-by-column
+sign rule, a per-sensor reference mean, eigensolve and projection, a plain
+reference training loop, a split built from per-unit records, and a
 line-by-line reference trajectory parser that checks one unit at a time."""
 
 import dataclasses
@@ -17,7 +18,7 @@ from fmlp_rul.errors import IntegrityError, ParseError
 from fmlp_rul import fmlp
 from fmlp_rul.fmlp import init_model
 from fmlp_rul.fpca import fit_basis
-from fmlp_rul.numerics import eigh, seeded_rng
+from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import Windows
 
 # Relative-error guard: at step 1e-6 the finite-difference quotient carries
@@ -85,12 +86,35 @@ def projection_residual_mse(basis, windows):
     return total / count
 
 
+def reference_fix_signs(vectors):
+    """Flip eigenvector columns in place, one at a time, so each coordinate
+    sum is > 0 or, on an exactly-zero sum, the first nonzero coordinate is."""
+    for j in range(vectors.shape[1]):
+        s = vectors[:, j].sum()
+        if s < 0.0:
+            vectors[:, j] = -vectors[:, j]
+        elif s == 0.0:
+            nonzero = np.nonzero(vectors[:, j])[0]
+            if nonzero.size and vectors[nonzero[0], j] < 0.0:
+                vectors[:, j] = -vectors[:, j]
+    return vectors
+
+
+def reference_eigh(a):
+    """One symmetric matrix: LAPACK's eigh, the stable descending order of
+    its eigenvalues, then the column-by-column sign rule."""
+    values, vectors = np.linalg.eigh(a)
+    order = np.argsort(-values, kind="stable")
+    return values[order], reference_fix_signs(vectors[:, order])
+
+
 def reference_mean_and_eigh(x):
     """A sensor's N x M curves in separate steps: the columnwise sample mean,
-    then eigh of the 1/N sample covariance averaged with its transpose."""
+    then the reference eigh of the 1/N sample covariance averaged with its
+    transpose."""
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / len(x)
-    return (x.mean(axis=0), *eigh((cov + cov.T) / 2.0))
+    return (x.mean(axis=0), *reference_eigh((cov + cov.T) / 2.0))
 
 
 def reference_project(basis, windows):

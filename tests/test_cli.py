@@ -142,6 +142,7 @@ def test_config_type_checked(tmp_path, capsys):
         ("batch_size", 2.5),
         ("epochs", 2.5),
         ("batch_size", True),
+        ("subset", "FD005"),
     ],
 )
 def test_config_range_checked_before_work(key, value, tmp_path, capsys):
@@ -151,7 +152,17 @@ def test_config_range_checked_before_work(key, value, tmp_path, capsys):
     assert code == 2
     unknown = key in ("condition_hidden", "init_scale")
     named = f"unknown config keys: {key}" if unknown else repr(key)
+    named = "subset must be one of" if key == "subset" else named
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate"], ["inspect"], ["inspect", "--unit", "3", "--data-root", "."], ["predict", "x"]],
+)
+def test_model_is_required(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "--model is required" in capsys.readouterr().err
 
 
 def test_batch_larger_than_training_split_trains(mini_root, tmp_path):

@@ -52,6 +52,10 @@ def test_parse_rul_simple():
     assert parse_rul_file("0\n7\n") == [0, 7]
 
 
+def test_parse_rul_skips_blank_lines():
+    assert parse_rul_file("0\n\n \n7\n\n") == [0, 7]
+
+
 def test_parse_rul_negative_rejected():
     with pytest.raises(ParseError) as err:
         parse_rul_file("5\n-3\n")
