@@ -52,6 +52,7 @@ ARTIFACT_KEYS = ("schema", "subset_id", "window_length", "condition_model", "sca
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
 _ONE = np.array(1.0)  # 0-d, made once: numpy converts a Python float operand per call
+MOMENTUM = np.array(0.9)  # the heavy-ball step's beta (Polyak 1964), 0-d as _ONE is
 
 # The parameter blocks by name: the functional layer (a, b, beta), the
 # logistic hidden layer (w1, b1), the linear output unit (w2, b2). Each is a
@@ -69,15 +70,17 @@ def _block_shapes(k: int, d: int) -> dict[str, tuple[int, ...]]:
 class TrainConfig:
     """Mini-batch training settings.
 
-    The step size follows the linear scaling rule: whoever changes
-    ``batch_size`` should scale ``learning_rate`` in proportion (0.4 at 512
-    rows). Batches above 512 rows are untested. The epoch budget was sized on
-    held-out training engines (README); early stopping on the window split
-    rarely ends a run before it.
+    Each step moves the parameters by a velocity v = MOMENTUM * v +
+    learning_rate * gradient: an effective step of learning_rate / (1 -
+    MOMENTUM), 0.8 at the defaults. Whoever changes ``batch_size`` should
+    scale ``learning_rate`` in proportion (linear scaling; 0.08 at 512 rows).
+    Batches above 512 rows are untested. The step size and the epoch budget
+    were sized on held-out training engines (README); early stopping on the
+    window split rarely ends a run before the budget.
     """
 
-    learning_rate: float = 0.4
-    epochs: int = 200
+    learning_rate: float = 0.08
+    epochs: int = 125
     batch_size: int = 512
     seed: int = 0
     patience: int = 25
@@ -223,17 +226,19 @@ def _logistic_in_place(x: np.ndarray) -> np.ndarray:
 
 class _Kernel:
     """The network over n rows of [scores, 1] (n, D+1): the forward pass,
-    ``run(x)``, and, given ``grad``, a vector laid out like ``params``, one
-    descent step, ``step(x, targets)``. A step writes ``scale`` times the
-    gradient of the MSE over the rows of x into ``grad``, subtracts it from
-    ``params``, and returns the rows' sum of squared residuals before the
-    update. Views of the parameters and every other operand are
+    ``run(x)``, and, given ``grad`` and ``velocity``, vectors laid out like
+    ``params``, one heavy-ball step, ``step(x, targets)``. A step writes
+    ``scale`` times the gradient of the MSE over the rows of x into ``grad``,
+    sets ``velocity`` to MOMENTUM times itself plus ``grad``, subtracts it
+    from ``params``, and returns the rows' sum of squared residuals before
+    the update. Views of the parameters and every other operand are
     bound once, here, so both follow every in-place update; each call
     overwrites the work arrays, and the ones rows are never written.
     Finiteness is the caller's check."""
 
-    def __init__(self, model: FmlpModel, n: int, grad: np.ndarray | None = None, scale=1.0):
+    def __init__(self, model: FmlpModel, n: int, grad=None, velocity=None, scale=1.0):
         params, dot, multiply, subtract, one = model.params, np.dot, np.multiply, np.subtract, _ONE
+        add, momentum = np.add, MOMENTUM
         (first, second, a, head), logistic = model.layers(params), _logistic_in_place
         self.z = z = np.empty((n, model.n_functional))  # the functional activations
         h1 = np.ones((2, n))  # [H; 1]
@@ -278,7 +283,9 @@ class _Kernel:
             multiply(dz, subtract(one, z, z), dz)
             dot(x.T, dz, g_first)
             multiply(grad, factor, grad)
-            subtract(params, grad, params)
+            multiply(velocity, momentum, velocity)
+            add(velocity, grad, velocity)
+            subtract(params, velocity, params)
             return dot(residual, residual)
 
         self.step = step
@@ -346,7 +353,7 @@ def train(
     cfg: TrainConfig,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> TrainResult:
-    """Mini-batch gradient descent on the MSE of scaled RUL labels.
+    """Mini-batch heavy-ball gradient descent on the MSE of scaled RUL labels.
 
     Projection scores are computed once and reused every epoch. When the
     validation fraction is positive, the returned model is the snapshot
@@ -380,10 +387,11 @@ def train(
     val_scores, val_targets = scores[val_idx], targets[val_idx]
     epoch_scores, epoch_targets = np.empty_like(train_scores), np.empty_like(train_targets)
     params, n_fit = model.params, train_idx.size
-    grad, lr = np.empty_like(params), cfg.learning_rate
+    grad, velocity, lr = np.empty_like(params), np.zeros_like(params), cfg.learning_rate
     size = min(cfg.batch_size, n_fit)
-    # One step per batch size: the full batches and a shorter last one.
-    steps = {m: _Kernel(model, m, grad, lr).step for m in {size, n_fit % size} - {0}}
+    # One step per batch size, the full batches and a shorter last one; one velocity
+    # carries across both and across epochs.
+    steps = {m: _Kernel(model, m, grad, velocity, lr).step for m in {size, n_fit % size} - {0}}
     batches = [
         (epoch_scores[s : s + size], epoch_targets[s : s + size], steps[min(size, n_fit - s)])
         for s in range(0, n_fit, size)

@@ -140,9 +140,10 @@ def loss(model, windows):
 
 def gradients(model, windows):
     """The training kernel's gradient of the batch MSE, laid out like
-    ``model.params``: the gradient of one unit step, taken on a copy."""
+    ``model.params``: the gradient of one unit step from a zero velocity,
+    taken on a copy."""
     grad, step_model = np.empty_like(model.params), dataclasses.replace(model)
-    step = fmlp._Kernel(step_model, len(windows), grad).step
+    step = fmlp._Kernel(step_model, len(windows), grad, np.zeros_like(grad)).step
     with np.errstate(over="ignore", invalid="ignore"):  # as in fmlp.train
         step(*_kernel_inputs(model, windows))
     return grad
@@ -188,8 +189,10 @@ def _clipped_logistic(x):
 
 def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label_scale=130.0):
     """fmlp.train written plainly: one array per parameter block, the same
-    random draws in the same order, and a per-block update ``p -= lr * g``
-    each step; the best-validation snapshot is a copy of every block.
+    random draws in the same order, and a per-block heavy-ball update each
+    step, ``v = 0.9 * v + lr * g`` then ``p -= v``, with one velocity ``v``
+    per block that starts at zero and carries across batches and epochs; the
+    best-validation snapshot is a copy of every block.
     An epoch's train_mse sums each batch's squared residuals before its
     update and divides by the training split's size. Returns the final
     (name, block) pairs and the trace as (epoch, train_mse, val_mse)
@@ -207,6 +210,7 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
     w2 = rng.uniform(-hidden_limit, hidden_limit, size=(1, hidden_width))
     b, b1, b2 = np.zeros(n_functional), np.zeros(hidden_width), np.zeros(1)
     blocks = [a, b, beta, w1, b1, w2, b2]
+    velocities = [np.zeros_like(block) for block in blocks]
     names = ["a", "b", "beta", "w1", "b1", "w2", "b2"]
 
     def forward(scores):
@@ -241,8 +245,10 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
             g_a = z.T @ dh
             dpre = np.outer(dh, a) * z * (1.0 - z)
             g_beta, g_b = dpre.T @ x, dpre.sum(axis=0)
-            for block, g in zip(blocks, [g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2]):
-                block -= cfg.learning_rate * g
+            grads = [g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2]
+            for block, v, g in zip(blocks, velocities, grads):
+                v[...] = 0.9 * v + cfg.learning_rate * g
+                block -= v
         train_mse = sse / train_idx.size
         val_mse = mse(scores[val_idx], targets[val_idx]) if n_val else None
         trace.append((epoch, train_mse, val_mse))

@@ -882,6 +882,12 @@ def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, c
         # The sweep model of corpus seeds 1-60 closest to the constant guess at
         # the 200-epoch budget and patience 300: 0.426 of it (15.41 cycles).
         (10, 1001, 300),
+        # Plain descent at step size 0.4 stopped this model after 44 epochs
+        # on the plateau at patience 25 (37.72 cycles); momentum frees it.
+        (29, 2901, 25),
+        # Under momentum the sweep model of corpus seeds 1-60 that leaves the
+        # plateau last: at a 100-epoch budget it read 17.90 cycles, not 14.24.
+        (17, 1700, 300),
     ],
 )
 def test_default_training_beats_a_constant_guess_on_a_small_corpus(

@@ -326,10 +326,10 @@ def test_full_batch_descent_is_monotone():
 
 # --- training -----------------------------------------------------------
 
-# Batches of 64 at the step size that goes with them. On these tests'
-# 90-200 windows they give several batches per epoch and a short last one,
-# where the 512-row default gives one batch per epoch.
-BATCHES_OF_64 = {"batch_size": 64, "learning_rate": 0.05}
+# Batches of 64 at the step size that goes with them (0.08 x 64 / 512). On
+# these tests' 90-200 windows they give several batches per epoch and a short
+# last one, where the 512-row default gives one batch per epoch.
+BATCHES_OF_64 = {"batch_size": 64, "learning_rate": 0.01}
 
 
 def rank_one_task():
