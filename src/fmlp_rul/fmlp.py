@@ -52,7 +52,7 @@ ARTIFACT_KEYS = ("schema", "subset_id", "window_length", "condition_model", "sca
 DEFAULT_FUNCTIONAL_NEURONS = 4
 HIDDEN_WIDTH = 2
 _ONE = np.array(1.0)  # 0-d, made once: numpy converts a Python float operand per call
-MOMENTUM = np.array(0.9)  # the heavy-ball step's beta (Polyak 1964), 0-d as _ONE is
+MOMENTUM = np.array(0.9)  # the Nesterov step's beta (Sutskever et al. 2013), 0-d as _ONE is
 
 # The parameter blocks by name: the functional layer (a, b, beta), the
 # logistic hidden layer (w1, b1), the linear output unit (w2, b2). Each is a
@@ -70,17 +70,19 @@ def _block_shapes(k: int, d: int) -> dict[str, tuple[int, ...]]:
 class TrainConfig:
     """Mini-batch training settings.
 
-    Each step moves the parameters by a velocity v = MOMENTUM * v +
-    learning_rate * gradient: an effective step of learning_rate / (1 -
-    MOMENTUM), 0.8 at the defaults. Whoever changes ``batch_size`` should
-    scale ``learning_rate`` in proportion (linear scaling; 0.08 at 512 rows).
-    Batches above 512 rows are untested. The step size and the epoch budget
-    were sized on held-out training engines (README); early stopping on the
-    window split rarely ends a run before the budget.
+    Each step is Nesterov's look-ahead step in Sutskever et al.'s form: with
+    g = learning_rate * gradient, the velocity becomes v = MOMENTUM * v + g
+    and the parameters move by g + MOMENTUM * v, an effective step of
+    learning_rate / (1 - MOMENTUM), 0.8 at the defaults. Whoever changes
+    ``batch_size`` should scale ``learning_rate`` in proportion (linear
+    scaling; 0.08 at 512 rows). Batches above 512 rows are untested. The
+    step size and the epoch budget were sized on held-out training engines
+    (README); early stopping on the window split rarely ends a run before
+    the budget.
     """
 
     learning_rate: float = 0.08
-    epochs: int = 125
+    epochs: int = 90
     batch_size: int = 512
     seed: int = 0
     patience: int = 25
@@ -227,14 +229,14 @@ def _logistic_in_place(x: np.ndarray) -> np.ndarray:
 class _Kernel:
     """The network over n rows of [scores, 1] (n, D+1): the forward pass,
     ``run(x)``, and, given ``grad`` and ``velocity``, vectors laid out like
-    ``params``, one heavy-ball step, ``step(x, targets)``. A step writes
+    ``params``, one Nesterov step, ``step(x, targets)``. A step writes
     ``scale`` times the gradient of the MSE over the rows of x into ``grad``,
-    sets ``velocity`` to MOMENTUM times itself plus ``grad``, subtracts it
-    from ``params``, and returns the rows' sum of squared residuals before
-    the update. Views of the parameters and every other operand are
-    bound once, here, so both follow every in-place update; each call
-    overwrites the work arrays, and the ones rows are never written.
-    Finiteness is the caller's check."""
+    sets ``velocity`` to MOMENTUM times itself plus ``grad``, subtracts
+    ``grad`` plus MOMENTUM times the new velocity from ``params``, and
+    returns the rows' sum of squared residuals before the update. Views of
+    the parameters and every other operand are bound once, here, so both
+    follow every in-place update; each call overwrites the work arrays, and
+    the ones rows are never written. Finiteness is the caller's check."""
 
     def __init__(self, model: FmlpModel, n: int, grad=None, velocity=None, scale=1.0):
         params, dot, multiply, subtract, one = model.params, np.dot, np.multiply, np.subtract, _ONE
@@ -265,6 +267,7 @@ class _Kernel:
         dhidden = np.empty_like(hidden)  # dJ/d(hidden pre-activation)
         dhidden_t, dh = dhidden.T, np.empty(n)  # dJ/dH
         dh_col = dh[:, None]
+        update = np.empty_like(grad)  # grad + MOMENTUM * velocity, the look-ahead step
 
         def step(x: np.ndarray, targets: np.ndarray) -> np.float64:
             """The logistic derivatives s(1 - s) overwrite the activations,
@@ -285,7 +288,9 @@ class _Kernel:
             multiply(grad, factor, grad)
             multiply(velocity, momentum, velocity)
             add(velocity, grad, velocity)
-            subtract(params, velocity, params)
+            multiply(velocity, momentum, update)
+            add(update, grad, update)
+            subtract(params, update, params)
             return dot(residual, residual)
 
         self.step = step
@@ -353,7 +358,8 @@ def train(
     cfg: TrainConfig,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> TrainResult:
-    """Mini-batch heavy-ball gradient descent on the MSE of scaled RUL labels.
+    """Mini-batch gradient descent with Nesterov momentum on the MSE of
+    scaled RUL labels.
 
     Projection scores are computed once and reused every epoch. When the
     validation fraction is positive, the returned model is the snapshot

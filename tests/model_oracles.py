@@ -189,10 +189,11 @@ def _clipped_logistic(x):
 
 def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label_scale=130.0):
     """fmlp.train written plainly: one array per parameter block, the same
-    random draws in the same order, and a per-block heavy-ball update each
-    step, ``v = 0.9 * v + lr * g`` then ``p -= v``, with one velocity ``v``
-    per block that starts at zero and carries across batches and epochs; the
-    best-validation snapshot is a copy of every block.
+    random draws in the same order, and a per-block Nesterov update each
+    step in Sutskever's form, ``v = 0.9 * v + lr * g`` then ``p -= lr * g +
+    0.9 * v``, with one velocity ``v`` per block that starts at zero and
+    carries across batches and epochs; the best-validation snapshot is a
+    copy of every block.
     An epoch's train_mse sums each batch's squared residuals before its
     update and divides by the training split's size. Returns the final
     (name, block) pairs and the trace as (epoch, train_mse, val_mse)
@@ -248,7 +249,7 @@ def reference_train(instances, basis, cfg, n_functional=4, hidden_width=2, label
             grads = [g_a, g_b, g_beta, g_w1, g_b1, g_w2, g_b2]
             for block, v, g in zip(blocks, velocities, grads):
                 v[...] = 0.9 * v + cfg.learning_rate * g
-                block -= v
+                block -= cfg.learning_rate * g + 0.9 * v
         train_mse = sse / train_idx.size
         val_mse = mse(scores[val_idx], targets[val_idx]) if n_val else None
         trace.append((epoch, train_mse, val_mse))

@@ -888,6 +888,12 @@ def test_predict_rejects_artifact_with_nested_a(mini_run, mini_root, tmp_path, c
         # Under momentum the sweep model of corpus seeds 1-60 that leaves the
         # plateau last: at a 100-epoch budget it read 17.90 cycles, not 14.24.
         (17, 1700, 300),
+        # Heavy-ball steps stopped this model after 28 epochs on the plateau
+        # at patience 25 (40.35 cycles); Nesterov steps free it.
+        (22, 2201, 25),
+        # Under Nesterov steps the sweep model of corpus seeds 1-60 that a
+        # shorter budget fails first: at 80 epochs it read 37.91 cycles.
+        (52, 5201, 300),
     ],
 )
 def test_default_training_beats_a_constant_guess_on_a_small_corpus(
