@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cmapss import SUBSET_IDS
 from .errors import NumericError
 from .preprocess import DEFAULT_RUL_CAP
 
@@ -54,7 +55,7 @@ BASELINE_CITATIONS = {
     "LSTM": "Zheng et al. 2017",
 }
 
-# The baseline the headline improvement is computed against.
+# The baseline the headline improvement is computed against; it has a score.
 REFERENCE_BASELINE = "LSTM"
 
 
@@ -106,9 +107,13 @@ class EvalReport:
     """Per-engine errors; the aggregate metrics and the baseline
     comparisons are derived from them."""
 
-    subset_id: str | None
+    subset_id: str
     records: list[EngineRecord]
     t_cap: int
+
+    def __post_init__(self):
+        if self.subset_id not in SUBSET_IDS:
+            raise ValueError(f"subset_id is {self.subset_id!r}, expected one of {SUBSET_IDS}")
 
     @property
     def rmse(self) -> float:
@@ -121,8 +126,6 @@ class EvalReport:
     @property
     def baselines(self) -> dict:
         """Baseline name -> {"citation", "rmse", "imp_rmse"[, "score", "imp_score"]}."""
-        if self.subset_id is None:
-            return {}
         own_rmse, own_score = self.rmse, self.score
         baselines = {}
         for name, table in BASELINE_RMSE.items():
@@ -142,14 +145,15 @@ def build_report(
     predictions,
     truths,
     unit_ids=None,
-    subset_id: str | None = None,
+    *,
+    subset_id: str,
     t_cap: int = DEFAULT_RUL_CAP,
 ) -> EvalReport:
     """Assemble an EvalReport from one prediction, truth and unit id (default
     1..N) per engine, each given as a sequence or an array.
 
-    Truths are capped at t_cap before metrics. A known subset attaches the
-    published baseline table and the improvement percentages against it.
+    Truths are capped at t_cap before metrics. The subset, one of SUBSET_IDS,
+    selects the published baseline table the report compares against.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     truths = np.minimum(np.asarray(truths, dtype=np.float64), float(t_cap))
@@ -183,14 +187,10 @@ def report_to_doc(report: EvalReport) -> dict:
         "true_rul_cap": report.t_cap,
         "baselines_version": BASELINES_VERSION,
         "baselines": report.baselines,
-        "published_fmlp": (
-            {
-                "rmse": PUBLISHED_FMLP_RMSE[report.subset_id],
-                "score": PUBLISHED_FMLP_SCORE[report.subset_id],
-            }
-            if report.subset_id in PUBLISHED_FMLP_RMSE
-            else None
-        ),
+        "published_fmlp": {
+            "rmse": PUBLISHED_FMLP_RMSE[report.subset_id],
+            "score": PUBLISHED_FMLP_SCORE[report.subset_id],
+        },
     }
 
 
@@ -212,20 +212,13 @@ def format_comparison_table(report: EvalReport) -> str:
         f"{'FMLP(run)':<10} {report.rmse:>10.2f} {report.score:>12.4g}"
         f" {'':>10} {'':>11}"
     )
-    if report.subset_id in PUBLISHED_FMLP_RMSE:
-        lines.append(
-            f"{'FMLP(pub)':<10} {PUBLISHED_FMLP_RMSE[report.subset_id]:>10.2f}"
-            f" {PUBLISHED_FMLP_SCORE[report.subset_id]:>12.4g} {'':>10} {'':>11}"
-        )
-    if REFERENCE_BASELINE in report.baselines:
-        ref = report.baselines[REFERENCE_BASELINE]
-        lines.append(
-            f"improvement over {REFERENCE_BASELINE}:"
-            f" RMSE {ref['imp_rmse'] * 100:.2f}%"
-            + (
-                f", score {ref['imp_score'] * 100:.2f}%"
-                if "imp_score" in ref
-                else ""
-            )
-        )
+    lines.append(
+        f"{'FMLP(pub)':<10} {PUBLISHED_FMLP_RMSE[report.subset_id]:>10.2f}"
+        f" {PUBLISHED_FMLP_SCORE[report.subset_id]:>12.4g} {'':>10} {'':>11}"
+    )
+    ref = report.baselines[REFERENCE_BASELINE]
+    lines.append(
+        f"improvement over {REFERENCE_BASELINE}: RMSE {ref['imp_rmse'] * 100:.2f}%,"
+        f" score {ref['imp_score'] * 100:.2f}%"
+    )
     return "\n".join(lines)

@@ -103,7 +103,8 @@ class TrainConfig:
 
 @dataclass
 class FmlpModel:
-    """The trained network and the eigenbasis its functional layer reads.
+    """The trained network, the eigenbasis its functional layer reads, and the
+    settings that trained it.
 
     Every network parameter lives in one float64 vector, ``params``, laid
     out as ``layers`` describes; each block in ``BLOCKS`` is a view into it.
@@ -117,11 +118,13 @@ class FmlpModel:
     w2: np.ndarray  # (1, 2) output weights
     b2: np.ndarray  # (1,) output bias
     basis: EigenBasis
+    train_config: TrainConfig
     label_scale: float = float(DEFAULT_RUL_CAP)
-    train_config: TrainConfig | None = None
     params: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.train_config, TrainConfig):
+            raise ValueError(f"train_config is {self.train_config!r}, expected a TrainConfig")
         self.label_scale = json_number(self.label_scale, float, "label_scale", ValueError)
         if not (self.label_scale > 0 and self.label_scale.is_integer()):  # evaluate caps RULs at it
             raise ValueError(f"label_scale is {self.label_scale}, expected > 0 and a whole number")
@@ -306,6 +309,7 @@ class _Kernel:
 def init_model(
     basis: EigenBasis,
     rng: np.random.Generator,
+    train_config: TrainConfig,
     n_functional: int = DEFAULT_FUNCTIONAL_NEURONS,
     label_scale: float = float(DEFAULT_RUL_CAP),
 ) -> FmlpModel:
@@ -329,6 +333,7 @@ def init_model(
         w2=w2,
         b2=np.zeros(1),
         basis=basis,
+        train_config=train_config,
         label_scale=label_scale,
     )
 
@@ -374,8 +379,7 @@ def train(
     if not instances:
         raise ValueError("no training instances")
     rng = seeded_rng(cfg.seed)
-    model = init_model(basis, rng, label_scale=label_scale)
-    model.train_config = cfg
+    model = init_model(basis, rng, cfg, label_scale=label_scale)
 
     scores = _network_input(basis, instances)
     targets = _scaled_targets(model, instances)
@@ -471,9 +475,7 @@ def model_to_doc(model: FmlpModel) -> dict:
     return {
         "schema": ARTIFACT_SCHEMA,
         "label_scale": model.label_scale,
-        "train_config": (
-            dataclasses.asdict(model.train_config) if model.train_config else None
-        ),
+        "train_config": dataclasses.asdict(model.train_config),
         "basis": {
             "fve_cutoff": model.basis.fve_cutoff,
             "component_cap": model.basis.component_cap,
@@ -540,12 +542,11 @@ def pipeline_from_doc(doc: dict) -> Pipeline:
             fields = _read(s, shapes, name, m_from, raw=("sensor_id",))
             sensors.append(_built(SensorBasis, name, **fields))
         basis = _built(EigenBasis, "basis.", sensors, **basis_doc)
-        net_doc, cfg_doc = _object(doc["network"], "network."), doc["train_config"]
+        net_doc = _object(doc["network"], "network.")
         shapes = _block_shapes(_length(net_doc, "a", "network."), basis.total_components)
-        train_config = None
-        if cfg_doc is not None:  # none of its fields is a default
-            fields = _read(cfg_doc, {}, "train_config.", raw=TrainConfig.__dataclass_fields__)
-            train_config = _built(TrainConfig, "train_config.", **fields)
+        raw = TrainConfig.__dataclass_fields__  # none of its fields is a default
+        fields = _read(doc["train_config"], {}, "train_config.", raw=raw)
+        train_config = _built(TrainConfig, "train_config.", **fields)
         network = _built(
             FmlpModel, "", **_read(net_doc, shapes, "network."), basis=basis,
             label_scale=doc["label_scale"], train_config=train_config,

@@ -16,7 +16,7 @@ import numpy as np
 from fmlp_rul.cmapss import N_COLUMNS, N_SENSORS, N_SETTINGS, Trajectories
 from fmlp_rul.errors import IntegrityError, ParseError
 from fmlp_rul import fmlp
-from fmlp_rul.fmlp import init_model
+from fmlp_rul.fmlp import TrainConfig, init_model
 from fmlp_rul.fpca import fit_basis
 from fmlp_rul.numerics import seeded_rng
 from fmlp_rul.preprocess import Windows
@@ -154,7 +154,7 @@ def random_model_and_batch(seed, k=4, n_sensors=3, m=10, batch_size=3):
     rng = seeded_rng(seed)
     basis_curves = rng.normal(0.5, 0.2, size=(30, n_sensors, m))
     basis = fit_row_basis(make_instances(basis_curves))
-    model = init_model(basis, rng, n_functional=k)
+    model = init_model(basis, rng, TrainConfig(), n_functional=k)
     model.b[:] = rng.uniform(-0.5, 0.5, k)
     for bias in (model.b1, model.b2):
         bias[:] = rng.uniform(-0.5, 0.5, bias.shape)

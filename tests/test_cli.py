@@ -841,6 +841,7 @@ def _condition_width_8(doc):
         (_set("network", []), "artifact field network is [], expected an object"),
         (_set("scaler", "x"), "artifact field scaler is 'x', expected an object"),
         (_set("train_config", 3), "artifact field train_config is 3, expected an object"),
+        (_set("train_config", None), "artifact field train_config is None, expected an object"),
         (_set("basis", []), "artifact field basis is [], expected an object"),
         (_set("condition_model", [1.0]),
          "artifact field condition_model is [1.0], expected an object"),

@@ -116,27 +116,29 @@ def test_build_report_caps_true_rul():
 
 
 def test_build_report_without_baselines():
-    report = build_report([1.0], [2.0], subset_id=None)
-    assert report.baselines == {}
-    assert report_to_doc(report)["baselines"] == {}
+    # None once built a report without baselines, and "FD009" one whose
+    # report_to_doc raised a bare KeyError.
+    for subset_id in (None, "FD009"):
+        with pytest.raises(ValueError, match=rf"^subset_id is {subset_id!r}, expected one of"):
+            build_report([1.0], [2.0], subset_id=subset_id)
 
 
 def test_build_report_alignment_checked():
     with pytest.raises(ValueError):
-        build_report([1.0, 2.0], [1.0])
+        build_report([1.0, 2.0], [1.0], subset_id="FD001")
 
 
 def test_build_report_rejects_unit_ids_of_another_length():
     # zip once truncated to the unit ids: 2 records with RMSE 2.0, no error.
     with pytest.raises(ValueError, match="2 unit ids for 3 predictions"):
-        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2])
+        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2], subset_id="FD001")
     with pytest.raises(ValueError, match="4 unit ids for 3 predictions"):
-        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2, 3, 4])
+        build_report([10, 20, 30], [12, 18, 35], unit_ids=[1, 2, 3, 4], subset_id="FD001")
 
 
 def test_build_report_rejects_predictions_that_are_not_one_per_engine():
     with pytest.raises(ValueError, match=r"\(2, 1\) predictions for \(2,\) true values"):
-        build_report([[10.0], [20.0]], [12.0, 25.0])
+        build_report([[10.0], [20.0]], [12.0, 25.0], subset_id="FD001")
 
 
 def test_build_report_from_arrays_equals_from_lists():

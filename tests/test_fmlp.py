@@ -96,7 +96,7 @@ def test_weight_curve_picks_out_eigenfunction():
 def test_weight_curve_parseval():
     basis = two_mode_basis()
     assert basis.sensors[0].num_components == 2
-    model = init_model(basis, seeded_rng(3), n_functional=2)
+    model = init_model(basis, seeded_rng(3), TrainConfig(), n_functional=2)
     model.beta[0, :] = [1.0, 1.0]
     curve = weight_curve(model, 0, 0)
     assert discrete_integral(curve, curve) == pytest.approx(2.0, abs=1e-8)
@@ -118,7 +118,7 @@ def test_init_model_draws_each_block_within_its_glorot_limit(n_sensors, n_compon
     basis = EigenBasis(sensors, fve_cutoff=0.8, component_cap=2)
     d = basis.total_components
     assert d == beta_fans - 1
-    model = init_model(basis, seeded_rng(9))
+    model = init_model(basis, seeded_rng(9), TrainConfig())
     limits = {"a": math.sqrt(6 / 5), "beta": math.sqrt(6 / beta_fans), "w1": math.sqrt(2),
               "w2": math.sqrt(2)}
     rng = seeded_rng(9)
@@ -128,7 +128,7 @@ def test_init_model_draws_each_block_within_its_glorot_limit(n_sensors, n_compon
         assert np.array_equal(block, rng.uniform(-limit, limit, size=shape)), name
     for name in ("b", "b1", "b2"):
         assert not getattr(model, name).any(), name
-    again = init_model(basis, seeded_rng(9))
+    again = init_model(basis, seeded_rng(9), TrainConfig())
     assert np.array_equal(again.params, model.params)
 
 
@@ -146,7 +146,7 @@ def test_functional_layer_at_zero_parameters():
 
 def test_functional_layer_constant_weight_function():
     basis = constant_basis()
-    model = init_model(basis, seeded_rng(5), n_functional=1)
+    model = init_model(basis, seeded_rng(5), TrainConfig(), n_functional=1)
     model.beta[0, 0] = 1.0  # weight curve is the constant function 1
     model.b[0] = 0.0
     c = 0.37
@@ -647,6 +647,15 @@ def test_train_rejects_label_scale_an_artifact_cannot_hold(small_pipeline, label
         train(data, pipeline.network.basis, TrainConfig(epochs=1), label_scale=label_scale)
 
 
+@pytest.mark.parametrize("config", [None, {"seed": 3}])
+def test_network_requires_a_train_config(small_pipeline, config):
+    # Both once built a network: None then wrote a null train_config, and a
+    # dict made model_to_doc raise a bare TypeError.
+    network = small_pipeline[0].network
+    with pytest.raises(ValueError, match=r"^train_config is .*, expected a TrainConfig$"):
+        dataclasses.replace(network, train_config=config)
+
+
 def test_pipeline_rejects_unknown_subset_id(small_pipeline):
     pipeline, _ = small_pipeline
     with pytest.raises(ValueError, match="^subset_id is 'FD009', expected one of"):
@@ -677,6 +686,8 @@ def _mostly(valid, other=st.one_of(
 _DROPS = st.sets(st.integers(0, N_SENSORS - 1), min_size=1) | st.just(set(range(N_SENSORS)))
 
 
+_DEFAULT_CONFIG = dataclasses.asdict(TrainConfig())
+
 # Every array of a pipeline, by artifact object and field; a "basis" field is
 # one sensor's.
 _ARRAYS = [
@@ -702,10 +713,10 @@ _ARRAYS = [
     ),
 )
 # One non-finite leaf with every other field valid, for each constructor.
-@example(130.0, "FD001", set(), None, (("condition_model", "target_scale"), 3, math.inf))
-@example(130.0, "FD001", set(), None, (("scaler", "maximum"), 3, math.inf))
-@example(130.0, "FD001", set(), None, (("basis", "components"), 5, -math.inf))
-@example(130.0, "FD001", set(), None, (("network", "b2"), 0, math.nan))
+@example(130.0, "FD001", set(), _DEFAULT_CONFIG, (("condition_model", "target_scale"), 3, math.inf))
+@example(130.0, "FD001", set(), _DEFAULT_CONFIG, (("scaler", "maximum"), 3, math.inf))
+@example(130.0, "FD001", set(), _DEFAULT_CONFIG, (("basis", "components"), 5, -math.inf))
+@example(130.0, "FD001", set(), _DEFAULT_CONFIG, (("network", "b2"), 0, math.nan))
 def test_construction_fails_exactly_when_its_artifact_would_not_load(
     small_pipeline, label_scale, subset_id, dropped, config, leaf
 ):
