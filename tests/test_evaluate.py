@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -164,3 +165,65 @@ def test_report_csv_layout():
     assert lines[1].startswith("5,")
     table = format_comparison_table(report)
     assert "LSTM" in table and "FMLP(run)" in table
+
+
+def _pinned_report(k, subset_id):
+    # Over- and under-estimates, a truth above the cap and a gap in unit ids.
+    return build_report(
+        [10.25 + k, 131.5, 0.0, 47.125 * k], [12, 145, 3 + k, 130],
+        unit_ids=[7, 8, 9, 11 + k], subset_id=subset_id,
+    )
+
+
+# sha256 of report.json's text, report.csv and the comparison table.
+PINNED_REPORT_DIGESTS = {
+    "FD001": (
+        "2ad5579df6a106807b62725a50dcf1bbd2d4fee78795f61ada49dcf7f44646fb",
+        "2affb1cf6d30532f63c18f36daeb25e444e4223333f614c4cb6b776e38650bb9",
+        "068bac956c1432e7dda46a0c0e6cd6cd6dd2dd331e71acd8d2857712ead3e2bc",
+    ),
+    "FD002": (
+        "109591574533d9e2dc8192e1bcb3ea3ba739a3ea6ddb346b91b97ed527d00ab3",
+        "1e755ae380d5ad6eb1694db3991d0fef10a2b058dd8fbaeb279a9622391b94d2",
+        "19daf1713b9a9e3f9f5fc783c916bb478c49e2a163ebd190eb9a3d763170b40e",
+    ),
+    "FD003": (
+        "6add5d3481331c0715748f50aceb6157f5801456ef00e8301af0f74578ca9f5d",
+        "3569673c47eb303916f793074cc4b88128da2f8af6f990b7b1b0e2567a0c2e38",
+        "2d5fd38ad8c24b1b7ab4558ca43e771167a69069ca10f71b9b834984a464d314",
+    ),
+    "FD004": (
+        "5e8abb084484e87ef832a331e329a39248061c1812a78c85f23cdd3a00e0f199",
+        "1599d9e0df13e9f6fd39ae5940b43ec72ef7ca967c25fafd8b9256839cd5d608",
+        "f508a14d3732d24ec0fb2f674f49c8873d5fd0e9571fcb0a1f8b8e40a8c2af7a",
+    ),
+}
+
+PINNED_FD001_TABLE = "\n".join([
+    "subset FD001: 4 engines, true RUL capped at 130",
+    "model            RMSE        score  IMP(RMSE)  IMP(score)",
+    "MLP             37.56      1.8e+04    -10.47%      96.74%",
+    "SVR             20.96         1400    -97.97%      58.10%",
+    "RVR             23.80         1500    -74.35%      60.90%",
+    "CNN             18.45         1300   -124.90%      54.88%",
+    "DW-RNN          22.52            -    -84.25%           -",
+    "MTL-RNN         21.47            -    -93.27%           -",
+    "LSTMBS          14.89          480   -178.67%     -22.20%",
+    "LSTM            16.14          340   -157.09%     -72.52%",
+    "FMLP(run)       41.49        586.6" + " " * 23,
+    "FMLP(pub)       13.36          200" + " " * 23,
+    "improvement over LSTM: RMSE -157.09%, score -72.52%",
+])
+
+
+@pytest.mark.parametrize("k,subset_id", [(1, "FD001"), (2, "FD002"), (3, "FD003"), (4, "FD004")])
+def test_report_renderings_are_pinned(k, subset_id):
+    # report.json, report.csv and the evaluate table are outputs: every key,
+    # key order, float and column of them is part of the CLI contract.
+    report = _pinned_report(k, subset_id)
+    table = format_comparison_table(report)
+    if subset_id == "FD001":
+        assert table == PINNED_FD001_TABLE
+    texts = (json.dumps(report_to_doc(report), indent=1), report_to_csv(report), table)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+    assert digests == PINNED_REPORT_DIGESTS[subset_id]
