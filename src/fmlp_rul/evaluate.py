@@ -9,6 +9,7 @@ visible.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,43 +17,30 @@ from .cmapss import SUBSET_IDS
 from .errors import NumericError
 from .preprocess import DEFAULT_RUL_CAP
 
-# Published metric values for prior methods on the four subsets
-# (baseline version 1; RMSE and score tables from the comparison papers).
+
+class Published(NamedTuple):
+    """One method's published results on FD001..FD004, in SUBSET_IDS order.
+    score is None where the paper gives no score."""
+
+    citation: str
+    rmse: tuple[float, float, float, float]
+    score: tuple[float, float, float, float] | None
+
+
+# Published results of prior methods (baseline version 1; RMSE and score
+# tables from the comparison papers), then the FMLP paper's own row, kept for
+# side-by-side display (not a gate and not a baseline).
 BASELINES_VERSION = 1
-
-BASELINE_RMSE = {
-    "MLP": {"FD001": 37.56, "FD002": 80.03, "FD003": 37.39, "FD004": 77.37},
-    "SVR": {"FD001": 20.96, "FD002": 42.00, "FD003": 21.05, "FD004": 45.35},
-    "RVR": {"FD001": 23.80, "FD002": 31.30, "FD003": 22.37, "FD004": 34.34},
-    "CNN": {"FD001": 18.45, "FD002": 30.29, "FD003": 19.82, "FD004": 29.16},
-    "DW-RNN": {"FD001": 22.52, "FD002": 25.90, "FD003": 18.75, "FD004": 24.44},
-    "MTL-RNN": {"FD001": 21.47, "FD002": 25.78, "FD003": 17.98, "FD004": 22.82},
-    "LSTMBS": {"FD001": 14.89, "FD002": 26.86, "FD003": 15.11, "FD004": 27.11},
-    "LSTM": {"FD001": 16.14, "FD002": 24.49, "FD003": 16.18, "FD004": 28.17},
-}
-
-BASELINE_SCORE = {
-    "MLP": {"FD001": 1.8e4, "FD002": 7.8e6, "FD003": 1.7e4, "FD004": 5.6e6},
-    "SVR": {"FD001": 1.4e3, "FD002": 5.9e5, "FD003": 1.6e3, "FD004": 3.7e5},
-    "RVR": {"FD001": 1.5e3, "FD002": 1.7e4, "FD003": 1.4e3, "FD004": 2.7e4},
-    "CNN": {"FD001": 1.3e3, "FD002": 1.4e4, "FD003": 1.6e3, "FD004": 7.9e3},
-    "LSTMBS": {"FD001": 4.8e2, "FD002": 8.0e3, "FD003": 4.9e2, "FD004": 5.2e3},
-    "LSTM": {"FD001": 3.4e2, "FD002": 4.5e3, "FD003": 8.5e2, "FD004": 5.6e3},
-}
-
-# Published FMLP results, kept for side-by-side display (not a gate).
-PUBLISHED_FMLP_RMSE = {"FD001": 13.36, "FD002": 16.62, "FD003": 12.74, "FD004": 17.76}
-PUBLISHED_FMLP_SCORE = {"FD001": 2.0e2, "FD002": 9.0e2, "FD003": 1.8e2, "FD004": 1.0e3}
-
-BASELINE_CITATIONS = {
-    "MLP": "Babu et al. 2016",
-    "SVR": "Babu et al. 2016",
-    "RVR": "Babu et al. 2016",
-    "CNN": "Babu et al. 2016",
-    "DW-RNN": "Aggarwal et al. 2018",
-    "MTL-RNN": "Aggarwal et al. 2018",
-    "LSTMBS": "Liao et al. 2018",
-    "LSTM": "Zheng et al. 2017",
+PUBLISHED = {
+    "MLP": Published("Babu et al. 2016", (37.56, 80.03, 37.39, 77.37), (1.8e4, 7.8e6, 1.7e4, 5.6e6)),
+    "SVR": Published("Babu et al. 2016", (20.96, 42.00, 21.05, 45.35), (1.4e3, 5.9e5, 1.6e3, 3.7e5)),
+    "RVR": Published("Babu et al. 2016", (23.80, 31.30, 22.37, 34.34), (1.5e3, 1.7e4, 1.4e3, 2.7e4)),
+    "CNN": Published("Babu et al. 2016", (18.45, 30.29, 19.82, 29.16), (1.3e3, 1.4e4, 1.6e3, 7.9e3)),
+    "DW-RNN": Published("Aggarwal et al. 2018", (22.52, 25.90, 18.75, 24.44), None),
+    "MTL-RNN": Published("Aggarwal et al. 2018", (21.47, 25.78, 17.98, 22.82), None),
+    "LSTMBS": Published("Liao et al. 2018", (14.89, 26.86, 15.11, 27.11), (4.8e2, 8.0e3, 4.9e2, 5.2e3)),
+    "LSTM": Published("Zheng et al. 2017", (16.14, 24.49, 16.18, 28.17), (3.4e2, 4.5e3, 8.5e2, 5.6e3)),
+    "FMLP": Published("Wang et al. 2019", (13.36, 16.62, 12.74, 17.76), (2.0e2, 9.0e2, 1.8e2, 1.0e3)),
 }
 
 # The baseline the headline improvement is computed against; it has a score.
@@ -123,20 +111,28 @@ class EvalReport:
     def score(self) -> float:
         return score([r.error for r in self.records])
 
+    def published(self, name: str) -> tuple[float, float | None]:
+        """Method name's published RMSE and score (None if none) on this subset."""
+        row, i = PUBLISHED[name], SUBSET_IDS.index(self.subset_id)
+        return row.rmse[i], None if row.score is None else row.score[i]
+
     @property
     def baselines(self) -> dict:
         """Baseline name -> {"citation", "rmse", "imp_rmse"[, "score", "imp_score"]}."""
         own_rmse, own_score = self.rmse, self.score
         baselines = {}
-        for name, table in BASELINE_RMSE.items():
+        for name in PUBLISHED:
+            if name == "FMLP":  # the paper's own row, not a baseline
+                continue
+            rmse_, score_ = self.published(name)
             entry = {
-                "citation": BASELINE_CITATIONS[name],
-                "rmse": table[self.subset_id],
-                "imp_rmse": improvement(own_rmse, table[self.subset_id]),
+                "citation": PUBLISHED[name].citation,
+                "rmse": rmse_,
+                "imp_rmse": improvement(own_rmse, rmse_),
             }
-            if name in BASELINE_SCORE:
-                entry["score"] = BASELINE_SCORE[name][self.subset_id]
-                entry["imp_score"] = improvement(own_score, entry["score"])
+            if score_ is not None:
+                entry["score"] = score_
+                entry["imp_score"] = improvement(own_score, score_)
             baselines[name] = entry
         return baselines
 
@@ -179,6 +175,7 @@ def report_to_csv(report: EvalReport) -> str:
 
 def report_to_doc(report: EvalReport) -> dict:
     """JSON-ready summary (metrics, baseline table, improvement values)."""
+    pub_rmse, pub_score = report.published("FMLP")
     return {
         "subset_id": report.subset_id,
         "n_engines": len(report.records),
@@ -187,10 +184,7 @@ def report_to_doc(report: EvalReport) -> dict:
         "true_rul_cap": report.t_cap,
         "baselines_version": BASELINES_VERSION,
         "baselines": report.baselines,
-        "published_fmlp": {
-            "rmse": PUBLISHED_FMLP_RMSE[report.subset_id],
-            "score": PUBLISHED_FMLP_SCORE[report.subset_id],
-        },
+        "published_fmlp": {"rmse": pub_rmse, "score": pub_score},
     }
 
 
@@ -201,22 +195,19 @@ def format_comparison_table(report: EvalReport) -> str:
         f" true RUL capped at {report.t_cap}",
         f"{'model':<10} {'RMSE':>10} {'score':>12} {'IMP(RMSE)':>10} {'IMP(score)':>11}",
     ]
-    for name, entry in report.baselines.items():
-        score_text = f"{entry['score']:.4g}" if "score" in entry else "-"
-        imp_s = f"{entry['imp_score'] * 100:.2f}%" if "imp_score" in entry else "-"
+    baselines = report.baselines
+    for name, entry in baselines.items():
+        score_text, imp_s = "-", "-"
+        if "score" in entry:
+            score_text, imp_s = f"{entry['score']:.4g}", f"{entry['imp_score'] * 100:.2f}%"
         lines.append(
             f"{name:<10} {entry['rmse']:>10.2f} {score_text:>12}"
             f" {entry['imp_rmse'] * 100:>9.2f}% {imp_s:>11}"
         )
-    lines.append(
-        f"{'FMLP(run)':<10} {report.rmse:>10.2f} {report.score:>12.4g}"
-        f" {'':>10} {'':>11}"
-    )
-    lines.append(
-        f"{'FMLP(pub)':<10} {PUBLISHED_FMLP_RMSE[report.subset_id]:>10.2f}"
-        f" {PUBLISHED_FMLP_SCORE[report.subset_id]:>12.4g} {'':>10} {'':>11}"
-    )
-    ref = report.baselines[REFERENCE_BASELINE]
+    pub_rmse, pub_score = report.published("FMLP")
+    lines.append(f"{'FMLP(run)':<10} {report.rmse:>10.2f} {report.score:>12.4g} {'':>10} {'':>11}")
+    lines.append(f"{'FMLP(pub)':<10} {pub_rmse:>10.2f} {pub_score:>12.4g} {'':>10} {'':>11}")
+    ref = baselines[REFERENCE_BASELINE]
     lines.append(
         f"improvement over {REFERENCE_BASELINE}: RMSE {ref['imp_rmse'] * 100:.2f}%,"
         f" score {ref['imp_score'] * 100:.2f}%"

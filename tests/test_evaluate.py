@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmlp_rul.errors import NumericError
+from fmlp_rul.cmapss import SUBSET_IDS
 from fmlp_rul.evaluate import (
-    BASELINE_RMSE,
-    BASELINE_SCORE,
+    PUBLISHED,
     build_report,
     format_comparison_table,
     improvement,
@@ -91,12 +91,13 @@ def test_improvement_requires_positive_baseline():
 
 
 def test_baseline_tables_match_published_numbers():
-    assert BASELINE_RMSE["LSTM"]["FD001"] == 16.14
-    assert BASELINE_RMSE["CNN"]["FD001"] == 18.45
-    assert BASELINE_SCORE["CNN"]["FD004"] == 7.9e3
-    assert BASELINE_SCORE["LSTM"]["FD002"] == 4.5e3
+    fd001, fd002, fd004 = (SUBSET_IDS.index(f"FD00{k}") for k in (1, 2, 4))
+    assert PUBLISHED["LSTM"].rmse[fd001] == 16.14
+    assert PUBLISHED["CNN"].rmse[fd001] == 18.45
+    assert PUBLISHED["CNN"].score[fd004] == 7.9e3
+    assert PUBLISHED["LSTM"].score[fd002] == 4.5e3
     # DW-RNN and MTL-RNN have published RMSE but no score entries
-    assert "DW-RNN" in BASELINE_RMSE and "DW-RNN" not in BASELINE_SCORE
+    assert PUBLISHED["DW-RNN"].rmse[fd001] == 22.52 and PUBLISHED["DW-RNN"].score is None
 
 
 def test_build_report_attaches_baselines_and_imp():
