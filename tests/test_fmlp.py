@@ -457,6 +457,30 @@ def test_early_stopping_runs_patience_plus_one_stale_epochs(patience):
     assert len(trace) == best_epoch + patience + 1 < cfg.epochs
 
 
+@pytest.mark.parametrize(
+    "seed,patience",
+    [
+        (6, 2),  # patience ends the run
+        (2, 300),  # the budget ends the run; its best epoch is 17 of 40
+    ],
+)
+def test_returned_network_is_the_best_epochs(seed, patience):
+    # the returned parameters are the best epoch's, bit for bit: those that a
+    # run whose budget ends at that epoch returns
+    data = take(rank_one_task(), slice(200))
+    basis = fit_row_basis(data)
+    cfg = TrainConfig(epochs=40, seed=seed, patience=patience, **BATCHES_OF_64)
+    result = train(data, basis, cfg)
+    best_epoch = min(result.trace, key=lambda row: row.val_mse).epoch
+    assert best_epoch < len(result.trace)
+    upto_best = train(data, basis, dataclasses.replace(cfg, epochs=best_epoch))
+    assert result.model.params.tobytes() == upto_best.model.params.tobytes()
+    rows = [
+        [(r.epoch, r.train_mse, r.val_mse) for r in run.trace] for run in (result, upto_best)
+    ]
+    assert rows[0][:best_epoch] == rows[1]
+
+
 def test_train_reports_divergence_epoch():
     # the weights are still finite when the validation loss overflows
     data = take(rank_one_task(), slice(100))
