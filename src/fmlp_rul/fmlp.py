@@ -381,22 +381,19 @@ def train(
     rng = seeded_rng(cfg.seed)
     model = init_model(basis, rng, cfg, label_scale=label_scale)
 
-    scores = _network_input(basis, instances)
-    targets = _scaled_targets(model, instances)
+    # One copy of the inputs in the drawn order, validation rows first. The training
+    # split is never empty: val_fraction <= 0.5 (TrainConfig), and round(n / 2) < n.
     n = len(instances)
-
     perm = rng.permutation(n)
+    scores = _network_input(basis, instances)[perm]
+    targets = _scaled_targets(model, instances)[perm]
     n_val = int(round(cfg.val_fraction * n))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation split leaves no training data")
-
-    # Gathered once; each epoch's shuffled rows are taken into fixed buffers,
-    # whose batch views and work arrays are made once.
-    train_scores, train_targets = scores[train_idx], targets[train_idx]
-    val_scores, val_targets = scores[val_idx], targets[val_idx]
+    val_scores, val_targets = scores[:n_val], targets[:n_val]
+    train_scores, train_targets = scores[n_val:], targets[n_val:]
+    # Each epoch's shuffled rows are taken into fixed buffers, whose batch
+    # views and work arrays are made once.
     epoch_scores, epoch_targets = np.empty_like(train_scores), np.empty_like(train_targets)
-    params, n_fit = model.params, train_idx.size
+    params, n_fit = model.params, n - n_val
     grad, velocity, lr = np.empty_like(params), np.zeros_like(params), cfg.learning_rate
     size = min(cfg.batch_size, n_fit)
     # One step per batch size, the full batches and a shorter last one; one velocity
@@ -407,9 +404,8 @@ def train(
         for s in range(0, n_fit, size)
     ]
     val_pass = _Kernel(model, n_val)
-    best = None
-    best_val = np.inf
-    stale = 0
+    best = np.empty_like(params)  # the best epoch's parameters, copied in place
+    best_val, best_epoch = np.inf, 0  # best_epoch 0: no snapshot taken
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
         # order permutes range(n_fit), so "clip" clips nothing; "raise" would buffer out.
@@ -437,17 +433,13 @@ def train(
                 raise TrainingError(f"validation loss diverged at epoch {epoch}")
         trace.append(TraceRow(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
 
-        if n_val:
-            if val_mse < best_val:
-                best_val = val_mse
-                best = params.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale > cfg.patience:
-                    break
+        if n_val and val_mse < best_val:
+            best_val, best_epoch = val_mse, epoch
+            best[:] = params
+        elif n_val and epoch - best_epoch > cfg.patience:
+            break
 
-    if best is not None:
+    if best_epoch:
         params[:] = best
     return TrainResult(model=model, trace=trace)
 
