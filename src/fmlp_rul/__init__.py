@@ -44,7 +44,6 @@ from .preprocess import (
     fit_condition_regressors,
     fit_preprocessing,
     last_windows,
-    linear_rul,
     piecewise_rul,
     sliding_windows,
     test_instances,

@@ -76,8 +76,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
         setattr(cfg, key, value)
     if cfg.subset is not None and cfg.subset not in SUBSET_IDS:
         raise ConfigError(f"subset must be one of {SUBSET_IDS}, got {cfg.subset!r}")
-    if not 0 < cfg.t_cap < 2**63:
-        raise ConfigError(f"config key 't_cap' must be in (0, 2**63), got {cfg.t_cap}")
+    if not 0 < cfg.t_cap <= 2**53:  # float(t_cap) is the artifact's label_scale: exact up to 2**53
+        raise ConfigError(f"config key 't_cap' must be in (0, 2**53], got {cfg.t_cap}")
     # The train config and the basis check their own ranges; their messages
     # start with the field name, which is the config key that set it.
     try:
@@ -95,6 +95,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
         except ValueError as exc:  # bad JSON, bad UTF-8, an integer of over 4300 digits
             raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     if isinstance(doc, dict):  # validate_config rejects any other root

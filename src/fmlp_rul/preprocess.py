@@ -161,20 +161,13 @@ def transform_rows(
     return rows
 
 
-def linear_rul(c, n_instances):
-    """Linear label for the c-th of n_instances windows: n_instances - c.
-
-    Works elementwise on arrays of window indices and counts.
-    """
+def piecewise_rul(c, n_instances, t_cap: float = DEFAULT_RUL_CAP):
+    """Piece-wise linear label for the c-th of n_instances windows,
+    min(t_cap, n_instances - c), elementwise on arrays of indices and counts."""
     c, n = np.asarray(c), np.asarray(n_instances)
     if np.any((c < 1) | (c > n)):
         raise ValueError(f"window index {c} outside 1..{n_instances}")
-    return n - c
-
-
-def piecewise_rul(c, n_instances, t_cap: float = DEFAULT_RUL_CAP):
-    """Piece-wise label: the linear label capped at t_cap."""
-    return np.minimum(t_cap, linear_rul(c, n_instances))
+    return np.minimum(t_cap, n - c)
 
 
 @dataclass

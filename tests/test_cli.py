@@ -119,6 +119,7 @@ def test_config_type_checked(tmp_path, capsys):
         ("learning_rate", 0.0),
         ("val_fraction", 0.7),
         ("t_cap", 0),
+        ("t_cap", 2**53 + 1),  # once trained: float() stored it as label_scale 2**53
         ("fve_cutoff", float("nan")),
         ("fve_cutoff", 0.0),
         ("fve_cutoff", 1.5),
@@ -203,6 +204,27 @@ def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_file_that_cannot_be_read_is_config_error(kind, tmp_path, capsys):
+    # Both once exited 3, the data-error code, from the OSError of open.
+    cfg = tmp_path / "config.json"
+    if kind == "directory":
+        cfg.mkdir()
+    code = cli.main(["train", "--config", str(cfg), "--data-root", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config file {cfg} cannot be read" in err
+
+
+def test_largest_t_cap_is_stored_exactly(mini_root, tmp_path):
+    # 2**53 is the largest t_cap whose float, the artifact's label_scale, is exact.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "epochs": 2, "t_cap": 2**53}))
+    argv = ["--config", str(cfg), "--data-root", str(mini_root), "--out", str(tmp_path)]
+    assert cli.main(["train", *argv]) == 0
+    assert json.loads((tmp_path / "artifact.json").read_text())["label_scale"] == 2**53
 
 
 def test_train_requires_data_root(capsys):

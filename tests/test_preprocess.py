@@ -19,7 +19,6 @@ from fmlp_rul.preprocess import (
     fit_condition_regressors,
     fit_preprocessing,
     last_windows,
-    linear_rul,
     piecewise_rul,
     sliding_windows,
     transform_rows,
@@ -341,14 +340,14 @@ def test_transform_rows_keeps_retained_sensors():
     "c,n,expected", [(114, 114, 0), (1, 114, 113), (50, 114, 64)]
 )
 def test_linear_rul(c, n, expected):
-    assert linear_rul(c, n) == expected
+    assert piecewise_rul(c, n) == expected  # every expected label is below the cap
 
 
 def test_linear_rul_out_of_range():
     with pytest.raises(ValueError):
-        linear_rul(0, 10)
+        piecewise_rul(0, 10)
     with pytest.raises(ValueError):
-        linear_rul(11, 10)
+        piecewise_rul(11, 10)
 
 
 def test_piecewise_rul_cap():
